@@ -12,6 +12,7 @@ block matrices built from the periodic difference matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -22,6 +23,14 @@ from .errors import InvalidInputError, UnsupportedOperationError
 
 # ---------------------------------------------------------------------------
 # control regimes
+
+
+def _require_finite(obj, *names):
+    """Reject a non-finite (nan or infinite) value of each named field."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,9 @@ class OpenLoop:
 
     x: float
 
+    def __post_init__(self):
+        _require_finite(self, "x")
+
 
 @dataclass(frozen=True)
 class ClosedLoop:
@@ -44,6 +56,7 @@ class ClosedLoop:
     t_gap: float
 
     def __post_init__(self):
+        _require_finite(self, "ell", "t_gap")
         if not self.t_gap > 0:
             raise InvalidInputError(f"t_gap must be positive, got {self.t_gap}")
         if self.ell < 0:
@@ -67,8 +80,9 @@ class ModelParams:
     n_vehicles and ring_length fix the geometry.  alpha is the potential
     stiffness (1/time), beta the speed-alignment rate (1/time), gamma the
     control relaxation rate (1/time) and sigma the noise volatility
-    (length/time^(3/2)).  gamma must be exactly 0 for Uncontrolled and
-    strictly positive for the two controlled regimes.
+    (length/time^(3/2)).  Every real field must be finite, and alpha,
+    beta, gamma and sigma nonnegative.  gamma must be exactly 0 for
+    Uncontrolled and strictly positive for the two controlled regimes.
     """
 
     n_vehicles: int
@@ -82,9 +96,10 @@ class ModelParams:
     def __post_init__(self):
         if self.n_vehicles < 2:
             raise InvalidInputError(f"need at least 2 vehicles, got {self.n_vehicles}")
+        _require_finite(self, "ring_length", "alpha", "beta", "gamma", "sigma")
         if not self.ring_length > 0:
             raise InvalidInputError(f"ring_length must be positive, got {self.ring_length}")
-        for name in ("alpha", "beta", "gamma"):
+        for name in ("alpha", "beta", "gamma", "sigma"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if isinstance(self.regime, Uncontrolled) and self.gamma != 0:
@@ -170,9 +185,30 @@ def _check_dims(state: State, params: ModelParams):
 # ring geometry and drift
 
 
+def _forward_diff(x: np.ndarray) -> np.ndarray:
+    """x[i+1] - x[i] along the last axis; the last entry wraps to x[0] - x[-1]."""
+    x = np.asarray(x)
+    d = np.empty_like(x)
+    np.subtract(x[..., 1:], x[..., :-1], d[..., :-1])
+    np.subtract(x[..., :1], x[..., -1:], d[..., -1:])
+    return d
+
+
+def _backward_diff(x: np.ndarray) -> np.ndarray:
+    """x[i] - x[i-1] along the last axis; the first entry wraps to x[0] - x[-1]."""
+    x = np.asarray(x)
+    d = np.empty_like(x)
+    np.subtract(x[..., 1:], x[..., :-1], d[..., 1:])
+    np.subtract(x[..., :1], x[..., -1:], d[..., :1])
+    return d
+
+
 def gaps_array(q: np.ndarray, ring_length: float) -> np.ndarray:
-    """Gap map on raw position arrays; broadcasts over leading axes."""
-    dq = np.roll(q, -1, axis=-1) - q
+    """Gap map on raw position arrays; broadcasts over leading axes.
+
+    The wrap entry is (q[0] - q[-1]) + L, in that order.
+    """
+    dq = _forward_diff(q)
     dq[..., -1] += ring_length
     return dq
 
@@ -190,24 +226,27 @@ def speed_gaps(state: State) -> np.ndarray:
     """Speed differences to the vehicle ahead; entries sum to zero."""
     if state.p.shape[-1] < 2:
         raise InvalidInputError("speed gaps need at least 2 vehicles")
-    return np.roll(state.p, -1, axis=-1) - state.p
+    return _forward_diff(state.p)
 
 
 def acceleration_array(q, p, params: ModelParams, potential: PotentialSpec):
     """Speed drift on raw arrays; broadcasts over leading axes.
 
-    Backward-difference terms (index n-1, wrapping to N at n=1) are
-    rolls by +1.
+    beta*bwd(fwd(p)) + bwd(force) plus the control term, with fwd/bwd
+    the periodic forward and backward differences (index n-1 wraps to N
+    at n=1).  Rows of a batch never mix, so each equals that state
+    evaluated alone.
     """
     gap = gaps_array(q, params.ring_length)
-    dp = np.roll(p, -1, axis=-1) - p
     force = potential_derivative(potential, gap)
-    acc = params.beta * (dp - np.roll(dp, 1, axis=-1)) + (force - np.roll(force, 1, axis=-1))
+    acc = _backward_diff(_forward_diff(p))
+    acc *= params.beta
+    acc += _backward_diff(force)
     regime = params.regime
     if isinstance(regime, OpenLoop):
-        acc = acc + params.gamma * (regime.x - p)
+        acc += params.gamma * (regime.x - p)
     elif isinstance(regime, ClosedLoop):
-        acc = acc + params.gamma * (regime.target_speed(gap) - p)
+        acc += params.gamma * (regime.target_speed(gap) - p)
     return acc
 
 

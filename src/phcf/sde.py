@@ -8,12 +8,24 @@ under discretization.
 Noise comes from counter-based Philox streams read in fixed blocks, so
 the increment at a given step is a pure function of (seed, step, vehicle):
 trajectories are bit-reproducible and ensemble members are independent of
-each other and of how many of them run.
+each other and of how many of them run.  Block b of a run with seed s is
+the first NOISE_BLOCK draws of Philox(key=s, counter=b << 64).  Each
+thread keeps one Philox generator and sets its key, counter and buffer
+for every block, which costs less than building a generator per block
+and leaves no state behind between calls.
+
+The integrator advances all runs of an ensemble as the rows of (runs, N)
+arrays updated in place.  Every update is elementwise and keeps the
+operation order of the single-run step(), so each row is bit-identical to
+a run made alone.  A run is aborted when a speed exceeds BLOWUP_LIMIT in
+magnitude or the state stops being finite; one whole-array test per step
+decides whether any row needs that per-row check.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -24,6 +36,7 @@ from .model import (
     ModelParams,
     PotentialSpec,
     State,
+    _require_finite,
     acceleration_array,
     equilibrium_speed,
     gaps_array,
@@ -33,6 +46,9 @@ from .model import (
 NOISE_BLOCK = 256
 # Speeds beyond this abort the run (gap-feedback runs genuinely diverge).
 BLOWUP_LIMIT = 1e8
+_WORD = 2**64 - 1
+# Per-thread Philox generator that noise_block re-keys on every call.
+_thread_noise = threading.local()
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +88,7 @@ class SimConfig:
     initial: InitialCondition = UniformZeroSpeed()
 
     def __post_init__(self):
+        _require_finite(self, "dt", "t_end")
         if not self.dt > 0:
             raise InvalidInputError(f"dt must be positive, got {self.dt}")
         if not self.t_end >= self.dt:
@@ -132,8 +149,32 @@ def initial_state(params: ModelParams, initial: InitialCondition) -> State:
 
 
 def noise_block(seed: int, block_index: int, n_vehicles: int, block_steps: int = NOISE_BLOCK) -> np.ndarray:
-    """Standard-normal draws for block_steps consecutive steps of one run."""
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=block_index << 64))
+    """Standard-normal draws for block_steps consecutive steps of one run.
+
+    The draws are those of Generator(Philox(key=seed, counter=block_index
+    << 64)).  Instead of building that generator, the calling thread's
+    reusable one is re-keyed and re-positioned with its buffer emptied,
+    so nothing carries over from an earlier call.
+    """
+    gen = getattr(_thread_noise, "generator", None)
+    if gen is None:
+        gen = _thread_noise.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            # block_index << 64 as four little-endian 64-bit words; an
+            # out-of-range key or counter overflows the uint64 conversion.
+            "counter": np.array(
+                [0, block_index & _WORD, (block_index >> 64) & _WORD, block_index >> 128],
+                dtype=np.uint64,
+            ),
+            "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return gen.standard_normal((block_steps, n_vehicles))
 
 
@@ -203,7 +244,7 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
     active = np.ones(runs, dtype=bool)
 
     sig_sqdt = params.sigma * math.sqrt(dt)
-    block = None
+    noise = None
     k = 0
     for s in range(n_steps + 1):
         if s % stride == 0 and k < n_samples:
@@ -214,25 +255,31 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
             k += 1
         if s == n_steps:
             break
-        if s % NOISE_BLOCK == 0:
-            block = np.stack(
-                [noise_block(seed, s // NOISE_BLOCK, n) for seed in seeds], axis=1
-            )
+        j = s % NOISE_BLOCK
+        if j == 0:
+            noise = np.stack([noise_block(seed, s // NOISE_BLOCK, n) for seed in seeds], axis=1)
+            noise *= sig_sqdt
+        # same operation order as step(): p + dt*acc + sigma*sqrt(dt)*noise
         acc = acceleration_array(q, p, params, potential)
-        p = p + dt * acc + sig_sqdt * block[s % NOISE_BLOCK]
-        q = q + dt * p
-        if active.any():
+        acc *= dt
+        p += acc
+        p += noise[j]
+        np.multiply(p, dt, out=acc)
+        q += acc
+        # NaN fails the comparison too; per-row masks only when this fires
+        if not (np.abs(p).max() <= BLOWUP_LIMIT and np.isfinite(q).all()):
             bad = active & (
                 ~np.isfinite(p).all(axis=1)
                 | ~np.isfinite(q).all(axis=1)
                 | (np.abs(p).max(axis=1) > BLOWUP_LIMIT)
             )
-            if bad.any():
-                blow_step[bad] = s + 1
-                active &= ~bad
-                # freeze dead rows; they are truncated on extraction
-                q[bad] = 0.0
-                p[bad] = 0.0
+            blow_step[bad] = s + 1
+            active &= ~bad
+            if not active.any():
+                break
+            # freeze dead rows; they are truncated on extraction
+            q[~active] = 0.0
+            p[~active] = 0.0
 
     times = np.arange(n_samples) * (stride * dt)
     out = []

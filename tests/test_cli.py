@@ -367,6 +367,17 @@ def test_main_reports_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, bad", [("t_end = 250.0", "t_end = inf"),
+                                       ("sigma = 1.0", "sigma = nan"),
+                                       ("t_gap = 1.0", "t_gap = inf")])
+def test_main_rejects_non_finite_values(tmp_path, capsys, line, bad):
+    scenario_path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(scenario_path)]) == 0
+    scenario_path.write_text(scenario_path.read_text().replace(line, bad))
+    assert main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_main_ensemble_requires_runs(tmp_path, capsys):
     path = tmp_path / "s.ini"
     main(["preset", "fig1", "--out", str(path)])

@@ -1,7 +1,12 @@
 """Geometry, drift, energy and matrix structure of the ring model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phcf import (
     ClosedLoop,
@@ -22,6 +27,7 @@ from phcf import (
     ring_difference_matrix,
     speed_gaps,
 )
+from phcf.model import acceleration_array, gaps_array
 
 
 def uncontrolled(n=3, length=9.0, alpha=1.0, beta=1.0, sigma=0.0):
@@ -312,6 +318,33 @@ def test_params_validation():
         Quadratic(alpha=-0.5)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+VALID_PARAMS = ModelParams(5, 10.0, 1.0, 1.0, 1.0, 1.0, OpenLoop(x=1.0))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["ring_length", "alpha", "beta", "gamma", "sigma"])
+def test_params_reject_non_finite(field, bad):
+    with pytest.raises(InvalidInputError, match=field):
+        replace(VALID_PARAMS, **{field: bad})
+
+
+def test_params_reject_negative_sigma():
+    with pytest.raises(InvalidInputError, match="sigma"):
+        replace(VALID_PARAMS, sigma=-0.1)
+    assert replace(VALID_PARAMS, sigma=0.0).sigma == 0.0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_regimes_reject_non_finite(bad):
+    with pytest.raises(InvalidInputError, match="x"):
+        OpenLoop(x=bad)
+    with pytest.raises(InvalidInputError, match="ell"):
+        ClosedLoop(ell=bad, t_gap=1.0)
+    with pytest.raises(InvalidInputError, match="t_gap"):
+        ClosedLoop(ell=1.0, t_gap=bad)
+
+
 def test_state_arrays_are_read_only():
     state = State(q=[0.0, 1.0], p=[0.0, 0.0])
     with pytest.raises(ValueError):
@@ -323,3 +356,72 @@ def test_quadratic_potential_basics():
     assert pot.derivative(0.0) == 0.0
     assert pot.derivative(2.0) == 18.0  # alpha^2 * x
     assert pot.value(1.0) == pytest.approx(4.5)
+
+
+# ---------------------------------------------------------------------------
+# slice kernels against the np.roll reference formulas
+
+
+def roll_gaps(q, ring_length):
+    dq = np.roll(q, -1, axis=-1) - q
+    dq[..., -1] += ring_length
+    return dq
+
+
+def roll_speed_gaps(p):
+    return np.roll(p, -1, axis=-1) - p
+
+
+def roll_acceleration(q, p, params, potential):
+    gap = roll_gaps(q, params.ring_length)
+    dp = np.roll(p, -1, axis=-1) - p
+    force = potential.derivative(gap)
+    acc = params.beta * (dp - np.roll(dp, 1, axis=-1)) + (force - np.roll(force, 1, axis=-1))
+    regime = params.regime
+    if isinstance(regime, OpenLoop):
+        acc = acc + params.gamma * (regime.x - p)
+    elif isinstance(regime, ClosedLoop):
+        acc = acc + params.gamma * (regime.target_speed(gap) - p)
+    return acc
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_rates = st.floats(0.0, 50.0)
+_reals = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def kernel_cases(draw):
+    runs = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 25))
+    q = draw(hnp.arrays(np.float64, (runs, n), elements=_reals))
+    p = draw(hnp.arrays(np.float64, (runs, n), elements=_reals))
+    kind = draw(st.sampled_from(["uncontrolled", "open_loop", "closed_loop"]))
+    if kind == "uncontrolled":
+        regime, gamma = Uncontrolled(), 0.0
+    else:
+        gamma = draw(st.floats(1e-3, 50.0))
+        if kind == "open_loop":
+            regime = OpenLoop(x=draw(_reals))
+        else:
+            regime = ClosedLoop(ell=draw(st.floats(0.0, 1e3)), t_gap=draw(st.floats(1e-3, 1e3)))
+    params = ModelParams(n, draw(st.floats(1e-3, 1e6)), draw(_rates), draw(_rates), gamma, 1.0, regime)
+    potential = draw(st.sampled_from([Quadratic(params.alpha), CustomDerivative(np.tanh)]))
+    return q, p, params, potential
+
+
+@settings(deadline=None, database=None)
+@given(kernel_cases())
+def test_slice_kernels_equal_roll_formulas_bitwise(case):
+    q, p, params, potential = case
+    assert same_bits(gaps_array(q, params.ring_length), roll_gaps(q, params.ring_length))
+    for row in p:
+        assert same_bits(speed_gaps(State(q=row, p=row)), roll_speed_gaps(row))
+    assert same_bits(acceleration_array(q, p, params, potential),
+                     roll_acceleration(q, p, params, potential))
+    # a lone row (1-d arrays) sees the same arithmetic as inside the batch
+    assert same_bits(acceleration_array(q[-1], p[-1], params, potential),
+                     roll_acceleration(q, p, params, potential)[-1])

@@ -1,5 +1,7 @@
 """Integrator contracts: determinism, equilibria, dissipation, moments."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from phcf import (
     ClosedLoop,
+    CustomDerivative,
     Explicit,
     InvalidInputError,
     ModelParams,
@@ -27,6 +30,7 @@ from phcf import (
     step,
     step_noise,
 )
+from phcf.sde import NOISE_BLOCK, noise_block
 
 
 def fig_params(name):
@@ -74,6 +78,14 @@ def test_config_validation():
         SimConfig(dt=0.1, t_end=1.0, seed=-1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_times(bad):
+    with pytest.raises(InvalidInputError, match="dt"):
+        SimConfig(dt=bad, t_end=1.0)
+    with pytest.raises(InvalidInputError, match="t_end"):
+        SimConfig(dt=0.1, t_end=bad)
+
+
 # ---------------------------------------------------------------------------
 # single step
 
@@ -110,14 +122,21 @@ def test_step_blowup_detection():
         step(state, params, Quadratic(params.alpha), 0.001, np.zeros(20), step_index=7)
 
 
-def test_simulate_equals_repeated_steps():
-    """The batch engine and the public single-step op share their math."""
-    sc = preset("fig2")
-    config = SimConfig(dt=0.01, t_end=0.5, sample_stride=1, seed=31)
-    ts = simulate(sc.params, sc.potential, config)
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "custom"])
+def test_simulate_equals_repeated_steps(name):
+    """The batch engine and the public single-step op share their math,
+    across a noise-block boundary (300 steps)."""
+    if name == "custom":
+        sc = preset("fig3")
+        potential = CustomDerivative(lambda x: np.tanh(x - 5.0))
+    else:
+        sc = preset(name)
+        potential = sc.potential
+    config = SimConfig(dt=0.01, t_end=3.0, sample_stride=1, seed=31)
+    ts = simulate(sc.params, potential, config)
     state = initial_state(sc.params, config.initial)
     for s in range(len(ts.states) - 1):
-        state = step(state, sc.params, sc.potential, config.dt, step_noise(31, s, 20))
+        state = step(state, sc.params, potential, config.dt, step_noise(31, s, 20))
         assert np.array_equal(state.q, ts.states[s + 1].q)
         assert np.array_equal(state.p, ts.states[s + 1].p)
 
@@ -245,6 +264,20 @@ def test_ensemble_base_case_matches_simulate():
         assert np.array_equal(sa.q, sb.q) and np.array_equal(sa.p, sb.p)
 
 
+def test_closed_loop_ensemble_rows_equal_simulate():
+    """Each row of a batched gap-feedback ensemble is bit-identical to the
+    same run made alone, across a noise-block boundary."""
+    sc = preset("fig3")
+    config = SimConfig(dt=0.01, t_end=3.0, sample_stride=7, seed=77)
+    runs = run_ensemble(sc.params, sc.potential, config, 3)
+    for r, run in enumerate(runs):
+        direct = simulate(sc.params, sc.potential, replace(config, seed=derive_run_seed(77, r)))
+        assert np.array_equal(run.times, direct.times)
+        assert np.array_equal(run.positions(), direct.positions())
+        assert np.array_equal(run.speeds(), direct.speeds())
+        assert run.overtake_flag == direct.overtake_flag
+
+
 def test_ensemble_runs_are_decorrelated():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=1, seed=123)
@@ -270,6 +303,49 @@ def test_ensemble_mean_speed_diffusion(fig1_ensemble):
 
 
 # ---------------------------------------------------------------------------
+# noise blocks
+
+
+def philox_block(seed, block, n, steps=NOISE_BLOCK):
+    """Reference: a fresh generator positioned at the block's counter."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
+    return gen.standard_normal((steps, n))
+
+
+@pytest.mark.parametrize("block", [0, 1, 2**40])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_noise_block_matches_fresh_philox(seed, block):
+    assert np.array_equal(noise_block(seed, block, 3), philox_block(seed, block, 3))
+    assert np.array_equal(noise_block(seed, block, 3, 7), philox_block(seed, block, 3, 7))
+
+
+def test_noise_block_calls_share_no_state():
+    """Interleaved calls, including odd draw counts that leave the
+    generator's buffer part-used, equal isolated reference draws."""
+    keys = [(seed, block, n, steps) for seed in (0, 5, 2**64 - 1) for block in (0, 3, 2**40)
+            for n, steps in ((1, 1), (3, 5), (20, NOISE_BLOCK))]
+    expected = {key: philox_block(*key) for key in keys}
+    for key in keys + keys[::-1] + keys[1::2]:
+        assert np.array_equal(noise_block(*key), expected[key]), key
+
+
+def test_noise_block_threads_share_no_state():
+    """Each thread re-keys its own generator, so concurrent calls with
+    frequent thread switches still return the reference draws."""
+    keys = [(seed, block, 3, 9) for seed in range(40) for block in (0, 1)]
+    expected = [philox_block(*key) for key in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(noise_block, *key) for key in keys]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(results, expected))
+
+
+# ---------------------------------------------------------------------------
 # blowup handling
 
 
@@ -286,6 +362,8 @@ def test_simulate_blowup_carries_partial():
     assert partial.blowup_step == err.step
     assert 0 < len(partial.states) < 5001
     assert np.isfinite(partial.speeds()).all()
+    # pinned: the blowup step and the kept samples never move
+    assert (err.step, len(partial.states)) == (1987, 199)
 
 
 def test_ensemble_blowup_not_fatal():
@@ -294,6 +372,8 @@ def test_ensemble_blowup_not_fatal():
     assert len(runs) == 3
     assert all(ts.blowup_step is not None for ts in runs)
     assert all(len(ts.states) > 0 for ts in runs)
+    assert [ts.blowup_step for ts in runs] == [1908, 1927, 2017]
+    assert [len(ts.states) for ts in runs] == [191, 193, 202]
 
 
 def test_overtake_flag_set_on_crossing():
