@@ -26,7 +26,7 @@ report = exact_stability(scenario.params)
 print(f"sufficient condition: gamma*T + 2*(alpha*T)^2 = {lhs} > 2 ? {suff}")
 print(f"exact per-mode conditions hold: {report.exact_stable}")
 print(f"spectral abscissa (excluding the structural zero): {report.spectral_abscissa_nonzero:+.5f}")
-unstable = [m.j for m in report.per_mode if not m.stable]
+unstable = (np.flatnonzero(~report.mode_stable) + 1).tolist()  # entry i is mode i + 1
 print(f"unstable modes: {unstable}")
 
 series = simulate(scenario.params, scenario.potential, scenario.config)

@@ -29,7 +29,9 @@ from .scenario import (
 )
 from .sde import TimeSeries, run_ensemble, simulate
 from .spectral import (
+    check_dense_size,
     dense_eigen_oracle,
+    drift_matrix_norm,
     eigenvalues,
     match_distances,
     spectral_abscissa_nonzero,
@@ -79,24 +81,24 @@ def _observable_rows(obs):
 
 def _stability_info(scenario: Scenario) -> dict:
     """Spectral metadata recorded in every manifest; the gap-feedback
-    regime additionally gets a stability verdict."""
+    regime additionally gets a stability verdict.  O(N): no matrix."""
     params = scenario.params
-    spectrum = eigenvalues(params)
-    b = build_matrices(params).b_drift
-    abscissa = spectral_abscissa_nonzero(spectrum.values, float(np.linalg.norm(b)))
-    info = {"spectral_abscissa": abscissa}
-    if isinstance(params.regime, ClosedLoop):
-        report = stability_report(
-            params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap
-        )
-        if report.marginal:
-            verdict = "marginal"
-        else:
-            verdict = "stable" if report.exact_stable else "unstable"
-        info["exact_stable"] = report.exact_stable
-        info["sufficient_lhs"] = report.sufficient_lhs
-        info["stability_verdict"] = verdict
-    return info
+    if not isinstance(params.regime, ClosedLoop):
+        scale = drift_matrix_norm(params.n_vehicles, params.alpha, params.beta, params.gamma)
+        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(params).values, scale)}
+    report = stability_report(
+        params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap
+    )
+    if report.marginal:
+        verdict = "marginal"
+    else:
+        verdict = "stable" if report.exact_stable else "unstable"
+    return {
+        "spectral_abscissa": report.spectral_abscissa_nonzero,
+        "exact_stable": report.exact_stable,
+        "sufficient_lhs": report.sufficient_lhs,
+        "stability_verdict": verdict,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,9 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
 
 def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     """Write the closed-form spectrum with its dense-oracle deviation per
-    eigenvalue, plus a complex-plane scatter."""
+    eigenvalue, plus a complex-plane scatter.  Refuses N above half of
+    DENSE_ORACLE_MAX_DIM before building the dense matrix."""
+    check_dense_size(2 * scenario.params.n_vehicles)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spectrum = eigenvalues(scenario.params)

@@ -115,6 +115,7 @@ class Quadratic:
     alpha: float
 
     def __post_init__(self):
+        _require_finite(self, "alpha")
         if self.alpha < 0:
             raise InvalidInputError(f"alpha must be nonnegative, got {self.alpha}")
 

@@ -15,8 +15,24 @@ Stability of the gap-feedback regime follows from the Hurwitz test for
 quadratics with complex coefficients, evaluated mode by mode; a parameter-
 only sufficient condition is gamma*T + 2*(alpha*T)^2 > 2.
 
+Nothing here builds the 2N x 2N drift matrix.  The modes are evaluated as
+numpy arrays over j, O(N) in time and memory: the tables cos, sin of
+2*pi*j/N come from math.cos/math.sin element by element and every array
+operation repeats the scalar formula's operations in the same order, so
+each root and Hurwitz coefficient equals the one-mode-at-a-time result bit
+for bit.  The zero-detection scale is the drift matrix's Frobenius norm in
+closed form,
+
+    ||B||_F^2 = 2N + N*((alpha^2 + g)^2 + alpha^4) + N*((2*beta + d)^2 + 2*beta^2)
+
+with g = gamma/t_gap under gap feedback (else 0) and d = gamma when
+gamma > 0 (else 0); at N = 2 the two neighbours coincide and 2*beta^2
+becomes 4*beta^2.
+
 Everything here is cross-checkable against a generic dense eigensolver,
-exposed as :func:`dense_eigen_oracle`.
+exposed as :func:`dense_eigen_oracle`; it and :func:`match_distances`
+refuse problems above :data:`DENSE_ORACLE_MAX_DIM`.  scipy is imported only
+when :func:`match_distances` runs.
 """
 
 from __future__ import annotations
@@ -26,7 +42,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EigenSolverError, InvalidInputError
 from .model import (
@@ -35,7 +50,7 @@ from .model import (
     ModelParams,
     OpenLoop,
     Uncontrolled,
-    assemble_drift_matrix,
+    assemble_drift_matrix,  # noqa: F401  (bench/tracer.py times calls through this binding)
 )
 
 # Structural zeros are exact in the closed form; the dense oracle rounds
@@ -43,6 +58,10 @@ from .model import (
 ZERO_EIGENVALUE_RTOL = 1e-10
 # Strict inequalities give no verdict on the boundary: report as marginal.
 MARGINAL_ABSCISSA = 1e-10
+# Largest matrix dimension (= eigenvalue count, 2N) the dense oracle and the
+# optimal matching accept.  At 2048 LAPACK's O(d^3) QR iteration takes about
+# 5 s and 200 MB on one core of a Xeon VM; the cost grows eightfold per doubling.
+DENSE_ORACLE_MAX_DIM = 2048
 
 
 class ModeIndex(NamedTuple):
@@ -72,13 +91,34 @@ def mu(j: int, n: int) -> float:
     return 2.0 - 2.0 * math.cos(2.0 * math.pi * j / n)
 
 
-def _mode_roots(lin, const):
-    """Roots of x^2 + lin*x + const via the complex quadratic formula,
-    ordered (+sqrt, -sqrt).  Exact zeros are preserved when const == 0."""
-    if const == 0:
-        return 0.0 + 0.0j, complex(-lin)
-    s = np.sqrt(complex(lin * lin - 4.0 * const))
-    return (-lin + s) / 2.0, (-lin - s) / 2.0
+def _mode_angles(n: int) -> list:
+    """2*pi*j/n for j = 0..n-1, rounded exactly as the scalar expression."""
+    return (2.0 * math.pi * np.arange(n) / n).tolist()
+
+
+def _mode_roots(cos: np.ndarray, alpha, beta, gamma, t_gap) -> np.ndarray:
+    """Roots of x^2 + lin_j*x + const_j for every mode j, interleaved as
+    index 2*j + k with k = 0 for +sqrt and k = 1 for -sqrt.
+
+    cos[j] = cos(2*pi*j/n).  An exact zero const_j (mode 0, or alpha = 0
+    without feedback) yields the exact roots 0 and -lin_j.
+    """
+    n = len(cos)
+    m = 2.0 - 2.0 * cos
+    lin = beta * m + gamma
+    const = alpha**2 * m
+    if t_gap is not None:
+        # Equal bit for bit to the scalar powers omega**j: numpy computes
+        # both with the same complex power routine.
+        const = const + (gamma / t_gap) * (1.0 - np.exp(2j * np.pi / n) ** np.arange(n))
+    s = np.sqrt((lin * lin - 4.0 * const).astype(complex))
+    roots = np.empty((n, 2), dtype=complex)
+    roots[:, 0] = (-lin + s) / 2.0
+    roots[:, 1] = (-lin - s) / 2.0
+    zero = const == 0
+    roots[zero, 0] = 0.0
+    roots[zero, 1] = -lin[zero]
+    return roots.ravel()
 
 
 def mode_spectrum(n, alpha, beta, gamma, t_gap=None, regime=None) -> Spectrum:
@@ -86,18 +126,10 @@ def mode_spectrum(n, alpha, beta, gamma, t_gap=None, regime=None) -> Spectrum:
 
     t_gap=None drops the gap-feedback coupling (uncontrolled / open loop).
     """
-    omega = np.exp(2j * np.pi / n)
-    entries = []
-    for j in range(n):
-        m = mu(j, n)
-        lin = beta * m + gamma
-        const = alpha**2 * m
-        if t_gap is not None:
-            const = const + (gamma / t_gap) * (1.0 - omega**j)
-        r0, r1 = _mode_roots(lin, const)
-        entries.append((ModeIndex(j, 0), r0))
-        entries.append((ModeIndex(j, 1), r1))
-    return Spectrum(tuple(entries), regime if regime is not None else Uncontrolled())
+    cos = np.array([math.cos(a) for a in _mode_angles(n)])
+    values = _mode_roots(cos, alpha, beta, gamma, t_gap).tolist()
+    labels = (ModeIndex(j, k) for j in range(n) for k in (0, 1))
+    return Spectrum(tuple(zip(labels, values)), regime if regime is not None else Uncontrolled())
 
 
 def _require_regime(params: ModelParams, kind, name: str):
@@ -145,12 +177,23 @@ def eigenvalues(params: ModelParams) -> Spectrum:
 # independent dense check
 
 
+def check_dense_size(dim: int) -> None:
+    """Refuse a dense eigenproblem or matching of more than
+    DENSE_ORACLE_MAX_DIM eigenvalues, before anything is allocated."""
+    if dim > DENSE_ORACLE_MAX_DIM:
+        raise InvalidInputError(
+            f"the dense oracle takes at most {DENSE_ORACLE_MAX_DIM} eigenvalues "
+            f"(N <= {DENSE_ORACLE_MAX_DIM // 2}), got {dim}"
+        )
+
+
 def dense_eigen_oracle(b: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square matrix by LAPACK's Hessenberg + shifted-QR
     path, independent of the per-mode closed forms."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InvalidInputError(f"need a square matrix, got shape {b.shape}")
+    check_dense_size(b.shape[0])
     try:
         return np.linalg.eigvals(b)
     except np.linalg.LinAlgError as exc:
@@ -168,16 +211,23 @@ def match_distances(values_a: Sequence[complex], values_b: Sequence[complex]) ->
     b = np.asarray(values_b, dtype=complex).ravel()
     if a.shape != b.shape:
         raise InvalidInputError(f"multisets differ in size: {a.shape} vs {b.shape}")
+    check_dense_size(a.size)
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols]
 
 
 def drift_matrix_norm(n, alpha, beta, gamma, t_gap=None) -> float:
-    """Frobenius norm of the drift matrix; the scale for zero detection."""
-    return float(
-        np.linalg.norm(assemble_drift_matrix(n, alpha, beta, gamma, controlled=gamma > 0, t_gap=t_gap))
-    )
+    """Frobenius norm of the drift matrix (N >= 2); the scale for zero
+    detection.  Closed form, see the module docstring: the damping block
+    counts when gamma > 0, the feedback block when t_gap is given."""
+    a2 = alpha * alpha
+    g = 0.0 if t_gap is None else gamma / t_gap
+    damping = gamma if gamma > 0 else 0.0
+    neighbours = (4.0 if n == 2 else 2.0) * beta * beta
+    return math.sqrt(n * (2.0 + (a2 + g) ** 2 + a2 * a2 + (2.0 * beta + damping) ** 2 + neighbours))
 
 
 def near_zero_count(values, scale: float) -> int:
@@ -204,25 +254,22 @@ def complex_hurwitz_stable(kappa: float, eta: float, nu: float, rho: float) -> b
     return kappa > 0 and kappa * (nu * kappa + rho * eta) - rho**2 > 0
 
 
-@dataclass(frozen=True)
-class ModeCondition:
-    """Hurwitz data of one Fourier mode."""
-
-    j: int
-    kappa: float
-    nu: float
-    rho: float
-    eta: float
-    hurwitz_det: float
-    stable: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Exact per-mode verdicts, the sufficient condition, and the
-    spectral abscissa excluding the structural zero."""
+    spectral abscissa excluding the structural zero.
 
-    per_mode: tuple
+    The per-mode arrays cover modes j = 1..N-1 (entry i is mode i + 1):
+    mode j is x^2 + kappa*x + (nu + i*rho), hurwitz_det its Hurwitz
+    determinant kappa*(nu*kappa) - rho^2, and mode_stable is
+    kappa > 0 and hurwitz_det > 0.
+    """
+
+    kappa: np.ndarray
+    nu: np.ndarray
+    rho: np.ndarray
+    hurwitz_det: np.ndarray
+    mode_stable: np.ndarray
     exact_stable: bool
     sufficient_lhs: float
     sufficient_stable: bool
@@ -249,26 +296,28 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
     the regime is exactly stable iff gamma > 0 and every mode passes the
     Hurwitz test.
     """
-    per_mode = []
-    for j in range(1, n):
-        ang = 2.0 * math.pi * j / n
-        cj = math.cos(ang)
-        sj = math.sin(ang)
-        kappa = 2.0 * beta * (1.0 - cj) + gamma
-        eta = 0.0
-        nu = (1.0 - cj) * (gamma / t_gap + 2.0 * alpha**2)
-        rho = -(gamma / t_gap) * sj
-        det = kappa * (nu * kappa + rho * eta) - rho**2
-        per_mode.append(
-            ModeCondition(j, kappa, nu, rho, eta, det, complex_hurwitz_stable(kappa, eta, nu, rho))
-        )
-    exact = bool(gamma > 0 and all(m.stable for m in per_mode))
+    angles = _mode_angles(n)
+    cos = np.array([math.cos(a) for a in angles])
+    c = cos[1:]
+    s = np.array([math.sin(a) for a in angles[1:]])
+    kappa = 2.0 * beta * (1.0 - c) + gamma
+    nu = (1.0 - c) * (gamma / t_gap + 2.0 * alpha**2)
+    rho = -(gamma / t_gap) * s
+    # Python's float power, as the scalar formula: pow(x, 2) is not always
+    # x*x rounded.
+    rho_sq = np.array([r**2 for r in rho.tolist()])
+    det = kappa * (nu * kappa) - rho_sq
+    stable = (kappa > 0) & (det > 0)
     lhs, suff = sufficient_condition(alpha, gamma, t_gap)
-    spec = mode_spectrum(n, alpha, beta, gamma, t_gap=t_gap)
-    abscissa = spectral_abscissa_nonzero(spec.values, drift_matrix_norm(n, alpha, beta, gamma, t_gap))
+    values = _mode_roots(cos, alpha, beta, gamma, t_gap)
+    abscissa = spectral_abscissa_nonzero(values, drift_matrix_norm(n, alpha, beta, gamma, t_gap))
     return StabilityReport(
-        per_mode=tuple(per_mode),
-        exact_stable=exact,
+        kappa=kappa,
+        nu=nu,
+        rho=rho,
+        hurwitz_det=det,
+        mode_stable=stable,
+        exact_stable=bool(gamma > 0 and stable.all()),
         sufficient_lhs=lhs,
         sufficient_stable=suff,
         spectral_abscissa_nonzero=abscissa,

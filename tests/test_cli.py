@@ -1,11 +1,16 @@
 """Scenario files, presets, CSV contracts and manifest reproducibility."""
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phcf
 from phcf import InvalidInputError, load_scenario, preset
 from phcf.cli import (
     cmd_ensemble,
@@ -242,6 +247,23 @@ def test_fig1_defective_mode_limits_oracle_accuracy(tmp_path):
     assert max(float(r[4]) for r in others) <= 1e-8
 
 
+def test_main_spectrum_refuses_large_n_before_building(tmp_path, capsys, monkeypatch):
+    import phcf.cli as cli_mod
+    from phcf.spectral import DENSE_ORACLE_MAX_DIM
+
+    def no_dense(params):
+        raise AssertionError("the dense drift matrix was built")
+
+    monkeypatch.setattr(cli_mod, "build_matrices", no_dense)
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(path)]) == 0
+    n = DENSE_ORACLE_MAX_DIM // 2 + 1
+    path.write_text(path.read_text().replace("n_vehicles = 20", f"n_vehicles = {n}"))
+    assert main(["spectrum", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "dense oracle" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_spectrum_svg(tmp_path):
     cmd_spectrum(preset("fig3"), tmp_path)
     svg = (tmp_path / "spectrum.svg").read_text()
@@ -391,3 +413,13 @@ def test_fig3_manifest_records_instability(tmp_path):
     assert "stability_verdict = unstable" in manifest
     assert "exact_stable = false" in manifest
     assert "spectral_abscissa = 0.004185" in manifest
+
+
+def test_import_cli_loads_no_scipy():
+    """scipy serves only the oracle matching, so the CLI starts without it."""
+    code = "import sys, phcf.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = str(Path(phcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"

@@ -345,6 +345,12 @@ def test_regimes_reject_non_finite(bad):
         ClosedLoop(ell=1.0, t_gap=bad)
 
 
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_quadratic_rejects_non_finite_alpha(bad):
+    with pytest.raises(InvalidInputError, match="alpha"):
+        Quadratic(alpha=bad)
+
+
 def test_state_arrays_are_read_only():
     state = State(q=[0.0, 1.0], p=[0.0, 0.0])
     with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 """Closed-form spectra vs the dense oracle, and the stability conditions."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phcf import (
     ClosedLoop,
@@ -25,7 +30,16 @@ from phcf import (
     stability_report,
     sufficient_stability,
 )
-from phcf.spectral import ZERO_EIGENVALUE_RTOL, near_zero_count, sufficient_condition
+from phcf.model import assemble_drift_matrix
+from phcf.spectral import (
+    DENSE_ORACLE_MAX_DIM,
+    ZERO_EIGENVALUE_RTOL,
+    check_dense_size,
+    drift_matrix_norm,
+    mode_spectrum,
+    near_zero_count,
+    sufficient_condition,
+)
 
 
 def make_params(n, alpha, beta, gamma=0.0, regime=None):
@@ -169,6 +183,15 @@ def test_oracle_rejects_nonsquare():
         dense_eigen_oracle(np.zeros((2, 3)))
 
 
+def test_oracle_refuses_oversized_inputs():
+    check_dense_size(DENSE_ORACLE_MAX_DIM)
+    big = DENSE_ORACLE_MAX_DIM + 1
+    with pytest.raises(InvalidInputError, match="dense oracle"):
+        dense_eigen_oracle(np.broadcast_to(0.0, (big, big)))  # a view: no memory behind it
+    with pytest.raises(InvalidInputError, match="dense oracle"):
+        match_distances(np.zeros(big, dtype=complex), np.zeros(big, dtype=complex))
+
+
 def test_oracle_matches_small_closed_form():
     params = make_params(3, 1.0, 1.0)
     closed = eigenvalues_uncontrolled(params).values
@@ -256,8 +279,10 @@ def test_exact_stability_fig3_parameters():
     assert report.sufficient_lhs == 1.5
     assert not report.sufficient_stable
     assert report.spectral_abscissa_nonzero > 0
-    assert len(report.per_mode) == 19
-    assert all(m.eta == 0.0 for m in report.per_mode)
+    for per_mode in (report.kappa, report.nu, report.rho, report.hurwitz_det, report.mode_stable):
+        assert per_mode.shape == (19,)
+    assert (np.flatnonzero(~report.mode_stable) + 1).tolist() == [1, 19]
+    assert np.array_equal(report.mode_stable, (report.kappa > 0) & (report.hurwitz_det > 0))
 
 
 def test_stability_gamma_zero_never_stable():
@@ -331,8 +356,6 @@ def test_gamma_destabilization_counterexample():
     condition grows faster than the stabilizing terms near c_j = 1.
     The dense oracle confirms the abscissa sign flip, so this is a
     property of the model, not of the closed form."""
-    from phcf.model import assemble_drift_matrix
-
     assert stability_report(20, 0.3, 1.0, 0.05, 1.0).exact_stable
     assert not stability_report(20, 0.3, 1.0, 0.10, 1.0).exact_stable
     for gamma, stable in ((0.05, True), (0.10, False)):
@@ -345,6 +368,173 @@ def test_report_marginal_deadband():
     report = stability_report(8, 1.5, 1.0, 1.0, 1.0)
     assert not report.marginal  # clearly stable point
     assert report.exact_stable == (report.spectral_abscissa_nonzero < 0)
+
+
+# ---------------------------------------------------------------------------
+# dense-free, vectorized layer vs the one-mode-at-a-time formulas
+
+
+def loop_mode_spectrum(n, alpha, beta, gamma, t_gap=None):
+    """Reference: the per-mode Python loop the vectorized spectrum replaced."""
+    omega = np.exp(2j * np.pi / n)
+    entries = []
+    for j in range(n):
+        m = mu(j, n)
+        lin = beta * m + gamma
+        const = alpha**2 * m
+        if t_gap is not None:
+            const = const + (gamma / t_gap) * (1.0 - omega**j)
+        if const == 0:
+            r0, r1 = 0.0 + 0.0j, complex(-lin)
+        else:
+            root = np.sqrt(complex(lin * lin - 4.0 * const))
+            r0, r1 = (-lin + root) / 2.0, (-lin - root) / 2.0
+        entries.append((ModeIndex(j, 0), r0))
+        entries.append((ModeIndex(j, 1), r1))
+    return entries
+
+
+def loop_stability_report(n, alpha, beta, gamma, t_gap):
+    """Reference: the per-mode Hurwitz loop, with the dense matrix norm as
+    the zero-detection scale."""
+    rows = []
+    for j in range(1, n):
+        ang = 2.0 * math.pi * j / n
+        cj = math.cos(ang)
+        sj = math.sin(ang)
+        kappa = 2.0 * beta * (1.0 - cj) + gamma
+        eta = 0.0
+        nu = (1.0 - cj) * (gamma / t_gap + 2.0 * alpha**2)
+        rho = -(gamma / t_gap) * sj
+        det = kappa * (nu * kappa + rho * eta) - rho**2
+        rows.append((kappa, nu, rho, det, complex_hurwitz_stable(kappa, eta, nu, rho)))
+    kappa, nu, rho, det, stable = (np.array(col) for col in zip(*rows))
+    b = assemble_drift_matrix(n, alpha, beta, gamma, controlled=gamma > 0, t_gap=t_gap)
+    values = [lam for _, lam in loop_mode_spectrum(n, alpha, beta, gamma, t_gap)]
+    abscissa = spectral_abscissa_nonzero(values, np.linalg.norm(b))
+    return kappa, nu, rho, det, stable, bool(gamma > 0 and stable.all()), abscissa
+
+
+def bits(values):
+    return np.asarray(values).tobytes()
+
+
+RATES = st.floats(0.0, 3.0)
+POSITIVE_RATES = st.floats(0.05, 3.0)
+T_GAPS = st.floats(0.1, 5.0)
+
+
+@st.composite
+def regime_scalars(draw, max_n=40):
+    """(n, alpha, beta, gamma, t_gap) of one regime; gamma = 0 and
+    t_gap = None without control, t_gap = None for open loop."""
+    n = draw(st.integers(2, max_n))
+    alpha, beta = draw(RATES), draw(RATES)
+    kind = draw(st.sampled_from(REGIMES))
+    if kind == "uncontrolled":
+        return n, alpha, beta, 0.0, None
+    gamma = draw(POSITIVE_RATES)
+    return n, alpha, beta, gamma, draw(T_GAPS) if kind == "closed_loop" else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(regime_scalars())
+@example((2, 1.0, 1.0, 0.0, None))
+@example((2, 0.5, 2.0, 1.0, 1.0))
+def test_closed_form_norm_equals_dense_norm(case):
+    n, alpha, beta, gamma, t_gap = case
+    b = assemble_drift_matrix(n, alpha, beta, gamma, controlled=gamma > 0, t_gap=t_gap)
+    dense = np.linalg.norm(b)
+    assert drift_matrix_norm(n, alpha, beta, gamma, t_gap) == pytest.approx(dense, rel=1e-13, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regime_scalars())
+@example((2, 0.0, 1.0, 0.0, None))
+@example((20, 0.5, 1.0, 1.0, 1.0))
+def test_mode_spectrum_equals_loop_bitwise(case):
+    n, alpha, beta, gamma, t_gap = case
+    expected = loop_mode_spectrum(n, alpha, beta, gamma, t_gap)
+    got = mode_spectrum(n, alpha, beta, gamma, t_gap=t_gap).entries
+    assert [idx for idx, _ in got] == [idx for idx, _ in expected]
+    assert bits([lam for _, lam in got]) == bits([lam for _, lam in expected])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), RATES, RATES, st.one_of(st.just(0.0), RATES), T_GAPS)
+@example(20, 0.5, 1.0, 1.0, 1.0)
+@example(20, 0.3, 1.0, 0.10, 1.0)
+@example(2, 0.0, 0.0, 0.0, 1.0)  # every eigenvalue a structural zero
+@example(12, 0.5, 1.0, 0.75, 1.0)  # a mode where rho**2 != rho*rho
+def test_stability_report_equals_loop_bitwise(n, alpha, beta, gamma, t_gap):
+    try:
+        expected = loop_stability_report(n, alpha, beta, gamma, t_gap)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            stability_report(n, alpha, beta, gamma, t_gap)
+        return
+    kappa, nu, rho, det, stable, exact, abscissa = expected
+    report = stability_report(n, alpha, beta, gamma, t_gap)
+    assert bits(report.kappa) == bits(kappa)
+    assert bits(report.nu) == bits(nu)
+    assert bits(report.rho) == bits(rho)
+    assert bits(report.hurwitz_det) == bits(det)
+    assert np.array_equal(report.mode_stable, stable)
+    assert report.exact_stable == exact
+    assert report.spectral_abscissa_nonzero == abscissa
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 99, 100, 101, 257, 2000])
+def test_omega_power_array_equals_scalar_powers(n):
+    """The spectrum raises omega to all mode indices in one array power;
+    it must equal the scalar omega**j of the per-mode formula."""
+    omega = np.exp(2j * np.pi / n)
+    assert bits(omega ** np.arange(n)) == bits([omega**j for j in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 200), POSITIVE_RATES, RATES, POSITIVE_RATES, T_GAPS)
+def test_sufficient_region_inside_exact_region(n, alpha, beta, gamma, t_gap):
+    report = stability_report(n, alpha, beta, gamma, t_gap)
+    assert report.exact_stable or not report.sufficient_stable
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 200), POSITIVE_RATES, POSITIVE_RATES, POSITIVE_RATES, T_GAPS,
+       st.sampled_from(REGIMES))
+def test_structural_zero_counts_with_closed_form_scale(n, alpha, beta, gamma, t_gap, kind):
+    if kind == "uncontrolled":
+        params = make_params(n, alpha, beta)
+    elif kind == "open_loop":
+        params = make_params(n, alpha, beta, gamma, OpenLoop(x=1.0))
+    else:
+        params = make_params(n, alpha, beta, gamma, ClosedLoop(ell=1.0, t_gap=t_gap))
+    scale = drift_matrix_norm(n, alpha, beta, params.gamma,
+                              t_gap if kind == "closed_loop" else None)
+    assert near_zero_count(eigenvalues(params).values, scale) == (2 if kind == "uncontrolled" else 1)
+
+
+def test_spectral_layer_builds_no_dense_matrix(monkeypatch):
+    import phcf.cli as cli_mod
+    import phcf.model as model_mod
+    import phcf.spectral as spectral_mod
+    from phcf import preset
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense matrix was built")
+
+    for module, name in ((model_mod, "assemble_drift_matrix"), (spectral_mod, "assemble_drift_matrix"),
+                         (model_mod, "build_matrices"), (cli_mod, "build_matrices")):
+        monkeypatch.setattr(module, name, no_dense)
+    n = 10**5
+    report = stability_report(n, 0.5, 1.0, 1.0, 1.0)
+    assert report.mode_stable.shape == (n - 1,)
+    assert not report.exact_stable and report.spectral_abscissa_nonzero > 0
+    for name in ("fig1", "fig2", "fig3"):
+        scenario = preset(name)
+        big = replace(scenario, params=replace(scenario.params, n_vehicles=n, ring_length=7.05 * n))
+        info = cli_mod._stability_info(big)
+        assert math.isfinite(info["spectral_abscissa"])
 
 
 # ---------------------------------------------------------------------------
