@@ -20,13 +20,8 @@ out_dir.mkdir(exist_ok=True)
 n, beta, t_gap = 20, 1.0, 1.0
 alphas = np.linspace(0.05, 3.0, 60)
 gammas = np.linspace(0.05, 3.0, 60)
-exact = np.zeros((60, 60), dtype=bool)
-sufficient = np.zeros_like(exact)
-for i, alpha in enumerate(alphas):
-    for j, gamma in enumerate(gammas):
-        report = stability_report(n, alpha, beta, gamma, t_gap)
-        exact[i, j] = report.exact_stable
-        sufficient[i, j] = report.sufficient_stable
+report = stability_report(n, alphas[:, None], beta, gammas[None, :], t_gap)
+exact, sufficient = report.exact_stable, report.sufficient_stable
 
 print(f"grid 60x60 at beta={beta}, t_gap={t_gap}, N={n}")
 print(f"exactly stable cells:     {int(exact.sum())}")

@@ -17,7 +17,12 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, NumericalBlowupError, UnsupportedOperationError
-from .model import ClosedLoop, build_matrices
+from .model import (
+    ClosedLoop,
+    OpenLoop,
+    assemble_drift_matrix,
+    build_matrices,  # noqa: F401  (bench/tracer.py times calls through this binding)
+)
 from .scenario import (
     Scenario,
     format_manifest,
@@ -209,8 +214,20 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     check_dense_size(2 * scenario.params.n_vehicles)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spectrum = eigenvalues(scenario.params)
-    oracle = dense_eigen_oracle(build_matrices(scenario.params).b_drift)
+    params = scenario.params
+    regime = params.regime
+    spectrum = eigenvalues(params)
+    # Only the drift matrix, and not kept once the oracle has it.
+    oracle = dense_eigen_oracle(
+        assemble_drift_matrix(
+            params.n_vehicles,
+            params.alpha,
+            params.beta,
+            params.gamma,
+            controlled=isinstance(regime, (OpenLoop, ClosedLoop)),
+            t_gap=regime.t_gap if isinstance(regime, ClosedLoop) else None,
+        )
+    )
     diffs = match_distances(spectrum.values, oracle)
     rows = [
         [str(mode.j), str(mode.k), _num(lam.real), _num(lam.imag), _num(diffs[i])]
@@ -269,24 +286,19 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     suff = np.zeros_like(exact)
     violations = []
     for i, v1 in enumerate(values1):
-        for j, v2 in enumerate(values2):
-            point = dict(base)
-            point[name1] = float(v1)
-            point[name2] = float(v2)
-            report = stability_report(n, point["alpha"], point["beta"], point["gamma"], point["t_gap"])
-            exact[i, j] = report.exact_stable
-            suff[i, j] = report.sufficient_stable
-            if report.sufficient_stable and not report.exact_stable:
-                violations.append((v1, v2))
-            rows.append(
-                [
-                    _num(v1),
-                    _num(v2),
-                    str(int(report.exact_stable)),
-                    str(int(report.sufficient_stable)),
-                    _num(report.spectral_abscissa_nonzero),
-                ]
-            )
+        # One report per row, the second axis as an array: memory stays
+        # O(len(values2) * N) whatever the grid size.
+        point = dict(base)
+        point[name1] = float(v1)
+        point[name2] = values2
+        report = stability_report(n, point["alpha"], point["beta"], point["gamma"], point["t_gap"])
+        exact[i] = report.exact_stable
+        suff[i] = report.sufficient_stable
+        violations.extend((v1, values2[j]) for j in np.flatnonzero(suff[i] & ~exact[i]))
+        rows.extend(
+            [_num(v1), _num(v2), str(int(e)), str(int(s)), _num(x)]
+            for v2, e, s, x in zip(values2, exact[i], suff[i], report.spectral_abscissa_nonzero)
+        )
     if violations:
         print(
             f"containment violated: sufficient-but-not-exact at {len(violations)} cells, "

@@ -147,12 +147,6 @@ def quadratic_potential(params: ModelParams) -> Quadratic:
     return Quadratic(params.alpha)
 
 
-def potential_derivative(potential: PotentialSpec, x):
-    if isinstance(potential, Quadratic):
-        return potential.alpha**2 * x
-    return potential.derivative(x)
-
-
 # ---------------------------------------------------------------------------
 # state
 
@@ -239,7 +233,7 @@ def acceleration_array(q, p, params: ModelParams, potential: PotentialSpec):
     evaluated alone.
     """
     gap = gaps_array(q, params.ring_length)
-    force = potential_derivative(potential, gap)
+    force = potential.derivative(gap)
     acc = _backward_diff(_forward_diff(p))
     acc *= params.beta
     acc += _backward_diff(force)

@@ -20,7 +20,20 @@ numpy arrays over j, O(N) in time and memory: the tables cos, sin of
 2*pi*j/N come from math.cos/math.sin element by element and every array
 operation repeats the scalar formula's operations in the same order, so
 each root and Hurwitz coefficient equals the one-mode-at-a-time result bit
-for bit.  The zero-detection scale is the drift matrix's Frobenius norm in
+for bit.
+
+:func:`stability_report` also broadcasts over its parameters: arrays that
+broadcast to a grid shape S give per-mode arrays of shape S + (N-1,) and
+verdicts of shape S, cells on the leading axes and modes on the last, and
+each cell equals its scalar call bit for bit (a scalar call is the 0-d
+grid and returns Python bools and floats).  The grid costs O(cells * N)
+memory, so a large map is best evaluated one row at a time.  Powers keep
+Python's float semantics per element: alpha**2, (alpha*T)**2 and rho**2
+are taken with the float power, because pow(x, 2) is not always x*x
+rounded and numpy's array power differs from both.  Quotients, sums and
+products are the same IEEE operations in numpy and in Python.
+
+The zero-detection scale is the drift matrix's Frobenius norm in
 closed form,
 
     ||B||_F^2 = 2N + N*((alpha^2 + g)^2 + alpha^4) + N*((2*beta + d)^2 + 2*beta^2)
@@ -69,19 +82,22 @@ class ModeIndex(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The 2N eigenvalues of the drift matrix, labelled by (mode, branch)."""
+    """The 2N eigenvalues of the drift matrix as one read-only complex
+    array; entry 2*j + k is mode j, branch k."""
 
-    entries: tuple
+    values: np.ndarray
     regime: ControlRegime
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([lam for _, lam in self.entries], dtype=complex)
+    def entries(self) -> tuple:
+        """((ModeIndex(j, k), eigenvalue), ...) in the order of values."""
+        labels = (ModeIndex(i // 2, i % 2) for i in range(len(self.values)))
+        return tuple(zip(labels, self.values.tolist()))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.values)
 
 
 def mu(j: int, n: int) -> float:
@@ -96,29 +112,32 @@ def _mode_angles(n: int) -> list:
     return (2.0 * math.pi * np.arange(n) / n).tolist()
 
 
-def _mode_roots(cos: np.ndarray, alpha, beta, gamma, t_gap) -> np.ndarray:
+def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
     """Roots of x^2 + lin_j*x + const_j for every mode j, interleaved as
     index 2*j + k with k = 0 for +sqrt and k = 1 for -sqrt.
 
-    cos[j] = cos(2*pi*j/n).  An exact zero const_j (mode 0, or alpha = 0
-    without feedback) yields the exact roots 0 and -lin_j.
+    cos[j] = cos(2*pi*j/n), a2 = alpha**2 and g = gamma/t_gap (None
+    without gap feedback).  Parameters are floats or arrays of shape
+    S + (1,); the result has shape S + (2n,).  An exact zero const_j
+    (mode 0, or alpha = 0 without feedback) yields the exact roots 0 and
+    -lin_j.
     """
     n = len(cos)
     m = 2.0 - 2.0 * cos
     lin = beta * m + gamma
-    const = alpha**2 * m
-    if t_gap is not None:
+    const = a2 * m
+    if g is not None:
         # Equal bit for bit to the scalar powers omega**j: numpy computes
         # both with the same complex power routine.
-        const = const + (gamma / t_gap) * (1.0 - np.exp(2j * np.pi / n) ** np.arange(n))
+        const = const + g * (1.0 - np.exp(2j * np.pi / n) ** np.arange(n))
     s = np.sqrt((lin * lin - 4.0 * const).astype(complex))
-    roots = np.empty((n, 2), dtype=complex)
-    roots[:, 0] = (-lin + s) / 2.0
-    roots[:, 1] = (-lin - s) / 2.0
+    roots = np.empty(lin.shape + (2,), dtype=complex)
+    roots[..., 0] = (-lin + s) / 2.0
+    roots[..., 1] = (-lin - s) / 2.0
     zero = const == 0
     roots[zero, 0] = 0.0
     roots[zero, 1] = -lin[zero]
-    return roots.ravel()
+    return roots.reshape(lin.shape[:-1] + (2 * n,))
 
 
 def mode_spectrum(n, alpha, beta, gamma, t_gap=None, regime=None) -> Spectrum:
@@ -127,9 +146,9 @@ def mode_spectrum(n, alpha, beta, gamma, t_gap=None, regime=None) -> Spectrum:
     t_gap=None drops the gap-feedback coupling (uncontrolled / open loop).
     """
     cos = np.array([math.cos(a) for a in _mode_angles(n)])
-    values = _mode_roots(cos, alpha, beta, gamma, t_gap).tolist()
-    labels = (ModeIndex(j, k) for j in range(n) for k in (0, 1))
-    return Spectrum(tuple(zip(labels, values)), regime if regime is not None else Uncontrolled())
+    values = _mode_roots(cos, alpha**2, beta, gamma, None if t_gap is None else gamma / t_gap)
+    values.setflags(write=False)
+    return Spectrum(values, regime if regime is not None else Uncontrolled())
 
 
 def _require_regime(params: ModelParams, kind, name: str):
@@ -235,13 +254,28 @@ def near_zero_count(values, scale: float) -> int:
     return int(np.sum(np.abs(np.asarray(values, dtype=complex)) < ZERO_EIGENVALUE_RTOL * scale))
 
 
-def spectral_abscissa_nonzero(values, scale: float) -> float:
-    """Largest real part over eigenvalues outside the structural-zero ball."""
+def spectral_abscissa_nonzero(values, scale):
+    """Largest real part over eigenvalues outside the structural-zero ball.
+
+    Broadcasts: values of shape S + (M,) and scale of shape S give one
+    abscissa per cell, a float when S is ().
+    """
     v = np.asarray(values, dtype=complex)
-    keep = np.abs(v) >= ZERO_EIGENVALUE_RTOL * scale
-    if not keep.any():
+    keep = np.abs(v) >= ZERO_EIGENVALUE_RTOL * np.asarray(scale)[..., None]
+    if not keep.any(axis=-1).all():
         raise InvalidInputError("all eigenvalues are structural zeros")
-    return float(v[keep].real.max())
+    real = v.real
+    top = np.asarray(np.where(keep, real, -np.inf).max(axis=-1))
+    # Which signed zero a max returns depends on where the zeros sit; take
+    # those cells from their kept values alone, as a one-cell call does.
+    for cell in map(tuple, np.argwhere(top == 0)):
+        top[cell] = real[cell][keep[cell]].max()
+    return _unwrap(top)
+
+
+def _unwrap(x):
+    """A 0-d array as a Python scalar; any other array unchanged."""
+    return x.item() if x.ndim == 0 else x
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +291,14 @@ def complex_hurwitz_stable(kappa: float, eta: float, nu: float, rho: float) -> b
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Exact per-mode verdicts, the sufficient condition, and the
-    spectral abscissa excluding the structural zero.
+    spectral abscissa excluding the structural zero, for one parameter
+    cell or a grid of shape S.
 
-    The per-mode arrays cover modes j = 1..N-1 (entry i is mode i + 1):
-    mode j is x^2 + kappa*x + (nu + i*rho), hurwitz_det its Hurwitz
-    determinant kappa*(nu*kappa) - rho^2, and mode_stable is
-    kappa > 0 and hurwitz_det > 0.
+    The per-mode arrays have shape S + (N-1,) and cover modes j = 1..N-1
+    (entry i is mode i + 1): mode j is x^2 + kappa*x + (nu + i*rho),
+    hurwitz_det its Hurwitz determinant kappa*(nu*kappa) - rho^2, and
+    mode_stable is kappa > 0 and hurwitz_det > 0.  The verdicts have
+    shape S; for a single cell they are Python bools and floats.
     """
 
     kappa: np.ndarray
@@ -270,13 +306,13 @@ class StabilityReport:
     rho: np.ndarray
     hurwitz_det: np.ndarray
     mode_stable: np.ndarray
-    exact_stable: bool
-    sufficient_lhs: float
-    sufficient_stable: bool
-    spectral_abscissa_nonzero: float
+    exact_stable: bool | np.ndarray
+    sufficient_lhs: float | np.ndarray
+    sufficient_stable: bool | np.ndarray
+    spectral_abscissa_nonzero: float | np.ndarray
 
     @property
-    def marginal(self) -> bool:
+    def marginal(self):
         return abs(self.spectral_abscissa_nonzero) < MARGINAL_ABSCISSA
 
 
@@ -288,39 +324,51 @@ def sufficient_condition(alpha, gamma, t_gap):
 
 
 def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
-    """Gap-feedback stability from scalar parameters.
+    """Gap-feedback stability; alpha, beta, gamma and t_gap are floats or
+    arrays that broadcast to a grid of cells.
 
     Mode j (1 <= j < N) contributes the complex-coefficient quadratic with
     kappa_j = 2*beta*(1-c_j) + gamma, eta_j = 0,
     nu_j = (1-c_j)*(gamma/T + 2*alpha^2), rho_j = -(gamma/T)*s_j;
-    the regime is exactly stable iff gamma > 0 and every mode passes the
-    Hurwitz test.
+    a cell is exactly stable iff gamma > 0 and every mode passes the
+    Hurwitz test.  Raises InvalidInputError if any cell has only
+    structural-zero eigenvalues.
     """
+    # Cells on the leading axes, a length-1 axis for the modes.
+    alpha, beta, gamma, t_gap = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float)[..., None] for x in (alpha, beta, gamma, t_gap))
+    )
+    shape = alpha.shape[:-1]
+    cells = list(zip(*(x.ravel().tolist() for x in (alpha, beta, gamma, t_gap))))
+    # Powers per cell with Python's float power, as the one-cell formulas.
+    a2 = np.array([a**2 for a in alpha.ravel().tolist()]).reshape(alpha.shape)
+    g = gamma / t_gap
+    sufficient = [sufficient_condition(a, gm, t) for a, _, gm, t in cells]
+    scale = np.array([drift_matrix_norm(n, *cell) for cell in cells]).reshape(shape)
+
     angles = _mode_angles(n)
     cos = np.array([math.cos(a) for a in angles])
     c = cos[1:]
     s = np.array([math.sin(a) for a in angles[1:]])
     kappa = 2.0 * beta * (1.0 - c) + gamma
-    nu = (1.0 - c) * (gamma / t_gap + 2.0 * alpha**2)
-    rho = -(gamma / t_gap) * s
+    nu = (1.0 - c) * (g + 2.0 * a2)
+    rho = -g * s
     # Python's float power, as the scalar formula: pow(x, 2) is not always
-    # x*x rounded.
-    rho_sq = np.array([r**2 for r in rho.tolist()])
+    # x*x rounded, and numpy's array power is neither.
+    rho_sq = np.array([r**2 for r in rho.ravel().tolist()]).reshape(rho.shape)
     det = kappa * (nu * kappa) - rho_sq
     stable = (kappa > 0) & (det > 0)
-    lhs, suff = sufficient_condition(alpha, gamma, t_gap)
-    values = _mode_roots(cos, alpha, beta, gamma, t_gap)
-    abscissa = spectral_abscissa_nonzero(values, drift_matrix_norm(n, alpha, beta, gamma, t_gap))
+    values = _mode_roots(cos, a2, beta, gamma, g)
     return StabilityReport(
         kappa=kappa,
         nu=nu,
         rho=rho,
         hurwitz_det=det,
         mode_stable=stable,
-        exact_stable=bool(gamma > 0 and stable.all()),
-        sufficient_lhs=lhs,
-        sufficient_stable=suff,
-        spectral_abscissa_nonzero=abscissa,
+        exact_stable=_unwrap((gamma[..., 0] > 0) & stable.all(axis=-1)),
+        sufficient_lhs=_unwrap(np.array([lhs for lhs, _ in sufficient]).reshape(shape)),
+        sufficient_stable=_unwrap(np.array([ok for _, ok in sufficient]).reshape(shape)),
+        spectral_abscissa_nonzero=spectral_abscissa_nonzero(values, scale),
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phcf
-from phcf import InvalidInputError, load_scenario, preset
+from phcf import InvalidInputError, load_scenario, preset, stability_report
 from phcf.cli import (
     cmd_ensemble,
     cmd_simulate,
@@ -251,9 +251,10 @@ def test_main_spectrum_refuses_large_n_before_building(tmp_path, capsys, monkeyp
     import phcf.cli as cli_mod
     from phcf.spectral import DENSE_ORACLE_MAX_DIM
 
-    def no_dense(params):
+    def no_dense(*args, **kwargs):
         raise AssertionError("the dense drift matrix was built")
 
+    monkeypatch.setattr(cli_mod, "assemble_drift_matrix", no_dense)
     monkeypatch.setattr(cli_mod, "build_matrices", no_dense)
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
@@ -262,6 +263,26 @@ def test_main_spectrum_refuses_large_n_before_building(tmp_path, capsys, monkeyp
     assert main(["spectrum", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "dense oracle" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+def test_cmd_spectrum_oracle_gets_regime_drift_matrix(tmp_path, monkeypatch, name):
+    """phcf spectrum builds only the drift matrix, and it is the one
+    build_matrices carries for the scenario's regime."""
+    import phcf.cli as cli_mod
+    from phcf import build_matrices
+
+    seen = []
+    real = cli_mod.dense_eigen_oracle
+
+    def oracle(b):
+        seen.append(b)
+        return real(b)
+
+    monkeypatch.setattr(cli_mod, "dense_eigen_oracle", oracle)
+    assert cmd_spectrum(preset(name), tmp_path) == 0
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], build_matrices(preset(name).params).b_drift)
 
 
 def test_cmd_spectrum_svg(tmp_path):
@@ -324,13 +345,51 @@ def test_cmd_stability_map_aborts_on_containment_violation(tmp_path, monkeypatch
         report = real(n, alpha, beta, gamma, t_gap)
         from dataclasses import replace as drep
 
-        return drep(report, sufficient_stable=True, exact_stable=False)
+        return drep(
+            report,
+            sufficient_stable=np.ones_like(report.sufficient_stable),
+            exact_stable=np.zeros_like(report.exact_stable),
+        )
 
     monkeypatch.setattr(cli_mod, "stability_report", broken)
     vary = [parse_vary("alpha=1:2:2"), parse_vary("gamma=1:2:2")]
     assert cmd_stability_map(preset("fig3"), vary, tmp_path / "x") == 4
     assert "containment violated" in capsys.readouterr().err
     assert not (tmp_path / "x" / "stability.csv").exists()
+
+
+def test_cmd_stability_map_one_report_per_row(tmp_path, monkeypatch):
+    import phcf.cli as cli_mod
+
+    calls = []
+    real = cli_mod.stability_report
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, "stability_report", counted)
+    vary = [parse_vary("alpha=0.25:3:5"), parse_vary("gamma=0.25:3:7")]
+    assert cmd_stability_map(preset("fig3"), vary, tmp_path) == 0
+    assert len(calls) == 5
+    assert all(np.shape(args[3]) == (7,) for args in calls)
+    assert len(read_csv(tmp_path / "stability.csv")[1]) == 35
+
+
+def test_cmd_stability_map_rows_equal_cell_reports(tmp_path):
+    """Row-order CSV from the per-row reports equals one scalar report per
+    cell, here on the beta x t_gap plane."""
+    sc = preset("fig3")
+    vary = [parse_vary("beta=0:2:4"), parse_vary("t_gap=0.5:3:3")]
+    assert cmd_stability_map(sc, vary, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "stability.csv")
+    expected = []
+    for beta in vary[0][1]:
+        for t_gap in vary[1][1]:
+            r = stability_report(20, sc.params.alpha, float(beta), sc.params.gamma, float(t_gap))
+            expected.append([repr(float(beta)), repr(float(t_gap)), str(int(r.exact_stable)),
+                             str(int(r.sufficient_stable)), repr(r.spectral_abscissa_nonzero)])
+    assert rows == expected
 
 
 # ---------------------------------------------------------------------------

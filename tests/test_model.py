@@ -1,5 +1,6 @@
 """Geometry, drift, energy and matrix structure of the ring model."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -417,6 +418,23 @@ def kernel_cases(draw):
     params = ModelParams(n, draw(st.floats(1e-3, 1e6)), draw(_rates), draw(_rates), gamma, 1.0, regime)
     potential = draw(st.sampled_from([Quadratic(params.alpha), CustomDerivative(np.tanh)]))
     return q, p, params, potential
+
+
+@st.composite
+def ring_positions(draw):
+    runs = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    return draw(hnp.arrays(np.float64, (runs, n), elements=_reals))
+
+
+@settings(deadline=None, database=None)
+@given(ring_positions(), st.floats(1e-3, 1e6))
+def test_gaps_rows_sum_to_ring_length(q, ring_length):
+    """Ring-length conservation: the gaps telescope, so every row's exact
+    sum is L up to one rounding per gap (and one for the wrap's + L)."""
+    eps = np.finfo(float).eps
+    for row in gaps_array(q, ring_length):
+        assert abs(math.fsum(row) - ring_length) <= 2 * eps * (np.abs(row).sum() + ring_length)
 
 
 @settings(deadline=None, database=None)

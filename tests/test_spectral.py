@@ -466,6 +466,7 @@ def test_mode_spectrum_equals_loop_bitwise(case):
 @example(20, 0.3, 1.0, 0.10, 1.0)
 @example(2, 0.0, 0.0, 0.0, 1.0)  # every eigenvalue a structural zero
 @example(12, 0.5, 1.0, 0.75, 1.0)  # a mode where rho**2 != rho*rho
+@example(20, 2.6967998943009652, 1.0, 1.0, 1.0)  # alpha**2 != alpha*alpha
 def test_stability_report_equals_loop_bitwise(n, alpha, beta, gamma, t_gap):
     try:
         expected = loop_stability_report(n, alpha, beta, gamma, t_gap)
@@ -490,6 +491,125 @@ def test_omega_power_array_equals_scalar_powers(n):
     it must equal the scalar omega**j of the per-mode formula."""
     omega = np.exp(2j * np.pi / n)
     assert bits(omega ** np.arange(n)) == bits([omega**j for j in range(n)])
+
+
+SWEEP_STRATEGIES = (RATES, RATES, st.one_of(st.just(0.0), RATES), T_GAPS)
+
+
+@st.composite
+def report_grids(draw):
+    """(n, [alpha, beta, gamma, t_gap]) with two of the four parameters
+    swept as the rows and columns of a grid and the other two scalars;
+    gamma may be 0."""
+    n = draw(st.integers(2, 30))
+    params = [draw(strategy) for strategy in SWEEP_STRATEGIES]
+    rows, cols = draw(st.permutations(range(4)))[:2]
+    for axis, shape in ((rows, (-1, 1)), (cols, (1, -1))):
+        values = draw(st.lists(SWEEP_STRATEGIES[axis], min_size=1, max_size=6))
+        params[axis] = np.array(values).reshape(shape)
+    return n, params
+
+
+def assert_report_cells_equal_scalar_reports(n, params):
+    """The broadcast report equals one scalar report per cell bit for bit,
+    and raises iff some cell does."""
+    shape = np.broadcast_shapes(*(np.shape(p) for p in params))
+    cells = {}
+    try:
+        for idx in np.ndindex(shape):
+            cells[idx] = stability_report(n, *(float(np.broadcast_to(p, shape)[idx]) for p in params))
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            stability_report(n, *params)
+        return
+    grid = stability_report(n, *params)
+    assert grid.kappa.shape == shape + (n - 1,)
+    assert np.shape(grid.exact_stable) == shape
+    for idx, one in cells.items():
+        for field in ("kappa", "nu", "rho", "hurwitz_det", "mode_stable"):
+            assert bits(getattr(grid, field)[idx]) == bits(getattr(one, field)), (idx, field)
+        assert type(one.exact_stable) is bool and type(one.sufficient_stable) is bool
+        assert type(one.sufficient_lhs) is float and type(one.spectral_abscissa_nonzero) is float
+        assert grid.exact_stable[idx] == one.exact_stable
+        assert grid.sufficient_stable[idx] == one.sufficient_stable
+        assert bits(grid.sufficient_lhs[idx]) == bits(one.sufficient_lhs)
+        assert bits(grid.spectral_abscissa_nonzero[idx]) == bits(one.spectral_abscissa_nonzero)
+        assert grid.marginal[idx] == one.marginal
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_grids())
+def test_broadcast_stability_report_equals_cell_reports_bitwise(case):
+    assert_report_cells_equal_scalar_reports(*case)
+
+
+@pytest.mark.parametrize(
+    "n,params",
+    [
+        # fig3 rows of the (alpha, gamma) map, gamma = 0 included
+        (20, [np.array([[0.05], [0.5], [2.0]]), 1.0, np.array([[0.0, 0.1, 1.0, 3.0]]), 1.0]),
+        # cells with beta = gamma = 0: undamped modes, a marginal abscissa of signed zeros
+        (20, [np.array([[0.5], [1.0]]), 0.0, np.array([[0.0, 0.5]]), 1.0]),
+        (7, [0.3, np.array([[0.0], [1.0]]), 0.0, np.array([[0.5, 2.0]])]),
+        # a mode where rho**2 != rho*rho
+        (12, [0.5, 1.0, np.array([[0.75]]), np.array([[1.0, 2.0]])]),
+        # a 1-d sweep, and a 3-d grid
+        (5, [np.linspace(0.0, 3.0, 7), 1.0, 1.0, 1.0]),
+        (9, [np.array([0.2, 1.5])[:, None, None], np.array([0.0, 1.0])[:, None],
+             np.array([0.0, 0.5, 2.0]), 0.7]),
+    ],
+)
+def test_broadcast_stability_report_equals_cell_reports_examples(n, params):
+    assert_report_cells_equal_scalar_reports(n, params)
+
+
+# Kept eigenvalues with real part +0.0 and -0.0, and a structural zero.
+POS, NEG, ZERO = complex(0.0, 1.0), complex(-0.0, 1.0), 0j
+SIGNED_ZERO_ROW = [-1, ZERO, -1, -1, -1, NEG, -1, ZERO, POS, ZERO, NEG, NEG]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(9, 40).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([POS, NEG, -1.0, ZERO]), min_size=m, max_size=m),
+    min_size=1, max_size=4)))
+@example([SIGNED_ZERO_ROW])  # the masked max alone would return -0.0 here
+@example([SIGNED_ZERO_ROW[::-1], SIGNED_ZERO_ROW])
+def test_abscissa_batch_equals_compacted_max_bitwise(rows):
+    """Per cell, the masked max returns the very float (signed zeros
+    included) that the max over the kept values alone returns."""
+    values = np.array(rows)
+    keep = np.abs(values) >= ZERO_EIGENVALUE_RTOL
+    if not keep.any(axis=-1).all():
+        with pytest.raises(InvalidInputError):
+            spectral_abscissa_nonzero(values, np.ones(len(rows)))
+        return
+    batch = spectral_abscissa_nonzero(values, np.ones(len(rows)))
+    for row, k, got in zip(values, keep, batch):
+        assert bits(got) == bits(row.real[k].max())
+        assert bits(got) == bits(spectral_abscissa_nonzero(row, 1.0))
+
+
+def test_broadcast_stability_report_marginal_cells():
+    report = stability_report(20, np.array([0.5, 1.0]), 0.0, 0.0, 1.0)
+    assert report.marginal.all() and not report.exact_stable.any()
+
+
+def test_broadcast_stability_report_rejects_all_zero_cell():
+    """n = 2 with alpha = beta = gamma = 0 has only structural zeros; one
+    such cell fails the whole grid, as its scalar call does."""
+    with pytest.raises(InvalidInputError):
+        stability_report(2, 0.0, 0.0, 0.0, 1.0)
+    assert stability_report(2, 1.0, 0.0, 0.0, 1.0).marginal
+    with pytest.raises(InvalidInputError):
+        stability_report(2, np.array([1.0, 0.0]), 0.0, 0.0, 1.0)
+
+
+def test_spectrum_values_array_and_entries_view():
+    spec = mode_spectrum(5, 0.5, 1.0, 1.0, t_gap=2.0)
+    assert spec.values.dtype == complex and spec.values.shape == (10,) and len(spec) == 10
+    assert not spec.values.flags.writeable
+    assert [idx for idx, _ in spec.entries] == [ModeIndex(j, k) for j in range(5) for k in (0, 1)]
+    assert bits([lam for _, lam in spec.entries]) == bits(spec.values)
 
 
 @settings(max_examples=200, deadline=None)
