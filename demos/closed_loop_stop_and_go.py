@@ -14,15 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from phcf import exact_stability, observables, preset, simulate, sufficient_stability
+from phcf import exact_stability, observables, preset, simulate
 from phcf.svgplot import observables_svg, trajectory_svg
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 scenario = preset("fig3")
-lhs, suff = sufficient_stability(scenario.params)
 report = exact_stability(scenario.params)
+lhs, suff = report.sufficient_lhs, report.sufficient_stable
 print(f"sufficient condition: gamma*T + 2*(alpha*T)^2 = {lhs} > 2 ? {suff}")
 print(f"exact per-mode conditions hold: {report.exact_stable}")
 print(f"spectral abscissa (excluding the structural zero): {report.spectral_abscissa_nonzero:+.5f}")
@@ -35,7 +35,7 @@ late = obs.times >= 150.0
 growth = np.polyfit(obs.times[late], np.log(obs.speed_variance[late] + 1e-12), 1)[0]
 print(f"\nlate-time V(t) growth rate on this run: {growth:.5f} "
       f"(2 x abscissa = {2 * report.spectral_abscissa_nonzero:.5f})")
-print(f"speed range at t=250: [{series.states[-1].p.min():.2f}, {series.states[-1].p.max():.2f}] "
+print(f"speed range at t=250: [{series.p[-1].min():.2f}, {series.p[-1].max():.2f}] "
       "- stop-and-go amplitudes")
 
 (out_dir / "closed_loop_trajectories.svg").write_text(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,6 @@ from . import __version__
 from .errors import InvalidInputError, NumericalBlowupError, UnsupportedOperationError
 from .model import (
     ClosedLoop,
-    OpenLoop,
     assemble_drift_matrix,
     build_matrices,  # noqa: F401  (bench/tracer.py times calls through this binding)
 )
@@ -215,7 +215,6 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = scenario.params
-    regime = params.regime
     spectrum = eigenvalues(params)
     # Only the drift matrix, and not kept once the oracle has it.
     oracle = dense_eigen_oracle(
@@ -224,8 +223,8 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
             params.alpha,
             params.beta,
             params.gamma,
-            controlled=isinstance(regime, (OpenLoop, ClosedLoop)),
-            t_gap=regime.t_gap if isinstance(regime, ClosedLoop) else None,
+            controlled=params.regime.controlled,
+            t_gap=params.regime.t_gap,
         )
     )
     diffs = match_distances(spectrum.values, oracle)
@@ -248,13 +247,22 @@ def parse_vary(spec: str):
         name, rng = spec.split("=", 1)
         start, stop, count = rng.split(":")
         name = name.strip()
-        values = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise InvalidInputError(f"bad sweep spec {spec!r}; expected name=start:stop:count") from exc
     if name not in _SWEEPABLE:
         raise InvalidInputError(f"cannot sweep {name!r}; choose from {', '.join(_SWEEPABLE)}")
-    if len(values) < 1:
+    if count < 1:
         raise InvalidInputError("sweep needs at least one value")
+    # The rules ModelParams and ClosedLoop apply to the base point.
+    for value in (start, stop):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")
+    values = np.linspace(start, stop, count)
+    if name == "t_gap" and not (values > 0).all():
+        raise InvalidInputError(f"t_gap must be positive, got {values[values <= 0][0]}")
+    if (values < 0).any():
+        raise InvalidInputError(f"{name} must be nonnegative, got {values[values < 0][0]}")
     return name, values
 
 

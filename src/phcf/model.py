@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -33,9 +33,21 @@ def _require_finite(obj, *names):
             raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
+# Each regime carries what differs between them: ``controlled`` (whether
+# speeds relax toward a commanded speed at rate gamma), ``t_gap`` (None
+# without gap feedback) and target_speed(gap), the commanded speed.
+
+
 @dataclass(frozen=True)
 class Uncontrolled:
     """No commanded speed; requires gamma == 0."""
+
+    controlled: ClassVar[bool] = False
+    t_gap: ClassVar[None] = None
+
+    def target_speed(self, gap):
+        """0: every common speed is steady, and 0 is the convention."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -43,9 +55,14 @@ class OpenLoop:
     """Constant commanded speed x, identical for every vehicle."""
 
     x: float
+    controlled: ClassVar[bool] = True
+    t_gap: ClassVar[None] = None
 
     def __post_init__(self):
         _require_finite(self, "x")
+
+    def target_speed(self, gap):
+        return self.x
 
 
 @dataclass(frozen=True)
@@ -54,6 +71,7 @@ class ClosedLoop:
 
     ell: float
     t_gap: float
+    controlled: ClassVar[bool] = True
 
     def __post_init__(self):
         _require_finite(self, "ell", "t_gap")
@@ -102,9 +120,9 @@ class ModelParams:
         for name in ("alpha", "beta", "gamma", "sigma"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if isinstance(self.regime, Uncontrolled) and self.gamma != 0:
+        if not self.regime.controlled and self.gamma != 0:
             raise InvalidInputError("uncontrolled regime requires gamma == 0")
-        if isinstance(self.regime, (OpenLoop, ClosedLoop)) and not self.gamma > 0:
+        if self.regime.controlled and not self.gamma > 0:
             raise InvalidInputError("controlled regimes require gamma > 0")
 
 
@@ -140,11 +158,6 @@ class CustomDerivative:
 
 
 PotentialSpec = Union[Quadratic, CustomDerivative]
-
-
-def quadratic_potential(params: ModelParams) -> Quadratic:
-    """The quadratic potential with the stiffness stored in params."""
-    return Quadratic(params.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +251,7 @@ def acceleration_array(q, p, params: ModelParams, potential: PotentialSpec):
     acc *= params.beta
     acc += _backward_diff(force)
     regime = params.regime
-    if isinstance(regime, OpenLoop):
-        acc += params.gamma * (regime.x - p)
-    elif isinstance(regime, ClosedLoop):
+    if regime.controlled:
         acc += params.gamma * (regime.target_speed(gap) - p)
     return acc
 
@@ -327,8 +338,8 @@ def build_matrices(params: ModelParams) -> PhsMatrices:
     """Difference matrix A, interconnection J, dissipation R, regime drift
     matrix B and the noise block.
 
-    b_drift acts on the shifted state (gaps, p - shift); see
-    :func:`regime_speed_shift`.  Eigenvalues never depend on the shift.
+    b_drift acts on the shifted state (gaps, p - shift) with shift =
+    regime.target_speed(0.0).  Eigenvalues never depend on the shift.
     """
     n = params.n_vehicles
     a = ring_difference_matrix(n)
@@ -337,37 +348,14 @@ def build_matrices(params: ModelParams) -> PhsMatrices:
     r_dissip = np.block(
         [[zero, zero], [zero, params.beta * (a.T @ a) + params.gamma * np.eye(n)]]
     )
-    regime = params.regime
     b_drift = assemble_drift_matrix(
         n,
         params.alpha,
         params.beta,
         params.gamma,
-        controlled=isinstance(regime, (OpenLoop, ClosedLoop)),
-        t_gap=regime.t_gap if isinstance(regime, ClosedLoop) else None,
+        controlled=params.regime.controlled,
+        t_gap=params.regime.t_gap,
     )
     sigma_block = np.vstack([zero, params.sigma * np.eye(n)])
     return PhsMatrices(a=a, j_skew=j_skew, r_dissip=r_dissip, b_drift=b_drift, sigma_block=sigma_block)
 
-
-def regime_speed_shift(params: ModelParams) -> float:
-    """Speed offset s such that b_drift acts on (gaps, p - s):
-    0 when uncontrolled, x for open loop, -ell/t_gap for gap feedback."""
-    regime = params.regime
-    if isinstance(regime, OpenLoop):
-        return regime.x
-    if isinstance(regime, ClosedLoop):
-        return -regime.ell / regime.t_gap
-    return 0.0
-
-
-def equilibrium_speed(params: ModelParams) -> float:
-    """Common speed of the uniform steady state: 0 when uncontrolled
-    (every common speed is steady; 0 is the convention), x for open loop,
-    and the feedback target at the uniform gap for gap feedback."""
-    regime = params.regime
-    if isinstance(regime, OpenLoop):
-        return regime.x
-    if isinstance(regime, ClosedLoop):
-        return regime.target_speed(params.ring_length / params.n_vehicles)
-    return 0.0

@@ -9,7 +9,7 @@ on load, which lets a run manifest be replayed as a scenario.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .errors import InvalidInputError
@@ -27,11 +27,18 @@ SCHEMA_VERSION = 1
 _MODEL_KEYS = ("n_vehicles", "ring_length", "alpha", "beta", "gamma", "sigma", "potential")
 _SIM_KEYS = ("dt", "t_end", "sample_stride", "seed", "initial")
 _OUTPUT_KEYS = ("svg", "wrap_positions")
-_REGIME_KEYS = {
-    "uncontrolled": (),
-    "open_loop": ("x",),
-    "closed_loop": ("ell", "t_gap"),
-}
+# [regime] kind, regime class and the unit comment written above its
+# fields; the section's other keys are the class's dataclass fields.
+_REGIMES = (
+    ("uncontrolled", Uncontrolled, None),
+    ("open_loop", OpenLoop, "; x: length/time"),
+    ("closed_loop", ClosedLoop, "; ell: length units, t_gap: time units"),
+)
+# [sim] initial names and their initial-condition classes
+_INITIALS = (
+    ("uniform_zero_speed", UniformZeroSpeed),
+    ("uniform_stationary", UniformStationary),
+)
 # manifest keys that feed back into the scenario on load
 _MANIFEST_SCENARIO_KEYS = ("preset", "n_runs")
 
@@ -82,6 +89,22 @@ def preset(name: str) -> Scenario:
 # formatting
 
 
+def _row_of(table, obj):
+    """The row of a name/class table that holds obj's class."""
+    for row in table:
+        if type(obj) is row[1]:
+            return row
+    raise InvalidInputError(f"{type(obj).__name__} cannot be written to a scenario")
+
+
+def _row_named(table, name, what):
+    """The row of a name/class table with the given name."""
+    for row in table:
+        if row[0] == name:
+            return row
+    raise InvalidInputError(f"unknown {what} {name!r}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -107,19 +130,13 @@ def format_scenario(scenario: Scenario) -> str:
         "",
         "[regime]",
     ]
-    if isinstance(regime, Uncontrolled):
-        lines.append("kind = uncontrolled")
-    elif isinstance(regime, OpenLoop):
-        lines += ["kind = open_loop", "; x: length/time", f"x = {_fmt(regime.x)}"]
-    else:
-        lines += [
-            "kind = closed_loop",
-            "; ell: length units, t_gap: time units",
-            f"ell = {_fmt(regime.ell)}",
-            f"t_gap = {_fmt(regime.t_gap)}",
-        ]
+    kind, _, units = _row_of(_REGIMES, regime)
+    lines.append(f"kind = {kind}")
+    if units is not None:
+        lines.append(units)
+    lines += [f"{f.name} = {_fmt(getattr(regime, f.name))}" for f in fields(regime)]
     c = scenario.config
-    initial = "uniform_stationary" if isinstance(c.initial, UniformStationary) else "uniform_zero_speed"
+    initial = _row_of(_INITIALS, c.initial)[0]
     lines += [
         "",
         "[sim]",
@@ -219,16 +236,10 @@ def parse_scenario(text: str) -> Scenario:
     regime_sec = _section(cp, "regime")
     if "kind" not in regime_sec:
         raise InvalidInputError("missing key(s) in [regime]: kind")
-    kind = regime_sec["kind"].strip().lower()
-    if kind not in _REGIME_KEYS:
-        raise InvalidInputError(f"unknown regime kind {kind!r}")
-    _check_keys("regime", regime_sec, ("kind",) + _REGIME_KEYS[kind])
-    if kind == "uncontrolled":
-        regime = Uncontrolled()
-    elif kind == "open_loop":
-        regime = OpenLoop(x=_get_float(regime_sec, "x"))
-    else:
-        regime = ClosedLoop(ell=_get_float(regime_sec, "ell"), t_gap=_get_float(regime_sec, "t_gap"))
+    _, regime_class, _ = _row_named(_REGIMES, regime_sec["kind"].strip().lower(), "regime kind")
+    names = tuple(f.name for f in fields(regime_class))
+    _check_keys("regime", regime_sec, ("kind",) + names)
+    regime = regime_class(**{name: _get_float(regime_sec, name) for name in names})
 
     params = ModelParams(
         n_vehicles=_get_int(model, "n_vehicles"),
@@ -242,19 +253,13 @@ def parse_scenario(text: str) -> Scenario:
 
     sim = _section(cp, "sim")
     _check_keys("sim", sim, _SIM_KEYS)
-    initial_name = sim["initial"].strip().lower()
-    if initial_name == "uniform_zero_speed":
-        initial = UniformZeroSpeed()
-    elif initial_name == "uniform_stationary":
-        initial = UniformStationary()
-    else:
-        raise InvalidInputError(f"unknown initial condition {initial_name!r}")
+    _, initial_class = _row_named(_INITIALS, sim["initial"].strip().lower(), "initial condition")
     config = SimConfig(
         dt=_get_float(sim, "dt"),
         t_end=_get_float(sim, "t_end"),
         sample_stride=_get_int(sim, "sample_stride"),
         seed=_get_int(sim, "seed"),
-        initial=initial,
+        initial=initial_class(),
     )
 
     output_sec = _section(cp, "output", required=False)

@@ -38,7 +38,6 @@ from .model import (
     State,
     _require_finite,
     acceleration_array,
-    equilibrium_speed,
     gaps_array,
 )
 
@@ -103,6 +102,8 @@ class SimConfig:
 class TimeSeries:
     """Sampled trajectory of one run.
 
+    q and p are samples-by-vehicles arrays of positions and speeds, one
+    row per entry of times, read-only when the integrator made them.
     overtake_flag records whether any recorded sample had a non-positive
     gap (permitted by the quadratic potential, flagged as a diagnostic).
     A run that left the finite range is truncated at its last valid
@@ -110,7 +111,8 @@ class TimeSeries:
     """
 
     times: np.ndarray
-    states: tuple
+    q: np.ndarray
+    p: np.ndarray
     params: ModelParams
     config: SimConfig
     overtake_flag: bool
@@ -119,11 +121,11 @@ class TimeSeries:
 
     def positions(self) -> np.ndarray:
         """Samples-by-vehicles matrix of positions."""
-        return np.stack([s.q for s in self.states])
+        return self.q
 
     def speeds(self) -> np.ndarray:
         """Samples-by-vehicles matrix of speeds."""
-        return np.stack([s.p for s in self.states])
+        return self.p
 
 
 def initial_state(params: ModelParams, initial: InitialCondition) -> State:
@@ -141,7 +143,7 @@ def initial_state(params: ModelParams, initial: InitialCondition) -> State:
     q = np.arange(n) * (length / n)
     if isinstance(initial, UniformZeroSpeed):
         return State(q, np.zeros(n))
-    return State(q, np.full(n, equilibrium_speed(params)))
+    return State(q, np.full(n, params.regime.target_speed(length / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +238,22 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
     stride = config.sample_stride
     n_steps = _step_count(dt, config.t_end)
     n_samples = n_steps // stride + 1
-    q_samples = np.empty((n_samples, runs, n))
-    p_samples = np.empty((n_samples, runs, n))
+    # run-major, so each run's samples are one C-contiguous block
+    q_samples = np.empty((runs, n_samples, n))
+    p_samples = np.empty((runs, n_samples, n))
     overtake = np.zeros(runs, dtype=bool)
     blow_step = np.full(runs, -1, dtype=np.int64)
     valid = np.zeros(runs, dtype=np.int64)
     active = np.ones(runs, dtype=bool)
 
     sig_sqdt = params.sigma * math.sqrt(dt)
-    noise = None
+    # one block of draws for all runs, refilled in place at each block start
+    noise = np.empty((NOISE_BLOCK, runs, n))
     k = 0
     for s in range(n_steps + 1):
         if s % stride == 0 and k < n_samples:
-            q_samples[k] = q
-            p_samples[k] = p
+            q_samples[:, k] = q
+            p_samples[:, k] = p
             overtake |= active & (gaps_array(q, length).min(axis=1) <= 0)
             valid[active] = k + 1
             k += 1
@@ -257,7 +261,8 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
             break
         j = s % NOISE_BLOCK
         if j == 0:
-            noise = np.stack([noise_block(seed, s // NOISE_BLOCK, n) for seed in seeds], axis=1)
+            for r, seed in enumerate(seeds):
+                noise[:, r] = noise_block(seed, s // NOISE_BLOCK, n)
             noise *= sig_sqdt
         # same operation order as step(): p + dt*acc + sigma*sqrt(dt)*noise
         acc = acceleration_array(q, p, params, potential)
@@ -282,6 +287,8 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
             p[~active] = 0.0
 
     times = np.arange(n_samples) * (stride * dt)
+    q_samples.setflags(write=False)
+    p_samples.setflags(write=False)
     out = []
     for r, seed in enumerate(seeds):
         v = int(valid[r])
@@ -289,7 +296,8 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
         out.append(
             TimeSeries(
                 times=times[:v],
-                states=tuple(State(q_samples[i, r], p_samples[i, r]) for i in range(v)),
+                q=q_samples[r, :v],
+                p=p_samples[r, :v],
                 params=params,
                 config=replace(config, seed=seed),
                 overtake_flag=bool(overtake[r]),

@@ -61,7 +61,6 @@ from .model import (
     ClosedLoop,
     ControlRegime,
     ModelParams,
-    OpenLoop,
     Uncontrolled,
     assemble_drift_matrix,  # noqa: F401  (bench/tracer.py times calls through this binding)
 )
@@ -151,45 +150,20 @@ def mode_spectrum(n, alpha, beta, gamma, t_gap=None, regime=None) -> Spectrum:
     return Spectrum(values, regime if regime is not None else Uncontrolled())
 
 
-def _require_regime(params: ModelParams, kind, name: str):
-    if not isinstance(params.regime, kind):
-        raise InvalidInputError(f"params.regime must be {name}, got {type(params.regime).__name__}")
-
-
-def eigenvalues_uncontrolled(params: ModelParams) -> Spectrum:
-    """Spectrum without control; mode 0 carries a double zero."""
-    _require_regime(params, Uncontrolled, "Uncontrolled")
-    return mode_spectrum(params.n_vehicles, params.alpha, params.beta, 0.0, regime=params.regime)
-
-
-def eigenvalues_open_loop(params: ModelParams) -> Spectrum:
-    """Spectrum under constant speed control; mode 0 gives {0, -gamma}
-    and every other eigenvalue has negative real part when alpha > 0."""
-    _require_regime(params, OpenLoop, "OpenLoop")
-    return mode_spectrum(params.n_vehicles, params.alpha, params.beta, params.gamma, regime=params.regime)
-
-
-def eigenvalues_closed_loop(params: ModelParams) -> Spectrum:
-    """Spectrum under gap feedback; the coupling makes the per-mode
-    constant term complex, so conjugate partners sit in modes j and N-j."""
-    _require_regime(params, ClosedLoop, "ClosedLoop")
-    return mode_spectrum(
-        params.n_vehicles,
-        params.alpha,
-        params.beta,
-        params.gamma,
-        t_gap=params.regime.t_gap,
-        regime=params.regime,
-    )
-
-
 def eigenvalues(params: ModelParams) -> Spectrum:
-    """Closed-form spectrum for whichever regime params carries."""
-    if isinstance(params.regime, OpenLoop):
-        return eigenvalues_open_loop(params)
-    if isinstance(params.regime, ClosedLoop):
-        return eigenvalues_closed_loop(params)
-    return eigenvalues_uncontrolled(params)
+    """Closed-form spectrum for whichever regime params carries.
+
+    Mode 0 carries a double zero without control and {0, -gamma} under
+    control.  Under constant speed control every other eigenvalue has
+    negative real part when alpha > 0; under gap feedback the coupling
+    makes the per-mode constant term complex, so conjugate partners sit
+    in modes j and N-j.
+    """
+    regime = params.regime
+    # The literal 0.0 without control: params.gamma may be -0.0, and
+    # beta*mu + -0.0 keeps a signed zero that + 0.0 does not.
+    gamma = params.gamma if regime.controlled else 0.0
+    return mode_spectrum(params.n_vehicles, params.alpha, params.beta, gamma, regime.t_gap, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +348,11 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
 
 def exact_stability(params: ModelParams) -> StabilityReport:
     """Stability report of the gap-feedback regime in params."""
-    _require_regime(params, ClosedLoop, "ClosedLoop")
+    if not isinstance(params.regime, ClosedLoop):
+        raise InvalidInputError(f"params.regime must be ClosedLoop, got {type(params.regime).__name__}")
     return stability_report(
         params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap
     )
-
-
-def sufficient_stability(params: ModelParams):
-    """(lhs, verdict) of the sufficient condition for params."""
-    _require_regime(params, ClosedLoop, "ClosedLoop")
-    return sufficient_condition(params.alpha, params.gamma, params.regime.t_gap)
 
 
 # ---------------------------------------------------------------------------

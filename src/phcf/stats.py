@@ -52,7 +52,7 @@ def observables(ts: TimeSeries, potential: Optional[PotentialSpec] = None) -> Ob
     n = ts.params.n_vehicles
     if n < 2:
         raise InvalidInputError("speed variance needs at least 2 vehicles")
-    if len(ts.states) == 0:
+    if len(ts.times) == 0:
         raise InvalidInputError("empty trajectory")
     if potential is None:
         potential = Quadratic(ts.params.alpha)

@@ -26,7 +26,6 @@ from phcf import (
     preset,
     simulate,
     spectral_abscissa_nonzero,
-    sufficient_stability,
 )
 from phcf.cli import cmd_ensemble, cmd_simulate, cmd_spectrum, cmd_stability_map, parse_vary
 from phcf.scenario import load_scenario
@@ -116,7 +115,7 @@ def test_criterion_4_exact_condition_equals_abscissa_sign(stability_grid):
 def test_criterion_5_reference_instability_point():
     params = preset("fig3").params
     report = exact_stability(params)
-    lhs, stable = sufficient_stability(params)
+    lhs, stable = report.sufficient_lhs, report.sufficient_stable
     assert not report.exact_stable
     assert lhs == 1.5 and not stable
     _passed(5, f"alpha=0.5, beta=1, gamma=1, T=1, N=20: exact_stable=False, "
@@ -142,7 +141,7 @@ def test_criterion_7_open_loop_relaxation():
     sc = preset("fig2")
     params = replace(sc.params, sigma=0.0)
     ts = simulate(params, sc.potential, sc.config)
-    final_mean = ts.states[-1].p.mean()
+    final_mean = ts.p[-1].mean()
     assert abs(final_mean - 2.05) <= 1e-3
     _passed(7, f"sigma=0 mean speed after 250 time units: {final_mean:.8f} (target 2.05)")
 

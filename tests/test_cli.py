@@ -57,10 +57,10 @@ def test_preset_fig1_uncontrolled():
 
 
 def test_preset_fig3_sufficient_lhs():
-    from phcf import sufficient_stability
+    from phcf import exact_stability
 
-    lhs, stable = sufficient_stability(preset("fig3").params)
-    assert lhs == 1.5 and not stable
+    report = exact_stability(preset("fig3").params)
+    assert report.sufficient_lhs == 1.5 and not report.sufficient_stable
 
 
 def test_preset_unknown_name():
@@ -75,6 +75,72 @@ def test_scenario_round_trip(name):
     assert again.params == sc.params
     assert again.config == sc.config
     assert again.output == sc.output
+
+
+# format_scenario(preset(name)) as written before the regimes carried
+# their own behaviour; the round trip above compares objects and would
+# miss a lost unit comment.
+PRESET_TEXT_MODEL = """[model]
+; n_vehicles: count, ring_length: length units
+; alpha, beta, gamma: 1/time; sigma: length/time^(3/2)
+n_vehicles = 20
+ring_length = 141.0
+alpha = {alpha}
+beta = 1.0
+gamma = {gamma}
+sigma = 1.0
+potential = quadratic
+
+[regime]
+"""
+PRESET_TEXT_SIM = """
+[sim]
+; dt, t_end: time units
+dt = 0.001
+t_end = 250.0
+sample_stride = 100
+seed = 42
+initial = {initial}
+
+[output]
+svg = true
+wrap_positions = true
+"""
+PRESET_TEXT_REGIME = {
+    "fig1": ("1.0", "0.0", "kind = uncontrolled\n"),
+    "fig2": ("0.5", "0.1", "kind = open_loop\n; x: length/time\nx = 2.05\n"),
+    "fig3": ("0.5", "1.0", "kind = closed_loop\n; ell: length units, t_gap: time units\n"
+                           "ell = 5.0\nt_gap = 1.0\n"),
+}
+
+
+@pytest.mark.parametrize("initial", ["uniform_zero_speed", "uniform_stationary"])
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+def test_format_scenario_text_is_pinned(name, initial):
+    from phcf import UniformStationary, UniformZeroSpeed
+
+    alpha, gamma, regime = PRESET_TEXT_REGIME[name]
+    sc = preset(name)
+    start = UniformStationary() if initial == "uniform_stationary" else UniformZeroSpeed()
+    sc = replace(sc, config=replace(sc.config, initial=start))
+    assert format_scenario(sc) == (
+        PRESET_TEXT_MODEL.format(alpha=alpha, gamma=gamma) + regime
+        + PRESET_TEXT_SIM.format(initial=initial)
+    )
+
+
+def test_unknown_names_rejected():
+    text = format_scenario(preset("fig1"))
+    with pytest.raises(InvalidInputError, match="unknown regime kind 'cruise'"):
+        parse_scenario(text.replace("kind = uncontrolled", "kind = cruise"))
+    with pytest.raises(InvalidInputError, match="unknown initial condition 'random'"):
+        parse_scenario(text.replace("initial = uniform_zero_speed", "initial = random"))
+    from phcf import Explicit
+
+    sc = preset("fig1")
+    start = Explicit(q=np.arange(20.0), p=np.zeros(20))
+    with pytest.raises(InvalidInputError, match="Explicit cannot be written"):
+        format_scenario(replace(sc, config=replace(sc.config, initial=start)))
 
 
 def test_manifest_round_trip_keeps_preset_name():
@@ -305,6 +371,31 @@ def test_parse_vary():
         parse_vary("alpha=1:2")
     with pytest.raises(InvalidInputError):
         parse_vary("speed=1:2:3")
+    assert parse_vary("gamma=0:1:3")[1][0] == 0.0  # gamma = 0 is a valid, unstable cell
+    for spec, message in [
+        ("t_gap=0:1:3", "t_gap must be positive, got 0.0"),
+        ("t_gap=-1:-0.5:3", "t_gap must be positive, got -1.0"),
+        ("gamma=-1:1:3", "gamma must be nonnegative, got -1.0"),
+        ("beta=-0.5:1:4", "beta must be nonnegative, got -0.5"),
+        ("alpha=nan:1:3", "alpha must be finite, got nan"),
+        ("alpha=0:inf:3", "alpha must be finite, got inf"),
+    ]:
+        with pytest.raises(InvalidInputError, match=message):
+            parse_vary(spec)
+
+
+@pytest.mark.parametrize("vary", ["t_gap=0:1:3", "t_gap=-1:-0.5:3", "gamma=-1:1:3", "alpha=nan:1:3"])
+def test_main_stability_map_rejects_invalid_sweep_values(tmp_path, capsys, vary):
+    scenario_path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(scenario_path)]) == 0
+    out = tmp_path / "map"
+    other = "beta=0.5:1:2" if vary.startswith(("gamma", "alpha")) else "gamma=0.5:1:2"
+    argv = ["stability-map", "--scenario", str(scenario_path), "--out", str(out),
+            "--vary", vary, "--vary", other]
+    assert main(argv) == 2
+    name = vary.split("=")[0]
+    assert f"error: {name} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_stability_map(tmp_path):

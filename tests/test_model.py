@@ -24,7 +24,6 @@ from phcf import (
     gaps,
     hamiltonian,
     hamiltonian_gradient,
-    regime_speed_shift,
     ring_difference_matrix,
     speed_gaps,
 )
@@ -128,7 +127,7 @@ def test_drift_matches_matrix_form(regime_kind, n):
     for _ in range(25):
         params = _random_params(rng, n, regime_kind)
         mats = build_matrices(params)
-        shift = regime_speed_shift(params)
+        shift = params.regime.target_speed(0.0)
         q = np.cumsum(rng.uniform(0.5, 2.0, n))
         p = rng.normal(0, 2.0, n)
         state = State(q=q, p=p)

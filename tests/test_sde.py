@@ -135,10 +135,10 @@ def test_simulate_equals_repeated_steps(name):
     config = SimConfig(dt=0.01, t_end=3.0, sample_stride=1, seed=31)
     ts = simulate(sc.params, potential, config)
     state = initial_state(sc.params, config.initial)
-    for s in range(len(ts.states) - 1):
+    for s in range(len(ts.times) - 1):
         state = step(state, sc.params, potential, config.dt, step_noise(31, s, 20))
-        assert np.array_equal(state.q, ts.states[s + 1].q)
-        assert np.array_equal(state.p, ts.states[s + 1].p)
+        assert np.array_equal(state.q, ts.q[s + 1])
+        assert np.array_equal(state.p, ts.p[s + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +151,14 @@ def test_simulate_deterministic():
     a = simulate(sc.params, sc.potential, config)
     b = simulate(sc.params, sc.potential, config)
     assert np.array_equal(a.times, b.times)
-    for sa, sb in zip(a.states, b.states):
-        assert np.array_equal(sa.q, sb.q) and np.array_equal(sa.p, sb.p)
+    assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
 
 def test_sample_times_spacing():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=25, seed=5)
     ts = simulate(sc.params, sc.potential, config)
-    assert len(ts.states) == 5  # steps 0, 25, 50, 75, 100
+    assert ts.q.shape == ts.p.shape == (5, 20)  # steps 0, 25, 50, 75, 100
     assert np.allclose(np.diff(ts.times), 0.25, rtol=0, atol=1e-12)
     assert ts.times[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -170,7 +169,7 @@ def test_zero_noise_equilibria_are_fixed_points():
         eq_speed = initial_state(params, UniformStationary()).p[0]
         config = SimConfig(dt=0.001, t_end=10.0, sample_stride=1000, seed=0, initial=UniformStationary())
         ts = simulate(params, Quadratic(params.alpha), config)
-        drift_from_eq = max(abs(s.p - eq_speed).max() for s in ts.states)
+        drift_from_eq = abs(ts.p - eq_speed).max()
         assert drift_from_eq <= 1e-9, name
         gaps_err = max_gap_closure_error(ts)
         assert gaps_err <= 1e-9
@@ -199,7 +198,7 @@ def test_open_loop_relaxation_to_commanded_speed():
     params = replace(sc.params, sigma=0.0)
     config = SimConfig(dt=0.01, t_end=250.0, sample_stride=2500, seed=0, initial=UniformZeroSpeed())
     ts = simulate(params, sc.potential, config)
-    assert abs(ts.states[-1].p.mean() - 2.05) <= 1e-3
+    assert abs(ts.p[-1].mean() - 2.05) <= 1e-3
 
 
 def test_self_convergence_first_order():
@@ -213,8 +212,8 @@ def test_self_convergence_first_order():
     def endpoint(dt):
         steps = int(round(2.0 / dt))
         config = SimConfig(dt=dt, t_end=2.0, sample_stride=steps, seed=0, initial=Explicit(q=q0, p=p0))
-        last = simulate(params, Quadratic(params.alpha), config).states[-1]
-        return np.concatenate([last.q, last.p])
+        ts = simulate(params, Quadratic(params.alpha), config)
+        return np.concatenate([ts.q[-1], ts.p[-1]])
 
     ref = endpoint(1e-5)
     err_coarse = np.abs(endpoint(4e-3) - ref).max()
@@ -241,13 +240,13 @@ def test_mean_speed_recursion_is_exact():
         ts = simulate(params, sc.potential, config)
         n = params.n_vehicles
         sqdt = np.sqrt(config.dt)
-        for s in range(len(ts.states) - 1):
-            pbar = ts.states[s].p.mean()
+        for s in range(len(ts.times) - 1):
+            pbar = ts.p[s].mean()
             noise_sum = step_noise(17, s, n).sum()
             expected = pbar + params.sigma / n * sqdt * noise_sum
             if gamma_term:
                 expected += config.dt * params.gamma * (params.regime.x - pbar)
-            assert abs(ts.states[s + 1].p.mean() - expected) <= 1e-12
+            assert abs(ts.p[s + 1].mean() - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +259,7 @@ def test_ensemble_base_case_matches_simulate():
     run = run_ensemble(sc.params, sc.potential, config, 1)[0]
     direct = simulate(sc.params, sc.potential, replace(config, seed=derive_run_seed(123, 0)))
     assert run.config.seed == derive_run_seed(123, 0)
-    for sa, sb in zip(run.states, direct.states):
-        assert np.array_equal(sa.q, sb.q) and np.array_equal(sa.p, sb.p)
+    assert np.array_equal(run.q, direct.q) and np.array_equal(run.p, direct.p)
 
 
 def test_closed_loop_ensemble_rows_equal_simulate():
@@ -275,6 +273,8 @@ def test_closed_loop_ensemble_rows_equal_simulate():
         assert np.array_equal(run.times, direct.times)
         assert np.array_equal(run.positions(), direct.positions())
         assert np.array_equal(run.speeds(), direct.speeds())
+        assert run.q.flags.c_contiguous and run.p.flags.c_contiguous
+        assert not (run.q.flags.writeable or run.p.flags.writeable)
         assert run.overtake_flag == direct.overtake_flag
 
 
@@ -360,10 +360,10 @@ def test_simulate_blowup_carries_partial():
     assert err.step is not None and err.time == pytest.approx(err.step * 0.001)
     partial = err.partial
     assert partial.blowup_step == err.step
-    assert 0 < len(partial.states) < 5001
+    assert 0 < len(partial.times) < 5001
     assert np.isfinite(partial.speeds()).all()
     # pinned: the blowup step and the kept samples never move
-    assert (err.step, len(partial.states)) == (1987, 199)
+    assert (err.step, len(partial.times)) == (1987, 199)
 
 
 def test_ensemble_blowup_not_fatal():
@@ -371,9 +371,9 @@ def test_ensemble_blowup_not_fatal():
     runs = run_ensemble(BLOWING, Quadratic(0.0), config, 3)
     assert len(runs) == 3
     assert all(ts.blowup_step is not None for ts in runs)
-    assert all(len(ts.states) > 0 for ts in runs)
+    assert all(len(ts.times) > 0 for ts in runs)
     assert [ts.blowup_step for ts in runs] == [1908, 1927, 2017]
-    assert [len(ts.states) for ts in runs] == [191, 193, 202]
+    assert [len(ts.times) for ts in runs] == [191, 193, 202]
 
 
 def test_overtake_flag_set_on_crossing():

@@ -20,15 +20,11 @@ from phcf import (
     dense_eigen_oracle,
     deviation_matrix,
     eigenvalues,
-    eigenvalues_closed_loop,
-    eigenvalues_open_loop,
-    eigenvalues_uncontrolled,
     exact_stability,
     match_distances,
     mu,
     spectral_abscissa_nonzero,
     stability_report,
-    sufficient_stability,
 )
 from phcf.model import assemble_drift_matrix
 from phcf.spectral import (
@@ -84,7 +80,7 @@ def test_mu_range_check():
 
 
 def test_uncontrolled_double_zero():
-    spec = eigenvalues_uncontrolled(make_params(6, 1.0, 1.0))
+    spec = eigenvalues(make_params(6, 1.0, 1.0))
     mode0 = [lam for idx, lam in spec.entries if idx.j == 0]
     assert mode0 == [0.0 + 0.0j, 0.0 + 0.0j]
     assert len(spec) == 12
@@ -92,21 +88,21 @@ def test_uncontrolled_double_zero():
 
 def test_uncontrolled_pure_imaginary_mode():
     # beta = 0, alpha = 1, N = 4: mode j=2 (mu=4) solves x^2 + 4 = 0
-    spec = eigenvalues_uncontrolled(make_params(4, 1.0, 0.0))
+    spec = eigenvalues(make_params(4, 1.0, 0.0))
     roots = sorted((lam for idx, lam in spec.entries if idx.j == 2), key=lambda z: z.imag)
     assert roots[0] == pytest.approx(-2j, abs=1e-12)
     assert roots[1] == pytest.approx(2j, abs=1e-12)
 
 
 def test_uncontrolled_nonzero_modes_damped():
-    spec = eigenvalues_uncontrolled(make_params(9, 1.2, 0.8))
+    spec = eigenvalues(make_params(9, 1.2, 0.8))
     nonzero = [lam for idx, lam in spec.entries if idx.j != 0]
     assert all(lam.real <= 1e-14 for lam in nonzero)
 
 
 def test_open_loop_mode_zero():
     params = make_params(5, 1.0, 1.0, 0.7, OpenLoop(x=2.0))
-    spec = eigenvalues_open_loop(params)
+    spec = eigenvalues(params)
     mode0 = {idx.k: lam for idx, lam in spec.entries if idx.j == 0}
     assert mode0[0] == 0.0 + 0.0j
     assert mode0[1] == pytest.approx(-0.7, abs=1e-15)
@@ -114,7 +110,7 @@ def test_open_loop_mode_zero():
 
 def test_open_loop_unconditionally_stable():
     params = make_params(20, 0.5, 1.0, 0.1, OpenLoop(x=2.05))
-    spec = eigenvalues_open_loop(params)
+    spec = eigenvalues(params)
     scale = np.linalg.norm(build_matrices(params).b_drift)
     assert near_zero_count(spec.values, scale) == 1
     nonzero = spec.values[np.abs(spec.values) >= ZERO_EIGENVALUE_RTOL * scale]
@@ -123,7 +119,7 @@ def test_open_loop_unconditionally_stable():
 
 def test_closed_loop_mode_zero():
     params = make_params(5, 1.0, 1.0, 0.9, ClosedLoop(ell=2.0, t_gap=1.5))
-    spec = eigenvalues_closed_loop(params)
+    spec = eigenvalues(params)
     mode0 = {idx.k: lam for idx, lam in spec.entries if idx.j == 0}
     assert mode0[0] == 0.0 + 0.0j
     assert mode0[1] == pytest.approx(-0.9, abs=1e-15)
@@ -132,13 +128,13 @@ def test_closed_loop_mode_zero():
 def test_closed_loop_large_t_gap_approaches_open_loop():
     closed = make_params(12, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1e9))
     open_ = make_params(12, 0.5, 1.0, 1.0, OpenLoop(x=0.0))
-    d = match_distances(eigenvalues_closed_loop(closed).values, eigenvalues_open_loop(open_).values)
+    d = match_distances(eigenvalues(closed).values, eigenvalues(open_).values)
     assert d.max() <= 1e-6
 
 
 def test_closed_loop_fig3_parameters_unstable():
     params = make_params(20, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0))
-    spec = eigenvalues_closed_loop(params)
+    spec = eigenvalues(params)
     scale = np.linalg.norm(build_matrices(params).b_drift)
     assert spectral_abscissa_nonzero(spec.values, scale) > 0
 
@@ -147,21 +143,21 @@ def test_regime_mismatch_rejected():
     unc = make_params(5, 1.0, 1.0)
     ol = make_params(5, 1.0, 1.0, 0.5, OpenLoop(x=1.0))
     with pytest.raises(InvalidInputError):
-        eigenvalues_uncontrolled(ol)
-    with pytest.raises(InvalidInputError):
-        eigenvalues_open_loop(unc)
-    with pytest.raises(InvalidInputError):
-        eigenvalues_closed_loop(ol)
-    with pytest.raises(InvalidInputError):
         exact_stability(ol)
     with pytest.raises(InvalidInputError):
-        sufficient_stability(unc)
+        exact_stability(unc)
 
 
 def test_eigenvalues_dispatch():
     for kind in REGIMES:
         params = random_params(np.random.default_rng(1), 6, kind)
         assert len(eigenvalues(params)) == 12
+    # Without control the damping is the literal 0.0, not a signed-zero
+    # gamma: with beta = -0.0 the mode-0 root -lin keeps the sign of 0.0.
+    signed = ModelParams(4, 4.0, 1.0, -0.0, -0.0, 0.0, Uncontrolled())
+    got = eigenvalues(signed).values.real
+    assert np.array_equal(np.signbit(got), np.signbit(mode_spectrum(4, 1.0, -0.0, 0.0).values.real))
+    assert np.signbit(got[1])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +190,7 @@ def test_oracle_refuses_oversized_inputs():
 
 def test_oracle_matches_small_closed_form():
     params = make_params(3, 1.0, 1.0)
-    closed = eigenvalues_uncontrolled(params).values
+    closed = eigenvalues(params).values
     dense = dense_eigen_oracle(build_matrices(params).b_drift)
     assert match_distances(closed, dense).max() <= 1e-10
 
@@ -244,7 +240,7 @@ def test_spectrum_closed_under_conjugation(kind):
 
 
 def test_mode_labels_cover_all_pairs():
-    spec = eigenvalues_uncontrolled(make_params(5, 1.0, 1.0))
+    spec = eigenvalues(make_params(5, 1.0, 1.0))
     labels = [idx for idx, _ in spec.entries]
     assert labels == [ModeIndex(j, k) for j in range(5) for k in (0, 1)]
 
@@ -308,7 +304,8 @@ def test_sufficient_condition_values():
     lhs, stable = sufficient_condition(alpha=1.0, gamma=1.0, t_gap=1.0)
     assert lhs == 3.0 and stable
     params = make_params(20, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0))
-    assert sufficient_stability(params) == (1.5, False)
+    report = exact_stability(params)
+    assert (report.sufficient_lhs, report.sufficient_stable) == (1.5, False)
 
 
 def test_sufficient_implies_exact_on_coarse_sweep():

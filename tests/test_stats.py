@@ -27,9 +27,9 @@ def toy_series(speeds, params=None):
     n = speeds.shape[1]
     if params is None:
         params = ModelParams(n, float(n), 1.0, 1.0, 0.0, 1.0, Uncontrolled())
-    states = tuple(State(q=np.arange(n) * (params.ring_length / n), p=row) for row in speeds)
+    q = np.tile(np.arange(n) * (params.ring_length / n), (len(speeds), 1))
     config = SimConfig(dt=1.0, t_end=float(len(speeds)), sample_stride=1, seed=0)
-    return TimeSeries(times=np.arange(len(speeds), dtype=float), states=states,
+    return TimeSeries(times=np.arange(len(speeds), dtype=float), q=q, p=speeds,
                       params=params, config=config, overtake_flag=False)
 
 
@@ -53,7 +53,7 @@ def test_observables_hand_computed():
 
 def test_observables_rejects_empty():
     ts = toy_series([[0.0, 1.0]])
-    empty = TimeSeries(times=np.array([]), states=(), params=ts.params,
+    empty = TimeSeries(times=np.array([]), q=np.empty((0, 2)), p=np.empty((0, 2)), params=ts.params,
                        config=ts.config, overtake_flag=False)
     with pytest.raises(InvalidInputError):
         observables(empty)
@@ -65,9 +65,9 @@ def test_observables_energy_matches_hamiltonian():
     obs = observables(ts)
     from phcf import hamiltonian
 
-    for i, state in enumerate(ts.states):
+    for i, (q, p) in enumerate(zip(ts.q, ts.p)):
         assert obs.hamiltonian[i] == pytest.approx(
-            hamiltonian(state, sc.params, sc.potential), rel=1e-12
+            hamiltonian(State(q, p), sc.params, sc.potential), rel=1e-12
         )
 
 
@@ -77,8 +77,8 @@ def test_speed_variance_matches_projector_identity():
     series = toy_series(rng.normal(0, 2, size=(40, 9)))
     obs = observables(series)
     m = deviation_matrix(9)
-    for i, state in enumerate(series.states):
-        lhs = float(np.sum((m @ state.p) ** 2))
+    for i, p in enumerate(series.p):
+        lhs = float(np.sum((m @ p) ** 2))
         assert abs(lhs - 8 * obs.speed_variance[i]) <= 1e-10 * max(1.0, lhs)
 
 
