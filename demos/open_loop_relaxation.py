@@ -28,8 +28,8 @@ out_dir.mkdir(exist_ok=True)
 
 scenario = preset("fig2")
 spectrum = eigenvalues(scenario.params)
-scale = np.linalg.norm(build_matrices(scenario.params).b_drift)
-print(f"slowest damped mode: Re lambda = {spectral_abscissa_nonzero(spectrum.values, scale):.4f}")
+scale = np.linalg.norm(build_matrices(scenario.params))
+print(f"slowest damped mode: Re lambda = {spectral_abscissa_nonzero(spectrum, scale):.4f}")
 
 series = simulate(scenario.params, scenario.potential, scenario.config)
 obs = observables(series)

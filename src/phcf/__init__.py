@@ -21,18 +21,11 @@ from .model import (
     CustomDerivative,
     ModelParams,
     OpenLoop,
-    PhsMatrices,
     PotentialSpec,
     Quadratic,
-    State,
     Uncontrolled,
     build_matrices,
-    drift,
-    gaps,
     hamiltonian,
-    hamiltonian_gradient,
-    ring_difference_matrix,
-    speed_gaps,
 )
 from .scenario import Scenario, load_scenario, preset, write_scenario
 from .sde import (
@@ -46,20 +39,13 @@ from .sde import (
     max_gap_closure_error,
     run_ensemble,
     simulate,
-    step,
-    step_noise,
 )
 from .spectral import (
-    ModeIndex,
-    Spectrum,
     StabilityReport,
-    complex_hurwitz_stable,
     dense_eigen_oracle,
-    deviation_matrix,
     eigenvalues,
     exact_stability,
     match_distances,
-    mu,
     spectral_abscissa_nonzero,
     stability_report,
 )
@@ -74,52 +60,38 @@ __all__ = [
     "EigenSolverError",
     "Explicit",
     "InvalidInputError",
-    "ModeIndex",
     "ModelParams",
     "MomentLaw",
     "NumericalBlowupError",
     "ObservableSeries",
     "OpenLoop",
-    "PhsMatrices",
     "PotentialSpec",
     "Quadratic",
     "Scenario",
     "SimConfig",
-    "Spectrum",
     "StabilityReport",
-    "State",
     "TimeSeries",
     "Uncontrolled",
     "UniformStationary",
     "UniformZeroSpeed",
     "UnsupportedOperationError",
     "build_matrices",
-    "complex_hurwitz_stable",
     "dense_eigen_oracle",
     "derive_run_seed",
-    "deviation_matrix",
     "deviation_process",
-    "drift",
     "eigenvalues",
     "exact_stability",
-    "gaps",
     "hamiltonian",
-    "hamiltonian_gradient",
     "initial_state",
     "load_scenario",
     "match_distances",
     "max_gap_closure_error",
     "mean_speed_law",
-    "mu",
     "observables",
     "preset",
-    "ring_difference_matrix",
     "run_ensemble",
     "simulate",
     "spectral_abscissa_nonzero",
-    "speed_gaps",
     "stability_report",
-    "step",
-    "step_noise",
     "write_scenario",
 ]

@@ -18,11 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, NumericalBlowupError, UnsupportedOperationError
-from .model import (
-    ClosedLoop,
-    assemble_drift_matrix,
-    build_matrices,  # noqa: F401  (bench/tracer.py times calls through this binding)
-)
+from .model import ClosedLoop, build_matrices
 from .scenario import (
     Scenario,
     format_manifest,
@@ -90,7 +86,7 @@ def _stability_info(scenario: Scenario) -> dict:
     params = scenario.params
     if not isinstance(params.regime, ClosedLoop):
         scale = drift_matrix_norm(params.n_vehicles, params.alpha, params.beta, params.gamma)
-        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(params).values, scale)}
+        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(params), scale)}
     report = stability_report(
         params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap
     )
@@ -117,14 +113,15 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     Returns 0, or 3 when the run blew up (partial output is still
     written and the manifest carries the blowup flag).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     blowup = None
     try:
         ts = simulate(scenario.params, scenario.potential, scenario.config)
     except NumericalBlowupError as exc:
         ts = exc.partial
         blowup = exc
+    # Created after the run, so a run that fails leaves no directory.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     wrap = scenario.output.wrap_positions
     n = scenario.params.n_vehicles
@@ -165,9 +162,9 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
     manifest.  Returns 0, or 3 if any member blew up."""
     if n_runs < 1:
         raise InvalidInputError(f"n_runs must be >= 1, got {n_runs}")
+    runs = run_ensemble(scenario.params, scenario.potential, scenario.config, n_runs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runs = run_ensemble(scenario.params, scenario.potential, scenario.config, n_runs)
     all_obs = [observables(ts) for ts in runs]
     for r, obs in enumerate(all_obs):
         _write_csv(
@@ -216,25 +213,16 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     params = scenario.params
     spectrum = eigenvalues(params)
-    # Only the drift matrix, and not kept once the oracle has it.
-    oracle = dense_eigen_oracle(
-        assemble_drift_matrix(
-            params.n_vehicles,
-            params.alpha,
-            params.beta,
-            params.gamma,
-            controlled=params.regime.controlled,
-            t_gap=params.regime.t_gap,
-        )
-    )
-    diffs = match_distances(spectrum.values, oracle)
+    # The drift matrix is not kept once the oracle has it.
+    oracle = dense_eigen_oracle(build_matrices(params))
+    diffs = match_distances(spectrum, oracle)
     rows = [
-        [str(mode.j), str(mode.k), _num(lam.real), _num(lam.imag), _num(diffs[i])]
-        for i, (mode, lam) in enumerate(spectrum.entries)
+        [str(i // 2), str(i % 2), _num(lam.real), _num(lam.imag), _num(diffs[i])]
+        for i, lam in enumerate(spectrum.tolist())
     ]
     _write_csv(out / "spectrum.csv", ["j", "k", "re_lambda", "im_lambda", "oracle_abs_diff"], rows)
     if scenario.output.svg:
-        _write_text(out / "spectrum.svg", spectrum_svg(spectrum.values))
+        _write_text(out / "spectrum.svg", spectrum_svg(spectrum))
     info = {"tool_version": __version__, "command": "spectrum"}
     info.update(_stability_info(scenario))
     _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
@@ -420,6 +408,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidInputError, UnsupportedOperationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this run ({exc})", file=sys.stderr)
         return 2
 
 

@@ -1,13 +1,14 @@
 """Car-following dynamics of N vehicles on a ring of length L.
 
-The state is (q, p): absolute positions and speeds.  Positions are never
+The state is the pair of arrays (q, p): absolute positions and speeds, the
+vehicles on the last axis, any leading axes a batch.  Positions are never
 wrapped; the ring enters only through the gap map, whose last entry
 closes the loop with the constant L, so the gap vector always sums to L.
 The speed equation combines relaxation toward a commanded speed (rate
 gamma), speed alignment with both neighbours (rate beta), and interaction
 forces from a distance potential evaluated on the gaps ahead and behind.
-With a quadratic potential the drift is linear and is exposed as explicit
-block matrices built from the periodic difference matrix.
+With a quadratic potential the drift is linear: in (gaps, speeds)
+coordinates it is one dense 2N x 2N matrix per regime.
 """
 
 from __future__ import annotations
@@ -161,35 +162,6 @@ PotentialSpec = Union[Quadratic, CustomDerivative]
 
 
 # ---------------------------------------------------------------------------
-# state
-
-
-@dataclass(frozen=True)
-class State:
-    """Positions and speeds of the vehicles at one instant."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.array(self.q, dtype=float)
-        p = np.array(self.p, dtype=float)
-        if q.ndim != 1 or p.shape != q.shape:
-            raise InvalidInputError("q and p must be 1-d arrays of equal length")
-        q.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-
-def _check_dims(state: State, params: ModelParams):
-    if state.q.shape[-1] != params.n_vehicles:
-        raise InvalidInputError(
-            f"state has {state.q.shape[-1]} vehicles, params expect {params.n_vehicles}"
-        )
-
-
-# ---------------------------------------------------------------------------
 # ring geometry and drift
 
 
@@ -221,22 +193,6 @@ def gaps_array(q: np.ndarray, ring_length: float) -> np.ndarray:
     return dq
 
 
-def gaps(state: State, params: ModelParams) -> np.ndarray:
-    """Distances to the vehicle ahead; the last entry wraps with + L.
-
-    The entries sum to ring_length identically (telescoping).
-    """
-    _check_dims(state, params)
-    return gaps_array(state.q, params.ring_length)
-
-
-def speed_gaps(state: State) -> np.ndarray:
-    """Speed differences to the vehicle ahead; entries sum to zero."""
-    if state.p.shape[-1] < 2:
-        raise InvalidInputError("speed gaps need at least 2 vehicles")
-    return _forward_diff(state.p)
-
-
 def acceleration_array(q, p, params: ModelParams, potential: PotentialSpec):
     """Speed drift on raw arrays; broadcasts over leading axes.
 
@@ -256,46 +212,22 @@ def acceleration_array(q, p, params: ModelParams, potential: PotentialSpec):
     return acc
 
 
-def drift(state: State, params: ModelParams, potential: PotentialSpec):
-    """Time derivatives (dq, dp) of the state.
-
-    dq is the speed vector.  dp stacks the control relaxation, the
-    alignment exchange with both neighbours and the potential forces from
-    the gaps ahead and behind; the alignment and potential contributions
-    telescope to zero over the ring.
-    """
-    _check_dims(state, params)
-    return state.p.copy(), acceleration_array(state.q, state.p, params, potential)
-
-
-def hamiltonian(state: State, params: ModelParams, potential: PotentialSpec) -> float:
-    """Total energy: 0.5*||p||^2 plus the potential summed over the gaps."""
-    _check_dims(state, params)
+def hamiltonian(q, p, params: ModelParams, potential: PotentialSpec):
+    """Total energy 0.5*|p|^2 plus the potential summed over the gaps;
+    broadcasts over leading axes, one energy per state."""
     if not isinstance(potential, Quadratic) and potential.value is None:
         raise UnsupportedOperationError(
             "energy needs the potential itself; this CustomDerivative has no value callable"
         )
-    gap = gaps_array(state.q, params.ring_length)
-    return 0.5 * float(state.p @ state.p) + float(np.sum(potential.value(gap)))
-
-
-def hamiltonian_gradient(state: State, params: ModelParams, potential: PotentialSpec) -> np.ndarray:
-    """Energy gradient in (gaps, speeds) coordinates: [alpha^2 * gaps, p].
-
-    Defined for the quadratic potential only.
-    """
-    if not isinstance(potential, Quadratic):
-        raise UnsupportedOperationError("the energy gradient is only available for quadratic potentials")
-    _check_dims(state, params)
-    gap = gaps_array(state.q, params.ring_length)
-    return np.concatenate([potential.alpha**2 * gap, state.p])
+    gap = gaps_array(q, params.ring_length)
+    return 0.5 * (p**2).sum(axis=-1) + potential.value(gap).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # linear structure
 
 
-def ring_difference_matrix(n: int) -> np.ndarray:
+def _ring_difference_matrix(n: int) -> np.ndarray:
     """Forward difference with periodic wrap: -1 diagonal, +1 superdiagonal,
     +1 in the bottom-left corner."""
     a = -np.eye(n)
@@ -310,7 +242,7 @@ def assemble_drift_matrix(n, alpha, beta, gamma, *, controlled, t_gap=None) -> n
     ``controlled`` adds the -gamma*I damping block; ``t_gap`` additionally
     adds the gap-feedback block (gamma/t_gap)*I in the lower left.
     """
-    a = ring_difference_matrix(n)
+    a = _ring_difference_matrix(n)
     ata = a.T @ a
     eye = np.eye(n)
     lower_left = -(alpha**2) * a.T
@@ -323,39 +255,17 @@ def assemble_drift_matrix(n, alpha, beta, gamma, *, controlled, t_gap=None) -> n
     return np.block([[zero, a], [lower_left, lower_right]])
 
 
-@dataclass(frozen=True)
-class PhsMatrices:
-    """Explicit matrices of the linear (quadratic-potential) dynamics."""
+def build_matrices(params: ModelParams) -> np.ndarray:
+    """The regime's dense 2N x 2N drift matrix B.
 
-    a: np.ndarray
-    j_skew: np.ndarray
-    r_dissip: np.ndarray
-    b_drift: np.ndarray
-    sigma_block: np.ndarray
-
-
-def build_matrices(params: ModelParams) -> PhsMatrices:
-    """Difference matrix A, interconnection J, dissipation R, regime drift
-    matrix B and the noise block.
-
-    b_drift acts on the shifted state (gaps, p - shift) with shift =
+    B acts on the shifted state (gaps, p - shift) with shift =
     regime.target_speed(0.0).  Eigenvalues never depend on the shift.
     """
-    n = params.n_vehicles
-    a = ring_difference_matrix(n)
-    zero = np.zeros((n, n))
-    j_skew = np.block([[zero, a], [-a.T, zero]])
-    r_dissip = np.block(
-        [[zero, zero], [zero, params.beta * (a.T @ a) + params.gamma * np.eye(n)]]
-    )
-    b_drift = assemble_drift_matrix(
-        n,
+    return assemble_drift_matrix(
+        params.n_vehicles,
         params.alpha,
         params.beta,
         params.gamma,
         controlled=params.regime.controlled,
         t_gap=params.regime.t_gap,
     )
-    sigma_block = np.vstack([zero, params.sigma * np.eye(n)])
-    return PhsMatrices(a=a, j_skew=j_skew, r_dissip=r_dissip, b_drift=b_drift, sigma_block=sigma_block)
-

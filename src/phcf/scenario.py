@@ -287,7 +287,11 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
+    return parse_scenario(text)
 
 
 def write_scenario(scenario: Scenario, path):

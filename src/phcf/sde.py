@@ -3,7 +3,8 @@
 Speeds update explicitly with the drift and the scaled noise increment;
 positions then update with the fresh speeds (the position update is
 implicit in the coupling), which keeps the mean-speed recursion exact
-under discretization.
+under discretization.  The state is the array pair (q, p): initial_state
+builds it, and a TimeSeries records it as (samples, N) arrays.
 
 Noise comes from counter-based Philox streams read in fixed blocks, so
 the increment at a given step is a pure function of (seed, step, vehicle):
@@ -15,11 +16,11 @@ for every block, which costs less than building a generator per block
 and leaves no state behind between calls.
 
 The integrator advances all runs of an ensemble as the rows of (runs, N)
-arrays updated in place.  Every update is elementwise and keeps the
-operation order of the single-run step(), so each row is bit-identical to
-a run made alone.  A run is aborted when a speed exceeds BLOWUP_LIMIT in
-magnitude or the state stops being finite; one whole-array test per step
-decides whether any row needs that per-row check.
+arrays updated in place.  Every update is elementwise, in the order
+p + dt*drift + sigma*sqrt(dt)*noise and then q + dt*p, so each row is
+bit-identical to a run made alone.  A run is aborted when a speed exceeds
+BLOWUP_LIMIT in magnitude or the state stops being finite; one whole-array
+test per step decides whether any row needs that per-row check.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import InvalidInputError, NumericalBlowupError
 from .model import (
     ModelParams,
     PotentialSpec,
-    State,
     _require_finite,
     acceleration_array,
     gaps_array,
@@ -128,22 +128,22 @@ class TimeSeries:
         return self.p
 
 
-def initial_state(params: ModelParams, initial: InitialCondition) -> State:
-    """Concrete start state for a configuration."""
+def initial_state(params: ModelParams, initial: InitialCondition):
+    """Concrete start state (q, p) for a configuration, as new float arrays."""
     n = params.n_vehicles
     length = params.ring_length
     if isinstance(initial, Explicit):
-        q = np.asarray(initial.q, dtype=float)
-        p = np.asarray(initial.p, dtype=float)
+        q = np.array(initial.q, dtype=float)
+        p = np.array(initial.p, dtype=float)
         if q.shape != (n,) or p.shape != (n,):
             raise InvalidInputError(f"explicit initial state must have {n} entries")
         if not (q[0] >= 0 and q[-1] < length and np.all(np.diff(q) > 0)):
             raise InvalidInputError("positions must be strictly increasing within [0, ring_length)")
-        return State(q, p)
+        return q, p
     q = np.arange(n) * (length / n)
     if isinstance(initial, UniformZeroSpeed):
-        return State(q, np.zeros(n))
-    return State(q, np.full(n, params.regime.target_speed(length / n)))
+        return q, np.zeros(n)
+    return q, np.full(n, params.regime.target_speed(length / n), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -180,41 +180,13 @@ def noise_block(seed: int, block_index: int, n_vehicles: int, block_steps: int =
     return gen.standard_normal((block_steps, n_vehicles))
 
 
-def step_noise(seed: int, step: int, n_vehicles: int) -> np.ndarray:
-    """The noise vector consumed at one step; pure function of its key."""
-    return noise_block(seed, step // NOISE_BLOCK, n_vehicles)[step % NOISE_BLOCK]
-
-
 def derive_run_seed(seed: int, run_index: int) -> int:
     """Decorrelated 64-bit seed folded from (seed, run_index)."""
     return int(np.random.SeedSequence([seed, run_index]).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
-# stepping
-
-
-def step(state: State, params: ModelParams, potential: PotentialSpec, dt: float,
-         noise: np.ndarray, step_index: Optional[int] = None) -> State:
-    """One update: p gains dt*drift + sigma*sqrt(dt)*noise, then q
-    advances with the updated p.  noise holds raw standard-normal draws.
-    """
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != state.p.shape:
-        raise InvalidInputError(f"noise must have shape {state.p.shape}, got {noise.shape}")
-    acc = acceleration_array(state.q, state.p, params, potential)
-    p_new = state.p + dt * acc + params.sigma * math.sqrt(dt) * noise
-    q_new = state.q + dt * p_new
-    if (
-        not (np.isfinite(p_new).all() and np.isfinite(q_new).all())
-        or np.abs(p_new).max() > BLOWUP_LIMIT
-    ):
-        raise NumericalBlowupError(
-            "state left the finite range after one step",
-            step=step_index,
-            time=None if step_index is None else (step_index + 1) * dt,
-        )
-    return State(q_new, p_new)
+# integration
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -230,9 +202,9 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
     n = params.n_vehicles
     length = params.ring_length
     runs = len(seeds)
-    start = initial_state(params, config.initial)
-    q = np.tile(start.q, (runs, 1))
-    p = np.tile(start.p, (runs, 1))
+    q0, p0 = initial_state(params, config.initial)
+    q = np.tile(q0, (runs, 1))
+    p = np.tile(p0, (runs, 1))
 
     dt = config.dt
     stride = config.sample_stride
@@ -264,7 +236,7 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
             for r, seed in enumerate(seeds):
                 noise[:, r] = noise_block(seed, s // NOISE_BLOCK, n)
             noise *= sig_sqdt
-        # same operation order as step(): p + dt*acc + sigma*sqrt(dt)*noise
+        # p + dt*acc + sigma*sqrt(dt)*noise, then q + dt*p, in that order
         acc = acceleration_array(q, p, params, potential)
         acc *= dt
         p += acc

@@ -7,9 +7,10 @@ quadratic
     lambda^2 + (beta*mu_j + gamma)*lambda + alpha^2*mu_j + coupling_j = 0
 
 with mu_j = 2 - 2*cos(2*pi*j/N) and, for gap feedback only, the complex
-coupling (gamma/t_gap)*(1 - omega^j), omega = exp(2i*pi/N).  The two roots
-per mode are labelled by a branch bit k.  Mode 0 always carries structural
-zero eigenvalues: a double zero without control, a single zero otherwise.
+coupling (gamma/t_gap)*(1 - omega^j), omega = exp(2i*pi/N).  A spectrum is
+one complex array of the 2N roots: entry 2j + k is mode j, branch k.  Mode
+0 always carries structural zero eigenvalues: a double zero without
+control, a single zero otherwise.
 
 Stability of the gap-feedback regime follows from the Hurwitz test for
 quadratics with complex coefficients, evaluated mode by mode; a parameter-
@@ -52,16 +53,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EigenSolverError, InvalidInputError
 from .model import (
     ClosedLoop,
-    ControlRegime,
     ModelParams,
-    Uncontrolled,
     assemble_drift_matrix,  # noqa: F401  (bench/tracer.py times calls through this binding)
 )
 
@@ -74,36 +73,6 @@ MARGINAL_ABSCISSA = 1e-10
 # optimal matching accept.  At 2048 LAPACK's O(d^3) QR iteration takes about
 # 5 s and 200 MB on one core of a Xeon VM; the cost grows eightfold per doubling.
 DENSE_ORACLE_MAX_DIM = 2048
-
-
-class ModeIndex(NamedTuple):
-    j: int
-    k: int
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """The 2N eigenvalues of the drift matrix as one read-only complex
-    array; entry 2*j + k is mode j, branch k."""
-
-    values: np.ndarray
-    regime: ControlRegime
-
-    @property
-    def entries(self) -> tuple:
-        """((ModeIndex(j, k), eigenvalue), ...) in the order of values."""
-        labels = (ModeIndex(i // 2, i % 2) for i in range(len(self.values)))
-        return tuple(zip(labels, self.values.tolist()))
-
-    def __len__(self):
-        return len(self.values)
-
-
-def mu(j: int, n: int) -> float:
-    """Circulant mode factor 2 - 2*cos(2*pi*j/n), in [0, 4]."""
-    if not 0 <= j < n:
-        raise InvalidInputError(f"mode index {j} outside [0, {n})")
-    return 2.0 - 2.0 * math.cos(2.0 * math.pi * j / n)
 
 
 def _mode_angles(n: int) -> list:
@@ -139,18 +108,19 @@ def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
     return roots.reshape(lin.shape[:-1] + (2 * n,))
 
 
-def mode_spectrum(n, alpha, beta, gamma, t_gap=None, regime=None) -> Spectrum:
-    """Per-mode closed-form spectrum from scalar parameters.
+def mode_spectrum(n, alpha, beta, gamma, t_gap=None) -> np.ndarray:
+    """Per-mode closed-form spectrum from scalar parameters: a read-only
+    complex array, entry 2j + k is mode j, branch k.
 
     t_gap=None drops the gap-feedback coupling (uncontrolled / open loop).
     """
     cos = np.array([math.cos(a) for a in _mode_angles(n)])
     values = _mode_roots(cos, alpha**2, beta, gamma, None if t_gap is None else gamma / t_gap)
     values.setflags(write=False)
-    return Spectrum(values, regime if regime is not None else Uncontrolled())
+    return values
 
 
-def eigenvalues(params: ModelParams) -> Spectrum:
+def eigenvalues(params: ModelParams) -> np.ndarray:
     """Closed-form spectrum for whichever regime params carries.
 
     Mode 0 carries a double zero without control and {0, -gamma} under
@@ -163,7 +133,7 @@ def eigenvalues(params: ModelParams) -> Spectrum:
     # The literal 0.0 without control: params.gamma may be -0.0, and
     # beta*mu + -0.0 keeps a signed zero that + 0.0 does not.
     gamma = params.gamma if regime.controlled else 0.0
-    return mode_spectrum(params.n_vehicles, params.alpha, params.beta, gamma, regime.t_gap, regime)
+    return mode_spectrum(params.n_vehicles, params.alpha, params.beta, gamma, regime.t_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +224,6 @@ def _unwrap(x):
 
 # ---------------------------------------------------------------------------
 # stability of the gap-feedback regime
-
-
-def complex_hurwitz_stable(kappa: float, eta: float, nu: float, rho: float) -> bool:
-    """Both roots of x^2 + (kappa + i*eta)*x + (nu + i*rho) have negative
-    real part iff kappa > 0 and kappa*(nu*kappa + rho*eta) - rho^2 > 0."""
-    return kappa > 0 and kappa * (nu * kappa + rho * eta) - rho**2 > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,14 +318,3 @@ def exact_stability(params: ModelParams) -> StabilityReport:
         params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap
     )
 
-
-# ---------------------------------------------------------------------------
-# mean-removal projector
-
-
-def deviation_matrix(n: int) -> np.ndarray:
-    """Mean-removing projector I - ones/n: symmetric, idempotent,
-    annihilates constants."""
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 vehicles, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)

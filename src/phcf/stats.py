@@ -26,10 +26,9 @@ from .model import (
     PotentialSpec,
     Quadratic,
     Uncontrolled,
-    gaps_array,
+    hamiltonian,
 )
 from .sde import TimeSeries
-from .spectral import deviation_matrix
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,8 @@ def observables(ts: TimeSeries, potential: Optional[PotentialSpec] = None) -> Ob
         raise InvalidInputError("empty trajectory")
     if potential is None:
         potential = Quadratic(ts.params.alpha)
-    if not isinstance(potential, Quadratic) and potential.value is None:
-        raise UnsupportedOperationError("energy needs a potential with a value callable")
     speeds = ts.speeds()
-    gaps = gaps_array(ts.positions(), ts.params.ring_length)
-    energy = 0.5 * (speeds**2).sum(axis=1) + potential.value(gaps).sum(axis=1)
+    energy = hamiltonian(ts.positions(), speeds, ts.params, potential)
     return ObservableSeries(
         times=ts.times.copy(),
         mean_speed=speeds.mean(axis=1),
@@ -109,7 +105,7 @@ def mean_speed_law(params: ModelParams, initial_mean_speed: float = 0.0) -> Mome
 
 
 def deviation_process(ts: TimeSeries) -> np.ndarray:
-    """Speeds with the per-sample mean removed: row t is M @ p(t) for the
-    mean-removing projector M.  Rows sum to zero."""
-    m = deviation_matrix(ts.params.n_vehicles)
-    return ts.speeds() @ m.T
+    """Speeds with the per-sample mean removed, O(N) per sample.  Rows
+    sum to zero up to rounding."""
+    p = ts.speeds()
+    return p - p.mean(axis=1, keepdims=True)

@@ -1,0 +1,66 @@
+"""Reference implementations the tests check the package against.
+
+Each is the plain, one-object-at-a-time form of something the package
+computes in a faster or batched way: one Euler-Maruyama step, the noise
+of one step, the scalar mode factor, the scalar Hurwitz test, the dense
+mean-removal projector, and the port-Hamiltonian matrices J, R and Q.
+"""
+
+import math
+
+import numpy as np
+
+from phcf import InvalidInputError
+from phcf.model import acceleration_array
+from phcf.sde import NOISE_BLOCK, noise_block
+
+
+def reference_step(q, p, params, potential, dt, noise):
+    """One update: p gains dt*drift + sigma*sqrt(dt)*noise, then q
+    advances with the updated p.  noise holds raw standard-normal draws."""
+    acc = acceleration_array(q, p, params, potential)
+    p_new = p + dt * acc + params.sigma * math.sqrt(dt) * noise
+    q_new = q + dt * p_new
+    return q_new, p_new
+
+
+def step_noise(seed, step, n_vehicles):
+    """The noise vector consumed at one step."""
+    return noise_block(seed, step // NOISE_BLOCK, n_vehicles)[step % NOISE_BLOCK]
+
+
+def mu(j, n):
+    """Circulant mode factor 2 - 2*cos(2*pi*j/n), in [0, 4]."""
+    if not 0 <= j < n:
+        raise InvalidInputError(f"mode index {j} outside [0, {n})")
+    return 2.0 - 2.0 * math.cos(2.0 * math.pi * j / n)
+
+
+def complex_hurwitz_stable(kappa, eta, nu, rho):
+    """Both roots of x^2 + (kappa + i*eta)*x + (nu + i*rho) have negative
+    real part iff kappa > 0 and kappa*(nu*kappa + rho*eta) - rho^2 > 0."""
+    return kappa > 0 and kappa * (nu * kappa + rho * eta) - rho**2 > 0
+
+
+def deviation_matrix(n):
+    """Mean-removing projector I - ones/n."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def ring_difference(n):
+    """Periodic forward difference A: (A x)_i = x_{i+1} - x_i, wrapping."""
+    return np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+
+
+def phs_matrices(n, alpha, beta, gamma):
+    """(J, R, Q) of the linear dynamics in (gaps, speeds) coordinates:
+    interconnection J = [[0, A], [-A^T, 0]], dissipation
+    R = diag(0, beta*A^T A + gamma*I) and the energy Hessian
+    Q = diag(alpha^2 I, I), so that grad H = Q z."""
+    a = ring_difference(n)
+    zero = np.zeros((n, n))
+    eye = np.eye(n)
+    j = np.block([[zero, a], [-a.T, zero]])
+    r = np.block([[zero, zero], [zero, beta * (a.T @ a) + gamma * eye]])
+    q = np.block([[alpha**2 * eye, zero], [zero, eye]])
+    return j, r, q

@@ -61,9 +61,9 @@ def spectral_sweep():
         for n in SWEEP_NS:
             for _ in range(20):
                 params = _sweep_params(rng, n, kind)
-                b = build_matrices(params).b_drift
+                b = build_matrices(params)
                 draws.append(
-                    (kind, params, eigenvalues(params).values, dense_eigen_oracle(b),
+                    (kind, params, eigenvalues(params), dense_eigen_oracle(b),
                      float(np.linalg.norm(b)))
                 )
     return draws

@@ -301,7 +301,7 @@ def test_fig1_defective_mode_limits_oracle_accuracy(tmp_path):
     Every non-defective eigenvalue still matches to 1e-8."""
     from phcf import build_matrices, preset as _preset
 
-    b = build_matrices(_preset("fig1").params).b_drift
+    b = build_matrices(_preset("fig1").params)
     s = np.linalg.svd(b + 2.0 * np.eye(40), compute_uv=False)
     assert (s < 1e-10 * s[0]).sum() == 1  # one eigenvector for multiplicity 2
     cmd_spectrum(_preset("fig1"), tmp_path)
@@ -320,7 +320,6 @@ def test_main_spectrum_refuses_large_n_before_building(tmp_path, capsys, monkeyp
     def no_dense(*args, **kwargs):
         raise AssertionError("the dense drift matrix was built")
 
-    monkeypatch.setattr(cli_mod, "assemble_drift_matrix", no_dense)
     monkeypatch.setattr(cli_mod, "build_matrices", no_dense)
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
@@ -348,7 +347,7 @@ def test_cmd_spectrum_oracle_gets_regime_drift_matrix(tmp_path, monkeypatch, nam
     monkeypatch.setattr(cli_mod, "dense_eigen_oracle", oracle)
     assert cmd_spectrum(preset(name), tmp_path) == 0
     assert len(seen) == 1
-    assert np.array_equal(seen[0], build_matrices(preset(name).params).b_drift)
+    assert np.array_equal(seen[0], build_matrices(preset(name).params))
 
 
 def test_cmd_spectrum_svg(tmp_path):
@@ -548,6 +547,36 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, line, bad):
     scenario_path.write_text(scenario_path.read_text().replace(line, bad))
     assert main(["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_main_rejects_non_utf8_scenario(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"\xff\xfe[model]\n")
+    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.ini" in err and "UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+def test_main_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch, command):
+    """A run too large for memory (say t_end = 1e9 with sample_stride = 1)
+    exits 2 with a message and leaves no output directory.  The allocation
+    failure is faked; nothing large is allocated."""
+    import phcf.cli as cli_mod
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 PiB for an array")
+
+    monkeypatch.setattr(cli_mod, "simulate", out_of_memory)
+    monkeypatch.setattr(cli_mod, "run_ensemble", out_of_memory)
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig1", "--out", str(path)]) == 0
+    args = [command, "--scenario", str(path), "--out", str(tmp_path / "o")]
+    assert main(args + (["--runs", "2"] if command == "ensemble" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_ensemble_requires_runs(tmp_path, capsys):

@@ -12,22 +12,20 @@ from hypothesis.extra import numpy as hnp
 from phcf import (
     ClosedLoop,
     CustomDerivative,
+    Explicit,
     InvalidInputError,
     ModelParams,
     OpenLoop,
     Quadratic,
-    State,
+    SimConfig,
     Uncontrolled,
     UnsupportedOperationError,
     build_matrices,
-    drift,
-    gaps,
     hamiltonian,
-    hamiltonian_gradient,
-    ring_difference_matrix,
-    speed_gaps,
+    simulate,
 )
-from phcf.model import acceleration_array, gaps_array
+from phcf.model import _forward_diff, _ring_difference_matrix, acceleration_array, gaps_array
+from oracles import phs_matrices, ring_difference
 
 
 def uncontrolled(n=3, length=9.0, alpha=1.0, beta=1.0, sigma=0.0):
@@ -40,48 +38,36 @@ def uncontrolled(n=3, length=9.0, alpha=1.0, beta=1.0, sigma=0.0):
 
 
 def test_gaps_two_vehicles():
-    params = uncontrolled(n=2, length=10.0)
-    state = State(q=[0.0, 4.0], p=[0.0, 0.0])
-    assert np.array_equal(gaps(state, params), [4.0, 6.0])
+    assert np.array_equal(gaps_array(np.array([0.0, 4.0]), 10.0), [4.0, 6.0])
 
 
 def test_gaps_uniform_spacing():
-    params = uncontrolled(n=3, length=9.0)
-    state = State(q=[0.0, 3.0, 6.0], p=np.zeros(3))
-    assert np.array_equal(gaps(state, params), [3.0, 3.0, 3.0])
+    assert np.array_equal(gaps_array(np.array([0.0, 3.0, 6.0]), 9.0), [3.0, 3.0, 3.0])
 
 
 def test_gaps_ring_preset_spacing():
-    params = uncontrolled(n=20, length=141.0)
-    state = State(q=np.arange(20) * (141.0 / 20.0), p=np.zeros(20))
-    assert np.allclose(gaps(state, params), 7.05, rtol=0, atol=1e-12)
+    gaps = gaps_array(np.arange(20) * (141.0 / 20.0), 141.0)
+    assert np.allclose(gaps, 7.05, rtol=0, atol=1e-12)
 
 
 def test_gaps_sum_to_ring_length():
     rng = np.random.default_rng(3)
     for n in (2, 5, 20):
-        params = uncontrolled(n=n, length=50.0)
         q = np.sort(rng.uniform(0, 50.0, n))
-        state = State(q=q, p=np.zeros(n))
-        assert abs(gaps(state, params).sum() - 50.0) < 1e-9
-
-
-def test_gaps_dimension_mismatch():
-    params = uncontrolled(n=3)
-    with pytest.raises(InvalidInputError):
-        gaps(State(q=[0.0, 1.0], p=[0.0, 0.0]), params)
+        assert abs(gaps_array(q, 50.0).sum() - 50.0) < 1e-9
 
 
 def test_speed_gaps():
-    assert np.array_equal(speed_gaps(State(q=np.zeros(3), p=[1.0, 1.0, 1.0])), [0.0, 0.0, 0.0])
-    assert np.array_equal(speed_gaps(State(q=np.zeros(2), p=[0.0, 2.0])), [2.0, -2.0])
-    assert np.array_equal(speed_gaps(State(q=np.zeros(3), p=[1.0, 2.0, 4.0])), [1.0, 2.0, -3.0])
+    """Speed differences to the vehicle ahead: the forward difference."""
+    assert np.array_equal(_forward_diff(np.array([1.0, 1.0, 1.0])), [0.0, 0.0, 0.0])
+    assert np.array_equal(_forward_diff(np.array([0.0, 2.0])), [2.0, -2.0])
+    assert np.array_equal(_forward_diff(np.array([1.0, 2.0, 4.0])), [1.0, 2.0, -3.0])
 
 
 def test_speed_gaps_sum_to_zero():
     rng = np.random.default_rng(4)
     p = rng.normal(size=17)
-    assert abs(speed_gaps(State(q=np.zeros(17), p=p)).sum()) < 1e-12
+    assert abs(_forward_diff(p).sum()) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +76,7 @@ def test_speed_gaps_sum_to_zero():
 
 def test_drift_zero_on_uniform_uncontrolled_state():
     params = uncontrolled(n=5, length=10.0, alpha=1.3, beta=0.7)
-    state = State(q=np.arange(5) * 2.0, p=np.full(5, 3.0))
-    dq, dp = drift(state, params, Quadratic(params.alpha))
-    assert np.array_equal(dq, state.p)
+    dp = acceleration_array(np.arange(5) * 2.0, np.full(5, 3.0), params, Quadratic(params.alpha))
     assert np.array_equal(dp, np.zeros(5))
 
 
@@ -100,8 +84,7 @@ def test_drift_zero_at_closed_loop_equilibrium():
     params = ModelParams(n_vehicles=20, ring_length=141.0, alpha=0.5, beta=1.0,
                          gamma=1.0, sigma=0.0, regime=ClosedLoop(ell=5.0, t_gap=1.0))
     q = np.arange(20) * (141.0 / 20.0)
-    state = State(q=q, p=np.full(20, 2.05))
-    _, dp = drift(state, params, Quadratic(params.alpha))
+    dp = acceleration_array(q, np.full(20, 2.05), params, Quadratic(params.alpha))
     # q_k = k*7.05 rounds per k, so the gaps match 7.05 only to the last ulp
     assert np.abs(dp).max() <= 1e-13
 
@@ -121,33 +104,32 @@ def _random_params(rng, n, regime_kind):
 @pytest.mark.parametrize("regime_kind", ["uncontrolled", "open_loop", "closed_loop"])
 @pytest.mark.parametrize("n", [2, 3, 5, 20])
 def test_drift_matches_matrix_form(regime_kind, n):
-    """With the quadratic potential, the drift equals b_drift applied to the
-    shifted state (gaps, p - shift); checked componentwise on random states."""
+    """With the quadratic potential, the drift equals the drift matrix B
+    applied to the shifted state (gaps, p - shift); checked componentwise
+    on random states."""
     rng = np.random.default_rng(hash((regime_kind, n)) % 2**32)
     for _ in range(25):
         params = _random_params(rng, n, regime_kind)
-        mats = build_matrices(params)
+        b = build_matrices(params)
         shift = params.regime.target_speed(0.0)
         q = np.cumsum(rng.uniform(0.5, 2.0, n))
         p = rng.normal(0, 2.0, n)
-        state = State(q=q, p=p)
-        z_shifted = np.concatenate([gaps(state, params), p - shift])
-        rhs = mats.b_drift @ z_shifted
-        dq_gap = speed_gaps(state)  # gap derivative = A p
-        _, dp = drift(state, params, Quadratic(params.alpha))
-        assert np.abs(rhs[:n] - dq_gap).max() <= 1e-10
+        z_shifted = np.concatenate([gaps_array(q, params.ring_length), p - shift])
+        rhs = b @ z_shifted
+        dp = acceleration_array(q, p, params, Quadratic(params.alpha))
+        assert np.abs(rhs[:n] - _forward_diff(p)).max() <= 1e-10  # gap derivative = A p
         assert np.abs(rhs[n:] - dp).max() <= 1e-10
 
 
 def test_drift_matches_matrix_form_small_ring_tight():
     rng = np.random.default_rng(42)
     params = uncontrolled(n=3, length=12.0, alpha=1.3, beta=0.6)
-    mats = build_matrices(params)
+    b = build_matrices(params)
     for _ in range(20):
-        state = State(q=np.cumsum(rng.uniform(0.5, 4.0, 3)), p=rng.normal(0, 2.0, 3))
-        z = np.concatenate([gaps(state, params), state.p])
-        _, dp = drift(state, params, Quadratic(params.alpha))
-        assert np.abs((mats.b_drift @ z)[3:] - dp).max() <= 1e-12
+        q, p = np.cumsum(rng.uniform(0.5, 4.0, 3)), rng.normal(0, 2.0, 3)
+        z = np.concatenate([gaps_array(q, params.ring_length), p])
+        dp = acceleration_array(q, p, params, Quadratic(params.alpha))
+        assert np.abs((b @ z)[3:] - dp).max() <= 1e-12
 
 
 def test_drift_interactions_telescope():
@@ -157,8 +139,7 @@ def test_drift_interactions_telescope():
     params = uncontrolled(n=12, length=40.0, alpha=0.0, beta=1.4)
     potential = CustomDerivative(derivative=lambda x: np.tanh(x) + 0.3 * x)
     q = np.cumsum(rng.uniform(0.5, 4.0, 12))
-    state = State(q=q, p=rng.normal(0, 3.0, 12))
-    _, dp = drift(state, params, potential)
+    dp = acceleration_array(q, rng.normal(0, 3.0, 12), params, potential)
     assert abs(dp.sum()) < 1e-10
 
 
@@ -168,70 +149,103 @@ def test_drift_interactions_telescope():
 
 def test_hamiltonian_zero_at_minimum():
     params = uncontrolled(n=3, length=9.0, alpha=0.0)
-    state = State(q=[0.0, 3.0, 6.0], p=np.zeros(3))
-    assert hamiltonian(state, params, Quadratic(0.0)) == 0.0
+    assert hamiltonian(np.array([0.0, 3.0, 6.0]), np.zeros(3), params, Quadratic(0.0)) == 0.0
 
 
 def test_hamiltonian_hand_value():
     params = uncontrolled(n=2, length=2.0, alpha=1.0)
-    state = State(q=[0.0, 1.0], p=[1.0, 1.0])
-    assert hamiltonian(state, params, Quadratic(1.0)) == pytest.approx(2.0, abs=1e-14)
+    energy = hamiltonian(np.array([0.0, 1.0]), np.array([1.0, 1.0]), params, Quadratic(1.0))
+    assert energy == pytest.approx(2.0, abs=1e-14)
 
 
 def test_hamiltonian_nonnegative():
     rng = np.random.default_rng(12)
     params = uncontrolled(n=7, length=20.0, alpha=0.8)
     for _ in range(50):
-        state = State(q=np.cumsum(rng.uniform(0.1, 4.0, 7)), p=rng.normal(0, 5, 7))
-        assert hamiltonian(state, params, Quadratic(0.8)) >= 0.0
+        q, p = np.cumsum(rng.uniform(0.1, 4.0, 7)), rng.normal(0, 5, 7)
+        assert hamiltonian(q, p, params, Quadratic(0.8)) >= 0.0
 
 
 def test_hamiltonian_custom_needs_value():
     params = uncontrolled(n=3)
-    state = State(q=[0.0, 3.0, 6.0], p=np.zeros(3))
+    q, p = np.array([0.0, 3.0, 6.0]), np.zeros(3)
     pot = CustomDerivative(derivative=lambda x: x)
     with pytest.raises(UnsupportedOperationError):
-        hamiltonian(state, params, pot)
+        hamiltonian(q, p, params, pot)
     with_value = CustomDerivative(derivative=lambda x: x, value=lambda x: 0.5 * x**2)
-    assert hamiltonian(state, params, with_value) == pytest.approx(13.5)
+    assert hamiltonian(q, p, params, with_value) == pytest.approx(13.5)
+
+
+@st.composite
+def energy_batches(draw):
+    samples = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 30))
+    q = draw(hnp.arrays(np.float64, (samples, n), elements=st.floats(-1e6, 1e6)))
+    p = draw(hnp.arrays(np.float64, (samples, n), elements=st.floats(-1e6, 1e6)))
+    params = uncontrolled(n=n, length=draw(st.floats(1e-3, 1e6)), alpha=draw(st.floats(0.0, 50.0)))
+    potential = draw(st.sampled_from([
+        Quadratic(params.alpha),
+        CustomDerivative(np.tanh, value=lambda x: x * np.tanh(x)),
+    ]))
+    return q, p, params, potential
+
+
+@settings(deadline=None, database=None)
+@given(energy_batches())
+def test_hamiltonian_batch_equals_rows_bitwise(case):
+    """A (samples, N) batch gives one energy per row, each the very float
+    of that row's own call."""
+    q, p, params, potential = case
+    batch = hamiltonian(q, p, params, potential)
+    assert batch.shape == (len(q),)
+    rows = [hamiltonian(qi, pi, params, potential) for qi, pi in zip(q, p)]
+    assert batch.tobytes() == np.array(rows).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# energy gradient in (gaps, speeds) coordinates: grad H = Q z (test oracle)
 
 
 def test_gradient_zero_speeds_zero_stiffness():
+    """With alpha = 0 and p = 0 the energy gradient vanishes, and so does
+    the drift (J - R) grad H."""
     params = uncontrolled(n=3, length=3.0, alpha=0.0)
-    state = State(q=[0.0, 1.0, 2.0], p=np.zeros(3))
-    assert np.array_equal(hamiltonian_gradient(state, params, Quadratic(0.0)), np.zeros(6))
+    q = np.array([0.0, 1.0, 2.0])
+    _, _, hess = phs_matrices(3, 0.0, params.beta, 0.0)
+    z = np.concatenate([gaps_array(q, params.ring_length), np.zeros(3)])
+    assert np.array_equal(hess @ z, np.zeros(6))
+    assert np.array_equal(acceleration_array(q, np.zeros(3), params, Quadratic(0.0)), np.zeros(3))
 
 
 def test_gradient_componentwise_scaling():
+    """grad H = (alpha^2 * gaps, p), and H is the quadratic form z.Qz/2."""
     params = uncontrolled(n=4, length=4.0, alpha=2.0)
-    state = State(q=[0.0, 1.0, 2.0, 3.0], p=np.full(4, 3.0))
-    grad = hamiltonian_gradient(state, params, Quadratic(2.0))
+    q, p = np.array([0.0, 1.0, 2.0, 3.0]), np.full(4, 3.0)
+    _, _, hess = phs_matrices(4, 2.0, params.beta, 0.0)
+    z = np.concatenate([gaps_array(q, params.ring_length), p])
+    grad = hess @ z
     assert np.allclose(grad[:4], 4.0)  # alpha^2 * gap = 4 * 1
     assert np.allclose(grad[4:], 3.0)
-
-
-def test_gradient_rejects_custom_potential():
-    params = uncontrolled(n=3)
-    state = State(q=[0.0, 3.0, 6.0], p=np.zeros(3))
-    with pytest.raises(UnsupportedOperationError):
-        hamiltonian_gradient(state, params, CustomDerivative(derivative=lambda x: x))
+    assert hamiltonian(q, p, params, Quadratic(2.0)) == pytest.approx(0.5 * z @ grad, rel=1e-15)
 
 
 def test_gradient_against_finite_differences():
-    """Central differences of the energy in (gaps, speeds) coordinates."""
+    """Central differences of the energy (the package's quadratic
+    potential summed over the gaps, plus 0.5*|p|^2) in (gaps, speeds)
+    coordinates against Q z."""
     rng = np.random.default_rng(21)
     n, alpha = 6, 1.7
+    potential = Quadratic(alpha)
+    _, _, hess = phs_matrices(n, alpha, 1.0, 0.0)
 
     def energy(gap_vec, p_vec):
-        return 0.5 * float(p_vec @ p_vec) + 0.5 * float(((alpha * gap_vec) ** 2).sum())
+        return 0.5 * float(p_vec @ p_vec) + float(potential.value(gap_vec).sum())
 
-    params = uncontrolled(n=n, length=30.0, alpha=alpha)
     for _ in range(10):
         q = np.cumsum(rng.uniform(0.5, 4.0, n))
         p = rng.normal(0, 2, n)
-        state = State(q=q, p=p)
-        g = gaps(state, params)
-        grad = hamiltonian_gradient(state, params, Quadratic(alpha))
+        g = gaps_array(q, 30.0)
+        grad = hess @ np.concatenate([g, p])
         h = 1e-6
         fd = np.empty(2 * n)
         for i in range(n):
@@ -251,45 +265,62 @@ def test_gradient_against_finite_differences():
 
 
 def test_difference_matrix_rows():
-    a = ring_difference_matrix(3)
+    a = _ring_difference_matrix(3)
     assert np.array_equal(a, [[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
+    assert np.array_equal(a, ring_difference(3))
 
 
 def test_ata_is_the_expected_circulant():
-    a = ring_difference_matrix(3)
+    a = _ring_difference_matrix(3)
     assert np.array_equal(a.T @ a, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
-@pytest.mark.parametrize("regime", [Uncontrolled(), OpenLoop(x=1.0), ClosedLoop(ell=2.0, t_gap=0.5)])
+REGIMES = [Uncontrolled(), OpenLoop(x=1.0), ClosedLoop(ell=2.0, t_gap=0.5)]
+
+
+@pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("n", [2, 3, 7, 20])
 def test_matrix_structure(n, regime):
     gamma = 0.0 if isinstance(regime, Uncontrolled) else 0.8
     params = ModelParams(n, 10.0 * n, alpha=1.1, beta=0.6, gamma=gamma, sigma=0.5, regime=regime)
-    mats = build_matrices(params)
-    assert np.abs(mats.j_skew + mats.j_skew.T).max() == 0.0
-    assert np.array_equal(mats.r_dissip, mats.r_dissip.T)
-    assert np.linalg.eigvalsh(mats.r_dissip).min() >= -1e-12
-    assert mats.sigma_block.shape == (2 * n, n)
-    assert np.array_equal(mats.sigma_block[n:], 0.5 * np.eye(n))
+    b = build_matrices(params)
+    assert b.shape == (2 * n, 2 * n)
     # every N x N block of the drift matrix is circulant
-    for block in (mats.b_drift[:n, :n], mats.b_drift[:n, n:], mats.b_drift[n:, :n], mats.b_drift[n:, n:]):
+    for block in (b[:n, :n], b[:n, n:], b[n:, :n], b[n:, n:]):
         for i in range(1, n):
             assert np.array_equal(block[i], np.roll(block[i - 1], 1))
 
 
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+def test_drift_matrix_is_port_hamiltonian(n, regime):
+    """B = (J - R) Q with J skew and R positive semidefinite; gap feedback
+    adds the input (gamma/T) I acting on the gaps, in the lower-left block."""
+    gamma = 0.0 if isinstance(regime, Uncontrolled) else 0.8
+    params = ModelParams(n, 10.0 * n, alpha=1.1, beta=0.6, gamma=gamma, sigma=0.5, regime=regime)
+    j, r, q = phs_matrices(n, params.alpha, params.beta, params.gamma)
+    assert np.array_equal(j, -j.T)
+    assert np.array_equal(r, r.T)
+    assert np.linalg.eigvalsh(r).min() >= -1e-12
+    expected = (j - r) @ q
+    if isinstance(regime, ClosedLoop):
+        expected[n:, :n] += (params.gamma / regime.t_gap) * np.eye(n)
+    assert np.allclose(build_matrices(params), expected, rtol=0, atol=1e-14)
+
+
 def test_drift_matrix_regime_blocks():
     n = 4
-    a = ring_difference_matrix(n)
+    a = _ring_difference_matrix(n)
     base = ModelParams(n, 8.0, 1.5, 0.5, 0.0, 0.0, Uncontrolled())
-    b_unc = build_matrices(base).b_drift
+    b_unc = build_matrices(base)
     assert np.array_equal(b_unc[:n, n:], a)
     assert np.array_equal(b_unc[n:, :n], -(1.5**2) * a.T)
     assert np.array_equal(b_unc[n:, n:], -0.5 * (a.T @ a))
     ol = ModelParams(n, 8.0, 1.5, 0.5, 0.3, 0.0, OpenLoop(x=1.0))
-    b_ol = build_matrices(ol).b_drift
+    b_ol = build_matrices(ol)
     assert np.array_equal(b_ol[n:, n:], -0.5 * (a.T @ a) - 0.3 * np.eye(n))
     cl = ModelParams(n, 8.0, 1.5, 0.5, 0.3, 0.0, ClosedLoop(ell=1.0, t_gap=2.0))
-    b_cl = build_matrices(cl).b_drift
+    b_cl = build_matrices(cl)
     assert np.array_equal(b_cl[n:, :n], -(1.5**2) * a.T + (0.3 / 2.0) * np.eye(n))
 
 
@@ -352,9 +383,13 @@ def test_quadratic_rejects_non_finite_alpha(bad):
 
 
 def test_state_arrays_are_read_only():
-    state = State(q=[0.0, 1.0], p=[0.0, 0.0])
-    with pytest.raises(ValueError):
-        state.q[0] = 5.0
+    """The recorded positions and speeds of a run cannot be written."""
+    params = uncontrolled(n=2, length=2.0, sigma=1.0)
+    config = SimConfig(dt=0.01, t_end=0.05, initial=Explicit(q=[0.0, 1.0], p=[0.0, 0.0]))
+    ts = simulate(params, Quadratic(params.alpha), config)
+    for states in (ts.q, ts.p):
+        with pytest.raises(ValueError):
+            states[0, 0] = 5.0
 
 
 def test_quadratic_potential_basics():
@@ -442,7 +477,7 @@ def test_slice_kernels_equal_roll_formulas_bitwise(case):
     q, p, params, potential = case
     assert same_bits(gaps_array(q, params.ring_length), roll_gaps(q, params.ring_length))
     for row in p:
-        assert same_bits(speed_gaps(State(q=row, p=row)), roll_speed_gaps(row))
+        assert same_bits(_forward_diff(row), roll_speed_gaps(row))
     assert same_bits(acceleration_array(q, p, params, potential),
                      roll_acceleration(q, p, params, potential))
     # a lone row (1-d arrays) sees the same arithmetic as inside the batch

@@ -1,4 +1,5 @@
-"""The names the demos and the benchmark tracer use from the package.
+"""The public surface: the names the package exports, and those the demos
+and the benchmark tracer use from it.
 
 A demo takes seconds to run and the tracer runs only with the benchmark,
 so a removed or renamed name would otherwise surface late.
@@ -7,9 +8,12 @@ so a removed or renamed name would otherwise surface late.
 import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
+
+import phcf
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,3 +43,20 @@ def test_tracer_bindings_resolve_to_callables():
     for binding, _ in tracer.SPANS:
         owner, attr = tracer._resolve(binding)
         assert callable(getattr(owner, attr, None)), binding
+
+
+def test_all_names_resolve():
+    missing = [name for name in phcf.__all__ if not hasattr(phcf, name)]
+    assert not missing
+
+
+def test_all_equals_bound_names():
+    """__all__ lists exactly the names bound in the package: a deleted
+    function still imported, or a new import left out of __all__, fails."""
+    bound = {
+        name
+        for name, value in vars(phcf).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    }
+    assert len(phcf.__all__) == len(set(phcf.__all__))
+    assert set(phcf.__all__) == bound

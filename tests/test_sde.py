@@ -16,7 +16,6 @@ from phcf import (
     NumericalBlowupError,
     Quadratic,
     SimConfig,
-    State,
     Uncontrolled,
     UniformStationary,
     UniformZeroSpeed,
@@ -27,10 +26,9 @@ from phcf import (
     preset,
     run_ensemble,
     simulate,
-    step,
-    step_noise,
 )
 from phcf.sde import NOISE_BLOCK, noise_block
+from oracles import reference_step, step_noise
 
 
 def fig_params(name):
@@ -43,15 +41,15 @@ def fig_params(name):
 
 def test_uniform_initial_spacing():
     params = fig_params("fig1")
-    state = initial_state(params, UniformZeroSpeed())
-    assert np.array_equal(state.q, np.arange(20) * (141.0 / 20.0))
-    assert np.array_equal(state.p, np.zeros(20))
+    q, p = initial_state(params, UniformZeroSpeed())
+    assert np.array_equal(q, np.arange(20) * (141.0 / 20.0))
+    assert np.array_equal(p, np.zeros(20))
 
 
 def test_stationary_speeds_per_regime():
-    assert initial_state(fig_params("fig1"), UniformStationary()).p[0] == 0.0
-    assert initial_state(fig_params("fig2"), UniformStationary()).p[0] == 2.05
-    assert initial_state(fig_params("fig3"), UniformStationary()).p[0] == 2.05
+    assert initial_state(fig_params("fig1"), UniformStationary())[1][0] == 0.0
+    assert initial_state(fig_params("fig2"), UniformStationary())[1][0] == 2.05
+    assert initial_state(fig_params("fig3"), UniformStationary())[1][0] == 2.05
 
 
 def test_explicit_initial_validation():
@@ -63,8 +61,8 @@ def test_explicit_initial_validation():
         initial_state(params, Explicit(q=q + 141.0, p=np.zeros(20)))  # beyond [0, L)
     with pytest.raises(InvalidInputError):
         initial_state(params, Explicit(q=q[:5], p=np.zeros(5)))
-    state = initial_state(params, Explicit(q=q, p=np.ones(20)))
-    assert state.p.sum() == 20.0
+    _, p = initial_state(params, Explicit(q=q, p=np.ones(20)))
+    assert p.sum() == 20.0
 
 
 def test_config_validation():
@@ -93,39 +91,37 @@ def test_config_rejects_non_finite_times(bad):
 def test_step_rigid_rotation_at_equilibrium():
     # L = 40 makes the uniform spacing 2.0 exact in floats
     params = ModelParams(20, 40.0, 1.0, 1.0, 0.0, 0.0, Uncontrolled())
-    state = State(q=np.arange(20) * 2.0, p=np.full(20, 3.0))
-    new = step(state, params, Quadratic(params.alpha), 0.01, np.zeros(20))
-    assert np.array_equal(new.p, state.p)
-    assert np.array_equal(new.q, state.q + 0.01 * state.p)
+    q, p = np.arange(20) * 2.0, np.full(20, 3.0)
+    config = SimConfig(dt=0.01, t_end=0.01, initial=Explicit(q=q, p=p))
+    ts = simulate(params, Quadratic(params.alpha), config)
+    assert np.array_equal(ts.p[1], p)
+    assert np.array_equal(ts.q[1], q + 0.01 * p)
 
 
 def test_step_bit_identical_with_same_noise():
     params = fig_params("fig1")
-    state = initial_state(params, UniformZeroSpeed())
+    q, p = initial_state(params, UniformZeroSpeed())
     noise = step_noise(99, 0, 20)
-    a = step(state, params, Quadratic(params.alpha), 0.001, noise)
-    b = step(state, params, Quadratic(params.alpha), 0.001, noise)
-    assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
-
-
-def test_step_noise_shape_checked():
-    params = fig_params("fig1")
-    state = initial_state(params, UniformZeroSpeed())
-    with pytest.raises(InvalidInputError):
-        step(state, params, Quadratic(params.alpha), 0.001, np.zeros(7))
+    a = reference_step(q, p, params, Quadratic(params.alpha), 0.001, noise)
+    b = reference_step(q, p, params, Quadratic(params.alpha), 0.001, noise)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    ts = simulate(params, Quadratic(params.alpha), SimConfig(dt=0.001, t_end=0.001, seed=99))
+    assert np.array_equal(ts.q[1], a[0]) and np.array_equal(ts.p[1], a[1])
 
 
 def test_step_blowup_detection():
     params = replace(fig_params("fig1"), sigma=0.0)
-    state = State(q=np.arange(20) * 7.0, p=np.full(20, 1e9))
-    with pytest.raises(NumericalBlowupError):
-        step(state, params, Quadratic(params.alpha), 0.001, np.zeros(20), step_index=7)
+    config = SimConfig(dt=0.001, t_end=0.01, initial=Explicit(q=np.arange(20) * 7.0, p=np.full(20, 1e9)))
+    with pytest.raises(NumericalBlowupError) as info:
+        simulate(params, Quadratic(params.alpha), config)
+    assert info.value.step == 1
+    assert len(info.value.partial.times) == 1
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "custom"])
 def test_simulate_equals_repeated_steps(name):
-    """The batch engine and the public single-step op share their math,
-    across a noise-block boundary (300 steps)."""
+    """The batch engine equals the reference one-step update, across a
+    noise-block boundary (300 steps)."""
     if name == "custom":
         sc = preset("fig3")
         potential = CustomDerivative(lambda x: np.tanh(x - 5.0))
@@ -134,11 +130,11 @@ def test_simulate_equals_repeated_steps(name):
         potential = sc.potential
     config = SimConfig(dt=0.01, t_end=3.0, sample_stride=1, seed=31)
     ts = simulate(sc.params, potential, config)
-    state = initial_state(sc.params, config.initial)
+    q, p = initial_state(sc.params, config.initial)
     for s in range(len(ts.times) - 1):
-        state = step(state, sc.params, potential, config.dt, step_noise(31, s, 20))
-        assert np.array_equal(state.q, ts.q[s + 1])
-        assert np.array_equal(state.p, ts.p[s + 1])
+        q, p = reference_step(q, p, sc.params, potential, config.dt, step_noise(31, s, 20))
+        assert np.array_equal(q, ts.q[s + 1])
+        assert np.array_equal(p, ts.p[s + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def test_sample_times_spacing():
 def test_zero_noise_equilibria_are_fixed_points():
     for name in ("fig1", "fig2", "fig3"):
         params = replace(fig_params(name), sigma=0.0)
-        eq_speed = initial_state(params, UniformStationary()).p[0]
+        eq_speed = initial_state(params, UniformStationary())[1][0]
         config = SimConfig(dt=0.001, t_end=10.0, sample_stride=1000, seed=0, initial=UniformStationary())
         ts = simulate(params, Quadratic(params.alpha), config)
         drift_from_eq = abs(ts.p - eq_speed).max()

@@ -11,18 +11,14 @@ from hypothesis import strategies as st
 from phcf import (
     ClosedLoop,
     InvalidInputError,
-    ModeIndex,
     ModelParams,
     OpenLoop,
     Uncontrolled,
     build_matrices,
-    complex_hurwitz_stable,
     dense_eigen_oracle,
-    deviation_matrix,
     eigenvalues,
     exact_stability,
     match_distances,
-    mu,
     spectral_abscissa_nonzero,
     stability_report,
 )
@@ -36,6 +32,7 @@ from phcf.spectral import (
     near_zero_count,
     sufficient_condition,
 )
+from oracles import complex_hurwitz_stable, deviation_matrix, mu
 
 
 def make_params(n, alpha, beta, gamma=0.0, regime=None):
@@ -81,62 +78,58 @@ def test_mu_range_check():
 
 def test_uncontrolled_double_zero():
     spec = eigenvalues(make_params(6, 1.0, 1.0))
-    mode0 = [lam for idx, lam in spec.entries if idx.j == 0]
-    assert mode0 == [0.0 + 0.0j, 0.0 + 0.0j]
+    assert spec[:2].tolist() == [0.0 + 0.0j, 0.0 + 0.0j]  # mode 0, both branches
     assert len(spec) == 12
 
 
 def test_uncontrolled_pure_imaginary_mode():
     # beta = 0, alpha = 1, N = 4: mode j=2 (mu=4) solves x^2 + 4 = 0
     spec = eigenvalues(make_params(4, 1.0, 0.0))
-    roots = sorted((lam for idx, lam in spec.entries if idx.j == 2), key=lambda z: z.imag)
+    roots = sorted(spec[4:6].tolist(), key=lambda z: z.imag)
     assert roots[0] == pytest.approx(-2j, abs=1e-12)
     assert roots[1] == pytest.approx(2j, abs=1e-12)
 
 
 def test_uncontrolled_nonzero_modes_damped():
     spec = eigenvalues(make_params(9, 1.2, 0.8))
-    nonzero = [lam for idx, lam in spec.entries if idx.j != 0]
-    assert all(lam.real <= 1e-14 for lam in nonzero)
+    assert (spec[2:].real <= 1e-14).all()  # every mode j != 0
 
 
 def test_open_loop_mode_zero():
     params = make_params(5, 1.0, 1.0, 0.7, OpenLoop(x=2.0))
     spec = eigenvalues(params)
-    mode0 = {idx.k: lam for idx, lam in spec.entries if idx.j == 0}
-    assert mode0[0] == 0.0 + 0.0j
-    assert mode0[1] == pytest.approx(-0.7, abs=1e-15)
+    assert spec[0] == 0.0 + 0.0j
+    assert spec[1] == pytest.approx(-0.7, abs=1e-15)
 
 
 def test_open_loop_unconditionally_stable():
     params = make_params(20, 0.5, 1.0, 0.1, OpenLoop(x=2.05))
     spec = eigenvalues(params)
-    scale = np.linalg.norm(build_matrices(params).b_drift)
-    assert near_zero_count(spec.values, scale) == 1
-    nonzero = spec.values[np.abs(spec.values) >= ZERO_EIGENVALUE_RTOL * scale]
+    scale = np.linalg.norm(build_matrices(params))
+    assert near_zero_count(spec, scale) == 1
+    nonzero = spec[np.abs(spec) >= ZERO_EIGENVALUE_RTOL * scale]
     assert (nonzero.real < 0).all()
 
 
 def test_closed_loop_mode_zero():
     params = make_params(5, 1.0, 1.0, 0.9, ClosedLoop(ell=2.0, t_gap=1.5))
     spec = eigenvalues(params)
-    mode0 = {idx.k: lam for idx, lam in spec.entries if idx.j == 0}
-    assert mode0[0] == 0.0 + 0.0j
-    assert mode0[1] == pytest.approx(-0.9, abs=1e-15)
+    assert spec[0] == 0.0 + 0.0j
+    assert spec[1] == pytest.approx(-0.9, abs=1e-15)
 
 
 def test_closed_loop_large_t_gap_approaches_open_loop():
     closed = make_params(12, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1e9))
     open_ = make_params(12, 0.5, 1.0, 1.0, OpenLoop(x=0.0))
-    d = match_distances(eigenvalues(closed).values, eigenvalues(open_).values)
+    d = match_distances(eigenvalues(closed), eigenvalues(open_))
     assert d.max() <= 1e-6
 
 
 def test_closed_loop_fig3_parameters_unstable():
     params = make_params(20, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0))
     spec = eigenvalues(params)
-    scale = np.linalg.norm(build_matrices(params).b_drift)
-    assert spectral_abscissa_nonzero(spec.values, scale) > 0
+    scale = np.linalg.norm(build_matrices(params))
+    assert spectral_abscissa_nonzero(spec, scale) > 0
 
 
 def test_regime_mismatch_rejected():
@@ -155,8 +148,8 @@ def test_eigenvalues_dispatch():
     # Without control the damping is the literal 0.0, not a signed-zero
     # gamma: with beta = -0.0 the mode-0 root -lin keeps the sign of 0.0.
     signed = ModelParams(4, 4.0, 1.0, -0.0, -0.0, 0.0, Uncontrolled())
-    got = eigenvalues(signed).values.real
-    assert np.array_equal(np.signbit(got), np.signbit(mode_spectrum(4, 1.0, -0.0, 0.0).values.real))
+    got = eigenvalues(signed).real
+    assert np.array_equal(np.signbit(got), np.signbit(mode_spectrum(4, 1.0, -0.0, 0.0).real))
     assert np.signbit(got[1])
 
 
@@ -190,15 +183,15 @@ def test_oracle_refuses_oversized_inputs():
 
 def test_oracle_matches_small_closed_form():
     params = make_params(3, 1.0, 1.0)
-    closed = eigenvalues(params).values
-    dense = dense_eigen_oracle(build_matrices(params).b_drift)
+    closed = eigenvalues(params)
+    dense = dense_eigen_oracle(build_matrices(params))
     assert match_distances(closed, dense).max() <= 1e-10
 
 
 def test_oracle_eigenpair_residuals():
     """LAPACK pairs satisfy ||B v - lambda v|| / ||v|| <= 1e-8."""
     params = random_params(np.random.default_rng(5), 20, "closed_loop")
-    b = build_matrices(params).b_drift
+    b = build_matrices(params)
     vals, vecs = np.linalg.eig(b)
     for i in range(len(vals)):
         v = vecs[:, i]
@@ -211,8 +204,8 @@ def test_closed_form_equals_oracle_across_sweep(kind):
     for n in SWEEP_NS:
         for _ in range(20):
             params = random_params(rng, n, kind)
-            closed = eigenvalues(params).values
-            dense = dense_eigen_oracle(build_matrices(params).b_drift)
+            closed = eigenvalues(params)
+            dense = dense_eigen_oracle(build_matrices(params))
             assert match_distances(closed, dense).max() <= 1e-8
 
 
@@ -223,10 +216,10 @@ def test_structural_zero_counts(kind):
     for n in SWEEP_NS:
         for _ in range(5):
             params = random_params(rng, n, kind)
-            scale = np.linalg.norm(build_matrices(params).b_drift)
+            scale = np.linalg.norm(build_matrices(params))
             spec = eigenvalues(params)
-            assert near_zero_count(spec.values, scale) == expected
-            dense = dense_eigen_oracle(build_matrices(params).b_drift)
+            assert near_zero_count(spec, scale) == expected
+            dense = dense_eigen_oracle(build_matrices(params))
             assert near_zero_count(dense, scale) == expected
 
 
@@ -235,14 +228,20 @@ def test_spectrum_closed_under_conjugation(kind):
     rng = np.random.default_rng(79)
     for n in (2, 5, 8, 21):
         params = random_params(rng, n, kind)
-        vals = eigenvalues(params).values
+        vals = eigenvalues(params)
         assert match_distances(vals, np.conj(vals)).max() <= 1e-10
 
 
 def test_mode_labels_cover_all_pairs():
+    """Entry 2j + k is mode j, branch k: entries 2j and 2j + 1 are the
+    roots of mode j's quadratic, the +sqrt root first."""
     spec = eigenvalues(make_params(5, 1.0, 1.0))
-    labels = [idx for idx, _ in spec.entries]
-    assert labels == [ModeIndex(j, k) for j in range(5) for k in (0, 1)]
+    assert len(spec) == 10
+    for j in range(5):
+        lin, const = mu(j, 5), mu(j, 5)  # beta*mu_j + 0 and alpha^2*mu_j
+        root = np.sqrt(complex(lin * lin - 4.0 * const))
+        assert spec[2 * j] == pytest.approx((-lin + root) / 2.0, abs=1e-14)
+        assert spec[2 * j + 1] == pytest.approx((-lin - root) / 2.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +292,8 @@ def test_exact_stability_stiff_potential_stable():
     assert report.exact_stable
     assert report.sufficient_stable  # lhs = 1 + 8 = 9 > 2
     # dense-oracle abscissa agrees in sign
-    dense = dense_eigen_oracle(build_matrices(params).b_drift)
-    scale = np.linalg.norm(build_matrices(params).b_drift)
+    dense = dense_eigen_oracle(build_matrices(params))
+    scale = np.linalg.norm(build_matrices(params))
     assert spectral_abscissa_nonzero(dense, scale) < 0
 
 
@@ -372,9 +371,10 @@ def test_report_marginal_deadband():
 
 
 def loop_mode_spectrum(n, alpha, beta, gamma, t_gap=None):
-    """Reference: the per-mode Python loop the vectorized spectrum replaced."""
+    """Reference: the per-mode Python loop the vectorized spectrum replaced;
+    entry 2j + k is mode j, branch k."""
     omega = np.exp(2j * np.pi / n)
-    entries = []
+    roots = []
     for j in range(n):
         m = mu(j, n)
         lin = beta * m + gamma
@@ -386,9 +386,8 @@ def loop_mode_spectrum(n, alpha, beta, gamma, t_gap=None):
         else:
             root = np.sqrt(complex(lin * lin - 4.0 * const))
             r0, r1 = (-lin + root) / 2.0, (-lin - root) / 2.0
-        entries.append((ModeIndex(j, 0), r0))
-        entries.append((ModeIndex(j, 1), r1))
-    return entries
+        roots += [r0, r1]
+    return roots
 
 
 def loop_stability_report(n, alpha, beta, gamma, t_gap):
@@ -407,7 +406,7 @@ def loop_stability_report(n, alpha, beta, gamma, t_gap):
         rows.append((kappa, nu, rho, det, complex_hurwitz_stable(kappa, eta, nu, rho)))
     kappa, nu, rho, det, stable = (np.array(col) for col in zip(*rows))
     b = assemble_drift_matrix(n, alpha, beta, gamma, controlled=gamma > 0, t_gap=t_gap)
-    values = [lam for _, lam in loop_mode_spectrum(n, alpha, beta, gamma, t_gap)]
+    values = loop_mode_spectrum(n, alpha, beta, gamma, t_gap)
     abscissa = spectral_abscissa_nonzero(values, np.linalg.norm(b))
     return kappa, nu, rho, det, stable, bool(gamma > 0 and stable.all()), abscissa
 
@@ -452,9 +451,7 @@ def test_closed_form_norm_equals_dense_norm(case):
 def test_mode_spectrum_equals_loop_bitwise(case):
     n, alpha, beta, gamma, t_gap = case
     expected = loop_mode_spectrum(n, alpha, beta, gamma, t_gap)
-    got = mode_spectrum(n, alpha, beta, gamma, t_gap=t_gap).entries
-    assert [idx for idx, _ in got] == [idx for idx, _ in expected]
-    assert bits([lam for _, lam in got]) == bits([lam for _, lam in expected])
+    assert bits(mode_spectrum(n, alpha, beta, gamma, t_gap=t_gap)) == bits(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -602,11 +599,12 @@ def test_broadcast_stability_report_rejects_all_zero_cell():
 
 
 def test_spectrum_values_array_and_entries_view():
+    """A spectrum is one read-only complex array; entry 2j + k is the
+    per-mode loop's (mode j, branch k) root."""
     spec = mode_spectrum(5, 0.5, 1.0, 1.0, t_gap=2.0)
-    assert spec.values.dtype == complex and spec.values.shape == (10,) and len(spec) == 10
-    assert not spec.values.flags.writeable
-    assert [idx for idx, _ in spec.entries] == [ModeIndex(j, k) for j in range(5) for k in (0, 1)]
-    assert bits([lam for _, lam in spec.entries]) == bits(spec.values)
+    assert spec.dtype == complex and spec.shape == (10,)
+    assert not spec.flags.writeable
+    assert bits(spec) == bits(loop_mode_spectrum(5, 0.5, 1.0, 1.0, t_gap=2.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -628,7 +626,7 @@ def test_structural_zero_counts_with_closed_form_scale(n, alpha, beta, gamma, t_
         params = make_params(n, alpha, beta, gamma, ClosedLoop(ell=1.0, t_gap=t_gap))
     scale = drift_matrix_norm(n, alpha, beta, params.gamma,
                               t_gap if kind == "closed_loop" else None)
-    assert near_zero_count(eigenvalues(params).values, scale) == (2 if kind == "uncontrolled" else 1)
+    assert near_zero_count(eigenvalues(params), scale) == (2 if kind == "uncontrolled" else 1)
 
 
 def test_spectral_layer_builds_no_dense_matrix(monkeypatch):
@@ -655,7 +653,7 @@ def test_spectral_layer_builds_no_dense_matrix(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# deviation projector
+# deviation projector (the test oracle for stats.deviation_process)
 
 
 def test_deviation_matrix_n2():
@@ -667,5 +665,3 @@ def test_deviation_matrix_properties():
     assert np.abs(m @ np.full(7, 3.3)).max() <= 1e-14
     assert np.abs(m @ m - m).max() <= 1e-14
     assert np.array_equal(m, m.T)
-    with pytest.raises(InvalidInputError):
-        deviation_matrix(1)

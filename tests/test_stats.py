@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phcf import (
     InvalidInputError,
@@ -10,7 +13,6 @@ from phcf import (
     SimConfig,
     Uncontrolled,
     UnsupportedOperationError,
-    deviation_matrix,
     deviation_process,
     mean_speed_law,
     observables,
@@ -18,7 +20,7 @@ from phcf import (
     simulate,
 )
 from phcf.sde import TimeSeries
-from phcf.model import State
+from oracles import deviation_matrix
 
 
 def toy_series(speeds, params=None):
@@ -60,15 +62,16 @@ def test_observables_rejects_empty():
 
 
 def test_observables_energy_matches_hamiltonian():
+    """The energy column against the written-out formula
+    0.5*sum(p^2) + 0.5*alpha^2*sum(gap^2), gaps taken by hand."""
     sc = preset("fig1")
     ts = simulate(sc.params, sc.potential, SimConfig(dt=0.01, t_end=1.0, sample_stride=20, seed=4))
     obs = observables(ts)
-    from phcf import hamiltonian
-
+    alpha, length = sc.params.alpha, sc.params.ring_length
     for i, (q, p) in enumerate(zip(ts.q, ts.p)):
-        assert obs.hamiltonian[i] == pytest.approx(
-            hamiltonian(State(q, p), sc.params, sc.potential), rel=1e-12
-        )
+        gaps = [q[k + 1] - q[k] for k in range(len(q) - 1)] + [q[0] + length - q[-1]]
+        energy = 0.5 * sum(v * v for v in p) + 0.5 * alpha**2 * sum(g * g for g in gaps)
+        assert obs.hamiltonian[i] == pytest.approx(energy, rel=1e-12)
 
 
 def test_speed_variance_matches_projector_identity():
@@ -179,6 +182,17 @@ def test_deviation_rows_sum_to_zero():
     rng = np.random.default_rng(11)
     dev = deviation_process(toy_series(rng.normal(0, 3, size=(25, 8))))
     assert np.abs(dev.sum(axis=1)).max() <= 1e-10
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(2, 40).flatmap(lambda n: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 8), st.just(n)), elements=st.floats(-1e3, 1e3))))
+def test_deviation_process_equals_projector(speeds):
+    """Row t is M p(t) for the mean-removing projector M, to 1e-12."""
+    dev = deviation_process(toy_series(speeds))
+    expected = speeds @ deviation_matrix(speeds.shape[1]).T
+    assert dev.shape == speeds.shape
+    assert np.abs(dev - expected).max() <= 1e-12 * max(1.0, np.abs(speeds).max())
 
 
 def test_uncontrolled_dichotomy(fig1_ensemble):
