@@ -29,7 +29,7 @@ print(f"spectral abscissa (excluding the structural zero): {report.spectral_absc
 unstable = (np.flatnonzero(~report.mode_stable) + 1).tolist()  # entry i is mode i + 1
 print(f"unstable modes: {unstable}")
 
-series = simulate(scenario.params, scenario.potential, scenario.config)
+series = simulate(scenario.params, scenario.config)
 obs = observables(series)
 late = obs.times >= 150.0
 growth = np.polyfit(obs.times[late], np.log(obs.speed_variance[late] + 1e-12), 1)[0]

@@ -31,7 +31,7 @@ spectrum = eigenvalues(scenario.params)
 scale = np.linalg.norm(build_matrices(scenario.params))
 print(f"slowest damped mode: Re lambda = {spectral_abscissa_nonzero(spectrum, scale):.4f}")
 
-series = simulate(scenario.params, scenario.potential, scenario.config)
+series = simulate(scenario.params, scenario.config)
 obs = observables(series)
 law = mean_speed_law(scenario.params)
 

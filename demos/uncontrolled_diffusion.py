@@ -22,7 +22,7 @@ out_dir.mkdir(exist_ok=True)
 
 scenario = preset("fig1")
 print("single run at the native dt =", scenario.config.dt)
-series = simulate(scenario.params, scenario.potential, scenario.config)
+series = simulate(scenario.params, scenario.config)
 obs = observables(series)
 print(f"  mean speed drifted from 0 to {obs.mean_speed[-1]:+.2f}")
 print(f"  speed variance settled near {obs.speed_variance[2000:].mean():.2f}")
@@ -36,7 +36,7 @@ print(f"  speed variance settled near {obs.speed_variance[2000:].mean():.2f}")
 
 # a modest ensemble is enough to see Var[pbar] = sigma^2 t / N
 config = SimConfig(dt=0.01, t_end=100.0, sample_stride=500, seed=1)
-runs = run_ensemble(scenario.params, scenario.potential, config, 200)
+runs = run_ensemble(scenario.params, config, 200)
 pbar = np.stack([ts.speeds().mean(axis=1) for ts in runs], axis=1)
 law = mean_speed_law(scenario.params)
 print("\n   t   Var[pbar] sampled   sigma^2 t / N")

@@ -21,8 +21,6 @@ from .model import (
     CustomDerivative,
     ModelParams,
     OpenLoop,
-    PotentialSpec,
-    Quadratic,
     Uncontrolled,
     build_matrices,
     hamiltonian,
@@ -65,8 +63,6 @@ __all__ = [
     "NumericalBlowupError",
     "ObservableSeries",
     "OpenLoop",
-    "PotentialSpec",
-    "Quadratic",
     "Scenario",
     "SimConfig",
     "StabilityReport",

@@ -115,11 +115,13 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     """
     blowup = None
     try:
-        ts = simulate(scenario.params, scenario.potential, scenario.config)
+        ts = simulate(scenario.params, scenario.config)
     except NumericalBlowupError as exc:
         ts = exc.partial
         blowup = exc
-    # Created after the run, so a run that fails leaves no directory.
+    stability = _stability_info(scenario)
+    # Created after the run and the stability fields, so a command that
+    # fails leaves no directory.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -151,7 +153,7 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     }
     if blowup is not None:
         info["blowup_time"] = blowup.time
-    info.update(_stability_info(scenario))
+    info.update(stability)
     _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
     return 0 if blowup is None else 3
 
@@ -160,9 +162,8 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
     """Run an ensemble; write per-run observables CSVs, a cross-run
     summary (time, moments of the mean speed, mean variance) and the
     manifest.  Returns 0, or 3 if any member blew up."""
-    if n_runs < 1:
-        raise InvalidInputError(f"n_runs must be >= 1, got {n_runs}")
-    runs = run_ensemble(scenario.params, scenario.potential, scenario.config, n_runs)
+    runs = run_ensemble(scenario.params, scenario.config, n_runs=n_runs)
+    stability = _stability_info(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_obs = [observables(ts) for ts in runs]
@@ -199,7 +200,7 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
     }
     if blown:
         info["blown_runs"] = ",".join(str(r) for r in blown)
-    info.update(_stability_info(scenario))
+    info.update(stability)
     _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
     return 3 if blown else 0
 
@@ -209,13 +210,15 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     eigenvalue, plus a complex-plane scatter.  Refuses N above half of
     DENSE_ORACLE_MAX_DIM before building the dense matrix."""
     check_dense_size(2 * scenario.params.n_vehicles)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = scenario.params
     spectrum = eigenvalues(params)
     # The drift matrix is not kept once the oracle has it.
     oracle = dense_eigen_oracle(build_matrices(params))
     diffs = match_distances(spectrum, oracle)
+    stability = _stability_info(scenario)
+    # Created after the computation, so a spectrum that fails leaves no directory.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = [
         [str(i // 2), str(i % 2), _num(lam.real), _num(lam.imag), _num(diffs[i])]
         for i, lam in enumerate(spectrum.tolist())
@@ -224,7 +227,7 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     if scenario.output.svg:
         _write_text(out / "spectrum.svg", spectrum_svg(spectrum))
     info = {"tool_version": __version__, "command": "spectrum"}
-    info.update(_stability_info(scenario))
+    info.update(stability)
     _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
     return 0
 
@@ -411,6 +414,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: not enough memory for this run ({exc})", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value left the floating-point range ({exc})", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,8 @@ class InvalidInputError(ValueError):
 
 class UnsupportedOperationError(TypeError):
     """The operation is undefined for the given configuration,
-    e.g. a spectral routine called with a non-quadratic potential."""
+    e.g. a spectral routine called with params whose potential is a
+    CustomDerivative rather than the quadratic one."""
 
 
 class NumericalBlowupError(RuntimeError):

@@ -7,8 +7,9 @@ closes the loop with the constant L, so the gap vector always sums to L.
 The speed equation combines relaxation toward a commanded speed (rate
 gamma), speed alignment with both neighbours (rate beta), and interaction
 forces from a distance potential evaluated on the gaps ahead and behind.
-With a quadratic potential the drift is linear: in (gaps, speeds)
-coordinates it is one dense 2N x 2N matrix per regime.
+The potential belongs to the parameters: quadratic unless they carry a
+CustomDerivative.  With the quadratic potential the drift is linear: in
+(gaps, speeds) coordinates it is one dense 2N x 2N matrix per regime.
 """
 
 from __future__ import annotations
@@ -93,8 +94,22 @@ ControlRegime = Union[Uncontrolled, OpenLoop, ClosedLoop]
 
 
 @dataclass(frozen=True)
+class CustomDerivative:
+    """Interaction potential known only through its derivative.
+
+    Usable in the drift (and hence the simulator) but rejected by every
+    spectral operation and by scenario files.  The callable must act
+    elementwise on arrays.  ``value``, when given, enables energy
+    evaluation.
+    """
+
+    derivative: Callable
+    value: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
 class ModelParams:
-    """Scalar constants of the ring model.
+    """Scalar constants of the ring model and its interaction potential.
 
     n_vehicles and ring_length fix the geometry.  alpha is the potential
     stiffness (1/time), beta the speed-alignment rate (1/time), gamma the
@@ -102,6 +117,11 @@ class ModelParams:
     (length/time^(3/2)).  Every real field must be finite, and alpha,
     beta, gamma and sigma nonnegative.  gamma must be exactly 0 for
     Uncontrolled and strictly positive for the two controlled regimes.
+
+    potential None is the quadratic potential 0.5*(alpha*x)**2 with force
+    alpha**2 * x, the only one the spectra, the scenario files and the CLI
+    know.  A CustomDerivative replaces it in the drift and the energy;
+    alpha is then unused by the dynamics.
     """
 
     n_vehicles: int
@@ -111,6 +131,7 @@ class ModelParams:
     gamma: float
     sigma: float
     regime: ControlRegime = Uncontrolled()
+    potential: Optional[CustomDerivative] = None
 
     def __post_init__(self):
         if self.n_vehicles < 2:
@@ -127,38 +148,14 @@ class ModelParams:
             raise InvalidInputError("controlled regimes require gamma > 0")
 
 
-@dataclass(frozen=True)
-class Quadratic:
-    """Distance potential 0.5*(alpha*x)**2 with derivative alpha**2 * x."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _require_finite(self, "alpha")
-        if self.alpha < 0:
-            raise InvalidInputError(f"alpha must be nonnegative, got {self.alpha}")
-
-    def value(self, x):
-        return 0.5 * (self.alpha * x) ** 2
-
-    def derivative(self, x):
-        return self.alpha**2 * x
-
-
-@dataclass(frozen=True)
-class CustomDerivative:
-    """Potential known only through its derivative.
-
-    Usable in the drift (and hence the simulator) but rejected by every
-    spectral operation.  The callable must act elementwise on arrays.
-    ``value``, when given, enables energy evaluation.
-    """
-
-    derivative: Callable
-    value: Optional[Callable] = None
-
-
-PotentialSpec = Union[Quadratic, CustomDerivative]
+def _require_quadratic(params: ModelParams) -> None:
+    """Refuse params whose potential is not the quadratic one: the linear
+    structure (drift matrix, spectra) exists only for that potential."""
+    if params.potential is not None:
+        raise UnsupportedOperationError(
+            "the drift matrix and the spectra need the quadratic potential; "
+            "these params carry a CustomDerivative"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +190,19 @@ def gaps_array(q: np.ndarray, ring_length: float) -> np.ndarray:
     return dq
 
 
-def acceleration_array(q, p, params: ModelParams, potential: PotentialSpec):
+def acceleration_array(q, p, params: ModelParams):
     """Speed drift on raw arrays; broadcasts over leading axes.
 
     beta*bwd(fwd(p)) + bwd(force) plus the control term, with fwd/bwd
     the periodic forward and backward differences (index n-1 wraps to N
-    at n=1).  Rows of a batch never mix, so each equals that state
-    evaluated alone.
+    at n=1) and force the potential's derivative at each gap.  Rows of a
+    batch never mix, so each equals that state evaluated alone.
     """
     gap = gaps_array(q, params.ring_length)
-    force = potential.derivative(gap)
+    if params.potential is None:
+        force = params.alpha**2 * gap
+    else:
+        force = params.potential.derivative(gap)
     acc = _backward_diff(_forward_diff(p))
     acc *= params.beta
     acc += _backward_diff(force)
@@ -212,15 +212,20 @@ def acceleration_array(q, p, params: ModelParams, potential: PotentialSpec):
     return acc
 
 
-def hamiltonian(q, p, params: ModelParams, potential: PotentialSpec):
+def hamiltonian(q, p, params: ModelParams):
     """Total energy 0.5*|p|^2 plus the potential summed over the gaps;
     broadcasts over leading axes, one energy per state."""
-    if not isinstance(potential, Quadratic) and potential.value is None:
+    potential = params.potential
+    if potential is not None and potential.value is None:
         raise UnsupportedOperationError(
             "energy needs the potential itself; this CustomDerivative has no value callable"
         )
     gap = gaps_array(q, params.ring_length)
-    return 0.5 * (p**2).sum(axis=-1) + potential.value(gap).sum(axis=-1)
+    if potential is None:
+        energy = 0.5 * (params.alpha * gap) ** 2
+    else:
+        energy = potential.value(gap)
+    return 0.5 * (p**2).sum(axis=-1) + energy.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,9 @@ def build_matrices(params: ModelParams) -> np.ndarray:
 
     B acts on the shifted state (gaps, p - shift) with shift =
     regime.target_speed(0.0).  Eigenvalues never depend on the shift.
+    Raises UnsupportedOperationError for a CustomDerivative potential.
     """
+    _require_quadratic(params)
     return assemble_drift_matrix(
         params.n_vehicles,
         params.alpha,

@@ -13,13 +13,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .errors import InvalidInputError
-from .model import (
-    ClosedLoop,
-    ModelParams,
-    OpenLoop,
-    Quadratic,
-    Uncontrolled,
-)
+from .model import ClosedLoop, ModelParams, OpenLoop, Uncontrolled
 from .sde import SimConfig, UniformStationary, UniformZeroSpeed
 
 SCHEMA_VERSION = 1
@@ -58,10 +52,6 @@ class Scenario:
     output: OutputOptions = OutputOptions()
     preset_name: Optional[str] = None
     n_runs: Optional[int] = None
-
-    @property
-    def potential(self) -> Quadratic:
-        return Quadratic(self.params.alpha)
 
 
 def preset(name: str) -> Scenario:
@@ -114,7 +104,11 @@ def _fmt(value) -> str:
 
 
 def format_scenario(scenario: Scenario) -> str:
+    """The scenario as file text; the format knows only the quadratic
+    potential, so params with a CustomDerivative are refused."""
     p = scenario.params
+    if p.potential is not None:
+        raise InvalidInputError("a CustomDerivative potential cannot be written to a scenario")
     regime = p.regime
     lines = [
         "[model]",

@@ -33,13 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError, NumericalBlowupError
-from .model import (
-    ModelParams,
-    PotentialSpec,
-    _require_finite,
-    acceleration_array,
-    gaps_array,
-)
+from .model import ModelParams, _require_finite, acceleration_array, gaps_array
 
 # Steps per Philox counter block; the block index is the stream counter.
 NOISE_BLOCK = 256
@@ -195,17 +189,17 @@ def _step_count(dt: float, t_end: float) -> int:
     return int(math.ceil(exact * (1.0 - 1e-12)))
 
 
-def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig, seeds):
-    """Shared engine: advances len(seeds) runs in lockstep as the rows of
-    (runs, N) arrays.  All update arithmetic is elementwise, so each row
-    is bit-identical to a single run with the same seed."""
+def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
+    """Shared engine: advances runs trajectories in lockstep as the rows
+    of (runs, N) arrays, row r under the seed run_seed(r).  All update
+    arithmetic is elementwise, so each row is bit-identical to a single
+    run with the same seed.
+
+    Every buffer is allocated before the first seed is derived, so a run
+    too large for memory fails with MemoryError at once.
+    """
     n = params.n_vehicles
     length = params.ring_length
-    runs = len(seeds)
-    q0, p0 = initial_state(params, config.initial)
-    q = np.tile(q0, (runs, 1))
-    p = np.tile(p0, (runs, 1))
-
     dt = config.dt
     stride = config.sample_stride
     n_steps = _step_count(dt, config.t_end)
@@ -213,14 +207,18 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
     # run-major, so each run's samples are one C-contiguous block
     q_samples = np.empty((runs, n_samples, n))
     p_samples = np.empty((runs, n_samples, n))
+    # one block of draws for all runs, refilled in place at each block start
+    noise = np.empty((NOISE_BLOCK, runs, n))
+    q0, p0 = initial_state(params, config.initial)
+    q = np.tile(q0, (runs, 1))
+    p = np.tile(p0, (runs, 1))
+    seeds = [run_seed(r) for r in range(runs)]
     overtake = np.zeros(runs, dtype=bool)
     blow_step = np.full(runs, -1, dtype=np.int64)
     valid = np.zeros(runs, dtype=np.int64)
     active = np.ones(runs, dtype=bool)
 
     sig_sqdt = params.sigma * math.sqrt(dt)
-    # one block of draws for all runs, refilled in place at each block start
-    noise = np.empty((NOISE_BLOCK, runs, n))
     k = 0
     for s in range(n_steps + 1):
         if s % stride == 0 and k < n_samples:
@@ -237,7 +235,7 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
                 noise[:, r] = noise_block(seed, s // NOISE_BLOCK, n)
             noise *= sig_sqdt
         # p + dt*acc + sigma*sqrt(dt)*noise, then q + dt*p, in that order
-        acc = acceleration_array(q, p, params, potential)
+        acc = acceleration_array(q, p, params)
         acc *= dt
         p += acc
         p += noise[j]
@@ -280,14 +278,14 @@ def _integrate(params: ModelParams, potential: PotentialSpec, config: SimConfig,
     return out
 
 
-def simulate(params: ModelParams, potential: PotentialSpec, config: SimConfig) -> TimeSeries:
+def simulate(params: ModelParams, config: SimConfig) -> TimeSeries:
     """Integrate one trajectory, sampling every sample_stride steps
     (including the start).  Deterministic in (params, config).
 
     Raises NumericalBlowupError with the partial series attached if the
     state leaves the finite range.
     """
-    series = _integrate(params, potential, config, [config.seed])[0]
+    series = _integrate(params, config, 1, lambda r: config.seed)[0]
     if series.blowup_step is not None:
         raise NumericalBlowupError(
             f"state left the finite range at t={series.blowup_time:g} "
@@ -299,7 +297,7 @@ def simulate(params: ModelParams, potential: PotentialSpec, config: SimConfig) -
     return series
 
 
-def run_ensemble(params: ModelParams, potential: PotentialSpec, config: SimConfig, n_runs: int):
+def run_ensemble(params: ModelParams, config: SimConfig, n_runs: int):
     """Independent trajectories under per-run seeds folded from
     config.seed and the run index, ordered by run index.
 
@@ -308,8 +306,7 @@ def run_ensemble(params: ModelParams, potential: PotentialSpec, config: SimConfi
     """
     if n_runs < 1:
         raise InvalidInputError(f"n_runs must be >= 1, got {n_runs}")
-    seeds = [derive_run_seed(config.seed, r) for r in range(n_runs)]
-    return _integrate(params, potential, config, seeds)
+    return _integrate(params, config, n_runs, lambda r: derive_run_seed(config.seed, r))
 
 
 def max_gap_closure_error(ts: TimeSeries) -> float:

@@ -61,6 +61,7 @@ from .errors import EigenSolverError, InvalidInputError
 from .model import (
     ClosedLoop,
     ModelParams,
+    _require_quadratic,
     assemble_drift_matrix,  # noqa: F401  (bench/tracer.py times calls through this binding)
 )
 
@@ -127,8 +128,10 @@ def eigenvalues(params: ModelParams) -> np.ndarray:
     control.  Under constant speed control every other eigenvalue has
     negative real part when alpha > 0; under gap feedback the coupling
     makes the per-mode constant term complex, so conjugate partners sit
-    in modes j and N-j.
+    in modes j and N-j.  Raises UnsupportedOperationError for a
+    CustomDerivative potential.
     """
+    _require_quadratic(params)
     regime = params.regime
     # The literal 0.0 without control: params.gamma may be -0.0, and
     # beta*mu + -0.0 keeps a signed zero that + 0.0 does not.
@@ -311,7 +314,9 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
 
 
 def exact_stability(params: ModelParams) -> StabilityReport:
-    """Stability report of the gap-feedback regime in params."""
+    """Stability report of the gap-feedback regime in params (quadratic
+    potential only)."""
+    _require_quadratic(params)
     if not isinstance(params.regime, ClosedLoop):
         raise InvalidInputError(f"params.regime must be ClosedLoop, got {type(params.regime).__name__}")
     return stability_report(

@@ -19,15 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedOperationError
-from .model import (
-    ControlRegime,
-    ModelParams,
-    OpenLoop,
-    PotentialSpec,
-    Quadratic,
-    Uncontrolled,
-    hamiltonian,
-)
+from .model import ControlRegime, ModelParams, OpenLoop, Uncontrolled, hamiltonian
 from .sde import TimeSeries
 
 
@@ -42,21 +34,14 @@ class ObservableSeries:
     hamiltonian: np.ndarray
 
 
-def observables(ts: TimeSeries, potential: Optional[PotentialSpec] = None) -> ObservableSeries:
+def observables(ts: TimeSeries) -> ObservableSeries:
     """Mean speed, speed variance (1/(N-1) normalization), the first
-    vehicle's speed, and the energy at every sample.
-
-    The potential defaults to the quadratic one implied by the params.
-    """
-    n = ts.params.n_vehicles
-    if n < 2:
-        raise InvalidInputError("speed variance needs at least 2 vehicles")
+    vehicle's speed, and the energy under the run's own potential at
+    every sample."""
     if len(ts.times) == 0:
         raise InvalidInputError("empty trajectory")
-    if potential is None:
-        potential = Quadratic(ts.params.alpha)
     speeds = ts.speeds()
-    energy = hamiltonian(ts.positions(), speeds, ts.params, potential)
+    energy = hamiltonian(ts.positions(), speeds, ts.params)
     return ObservableSeries(
         times=ts.times.copy(),
         mean_speed=speeds.mean(axis=1),
@@ -79,7 +64,8 @@ class MomentLaw:
 def mean_speed_law(params: ModelParams, initial_mean_speed: float = 0.0) -> MomentLaw:
     """Closed-form moments of the mean speed (see the module docstring).
 
-    Undefined under gap feedback, where the mean speed is not autonomous.
+    Valid for any potential, since the interactions telescope; undefined
+    under gap feedback, where the mean speed is not autonomous.
     """
     sig2n = params.sigma**2 / params.n_vehicles
     p0 = float(initial_mean_speed)

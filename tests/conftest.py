@@ -10,10 +10,10 @@ import pytest
 from phcf import SimConfig, UniformZeroSpeed, preset, run_ensemble, simulate, stability_report
 
 
-def ensemble_observables(params, potential, config, n_runs):
+def ensemble_observables(params, config, n_runs):
     """Run an ensemble and keep only the per-run observable matrices
     (samples x runs), which is what the moment tests consume."""
-    runs = run_ensemble(params, potential, config, n_runs)
+    runs = run_ensemble(params, config, n_runs)
     times = runs[0].times
     pbar = np.stack([ts.speeds().mean(axis=1) for ts in runs], axis=1)
     speed_var = np.stack([ts.speeds().var(axis=1, ddof=1) for ts in runs], axis=1)
@@ -29,7 +29,7 @@ def fig1_ensemble():
     """
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=250.0, sample_stride=100, seed=42, initial=UniformZeroSpeed())
-    return ensemble_observables(sc.params, sc.potential, config, 500)
+    return ensemble_observables(sc.params, config, 500)
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +37,7 @@ def fig2_ensemble():
     """300 open-loop runs of the fig2 parameters (dt=0.01, see above)."""
     sc = preset("fig2")
     config = SimConfig(dt=0.01, t_end=250.0, sample_stride=100, seed=7, initial=UniformZeroSpeed())
-    return ensemble_observables(sc.params, sc.potential, config, 300)
+    return ensemble_observables(sc.params, config, 300)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def fig3_ensemble():
     """60 gap-feedback runs of the full fig3 preset (dt=0.001)."""
     sc = preset("fig3")
     config = replace(sc.config, seed=11)
-    return ensemble_observables(sc.params, sc.potential, config, 60)
+    return ensemble_observables(sc.params, config, 60)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +54,7 @@ def preset_series():
     out = {}
     for name in ("fig1", "fig2", "fig3"):
         sc = preset(name)
-        out[name] = simulate(sc.params, sc.potential, sc.config)
+        out[name] = simulate(sc.params, sc.config)
     return out
 
 

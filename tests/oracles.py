@@ -15,10 +15,10 @@ from phcf.model import acceleration_array
 from phcf.sde import NOISE_BLOCK, noise_block
 
 
-def reference_step(q, p, params, potential, dt, noise):
+def reference_step(q, p, params, dt, noise):
     """One update: p gains dt*drift + sigma*sqrt(dt)*noise, then q
     advances with the updated p.  noise holds raw standard-normal draws."""
-    acc = acceleration_array(q, p, params, potential)
+    acc = acceleration_array(q, p, params)
     p_new = p + dt * acc + params.sigma * math.sqrt(dt) * noise
     q_new = q + dt * p_new
     return q_new, p_new

@@ -140,7 +140,7 @@ def test_criterion_6_mean_speed_diffusion_band(fig1_ensemble):
 def test_criterion_7_open_loop_relaxation():
     sc = preset("fig2")
     params = replace(sc.params, sigma=0.0)
-    ts = simulate(params, sc.potential, sc.config)
+    ts = simulate(params, sc.config)
     final_mean = ts.p[-1].mean()
     assert abs(final_mean - 2.05) <= 1e-3
     _passed(7, f"sigma=0 mean speed after 250 time units: {final_mean:.8f} (target 2.05)")

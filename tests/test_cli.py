@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phcf
-from phcf import InvalidInputError, load_scenario, preset, stability_report
+from phcf import CustomDerivative, InvalidInputError, load_scenario, preset, stability_report
 from phcf.cli import (
     cmd_ensemble,
     cmd_simulate,
@@ -181,6 +181,15 @@ def test_unsupported_potential_rejected():
         parse_scenario(text)
 
 
+def test_format_scenario_rejects_custom_potential():
+    """The file format has no key for a CustomDerivative, so writing one
+    would silently turn it into the quadratic potential on reload."""
+    sc = preset("fig1")
+    sc = replace(sc, params=replace(sc.params, potential=CustomDerivative(np.tanh)))
+    with pytest.raises(InvalidInputError, match="CustomDerivative"):
+        format_scenario(sc)
+
+
 def test_seed_override():
     sc = with_seed(preset("fig1"), 777)
     assert sc.config.seed == 777
@@ -256,7 +265,7 @@ def test_csv_values_round_trip_exactly(tmp_path):
     _, rows = read_csv(tmp_path / "observables.csv")
     from phcf import SimConfig, observables, simulate
 
-    obs = observables(simulate(sc.params, sc.potential, sc.config))
+    obs = observables(simulate(sc.params, sc.config))
     for i, row in enumerate(rows):
         assert float(row[1]) == obs.mean_speed[i]
         assert float(row[4]) == obs.hamiltonian[i]
@@ -576,6 +585,51 @@ def test_main_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch, command
     assert main(args + (["--runs", "2"] if command == "ensemble" else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "memory" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, alpha, extra", [
+    ("simulate", "1e200", []),
+    ("simulate", "1e100", []),
+    ("ensemble", "1e100", ["--runs", "2"]),
+    ("spectrum", "1e200", []),
+    ("spectrum", "1e100", []),
+    ("stability-map", "0.5", ["--vary", "alpha=0:1e200:3", "--vary", "gamma=0.1:1:2"]),
+    ("stability-map", "0.5", ["--vary", "gamma=0.1:1e160:3", "--vary", "alpha=0.1:1:2"]),
+], ids=["simulate", "simulate-norm", "ensemble-norm", "spectrum", "spectrum-norm",
+        "stability-map-alpha", "stability-map-gamma"])
+def test_main_maps_overflow_to_exit_2(tmp_path, capsys, command, alpha, extra):
+    """A parameter whose float square overflows exits 2 with a message
+    and, like any failed command, leaves no output directory: alpha =
+    1e200 in alpha**2, gamma = 1e160 in the Hurwitz term rho**2, and
+    alpha = 1e100 in the squared alpha**2 of the drift-matrix norm that
+    every manifest's stability fields need."""
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace("alpha = 0.5", f"alpha = {alpha}"))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "range" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("runs", ["0", "100000000000"])
+def test_main_ensemble_impossible_run_count_exits_2(tmp_path, capsys, monkeypatch, runs):
+    """--runs 0 is refused by run_ensemble; 10^11 runs of the preset need
+    petabytes, and the buffers are allocated before any per-run seed is
+    derived, so the command fails at once instead of deriving 10^11
+    seeds first."""
+    import phcf.sde as sde_mod
+
+    def no_derivation(seed, run_index):
+        raise AssertionError("a seed was derived for a run that cannot be allocated")
+
+    monkeypatch.setattr(sde_mod, "derive_run_seed", no_derivation)
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig1", "--out", str(path)]) == 0
+    args = ["ensemble", "--scenario", str(path), "--out", str(tmp_path / "o"), "--runs", runs]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
 
 

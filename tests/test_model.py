@@ -16,7 +16,6 @@ from phcf import (
     InvalidInputError,
     ModelParams,
     OpenLoop,
-    Quadratic,
     SimConfig,
     Uncontrolled,
     UnsupportedOperationError,
@@ -76,7 +75,7 @@ def test_speed_gaps_sum_to_zero():
 
 def test_drift_zero_on_uniform_uncontrolled_state():
     params = uncontrolled(n=5, length=10.0, alpha=1.3, beta=0.7)
-    dp = acceleration_array(np.arange(5) * 2.0, np.full(5, 3.0), params, Quadratic(params.alpha))
+    dp = acceleration_array(np.arange(5) * 2.0, np.full(5, 3.0), params)
     assert np.array_equal(dp, np.zeros(5))
 
 
@@ -84,7 +83,7 @@ def test_drift_zero_at_closed_loop_equilibrium():
     params = ModelParams(n_vehicles=20, ring_length=141.0, alpha=0.5, beta=1.0,
                          gamma=1.0, sigma=0.0, regime=ClosedLoop(ell=5.0, t_gap=1.0))
     q = np.arange(20) * (141.0 / 20.0)
-    dp = acceleration_array(q, np.full(20, 2.05), params, Quadratic(params.alpha))
+    dp = acceleration_array(q, np.full(20, 2.05), params)
     # q_k = k*7.05 rounds per k, so the gaps match 7.05 only to the last ulp
     assert np.abs(dp).max() <= 1e-13
 
@@ -116,7 +115,7 @@ def test_drift_matches_matrix_form(regime_kind, n):
         p = rng.normal(0, 2.0, n)
         z_shifted = np.concatenate([gaps_array(q, params.ring_length), p - shift])
         rhs = b @ z_shifted
-        dp = acceleration_array(q, p, params, Quadratic(params.alpha))
+        dp = acceleration_array(q, p, params)
         assert np.abs(rhs[:n] - _forward_diff(p)).max() <= 1e-10  # gap derivative = A p
         assert np.abs(rhs[n:] - dp).max() <= 1e-10
 
@@ -128,7 +127,7 @@ def test_drift_matches_matrix_form_small_ring_tight():
     for _ in range(20):
         q, p = np.cumsum(rng.uniform(0.5, 4.0, 3)), rng.normal(0, 2.0, 3)
         z = np.concatenate([gaps_array(q, params.ring_length), p])
-        dp = acceleration_array(q, p, params, Quadratic(params.alpha))
+        dp = acceleration_array(q, p, params)
         assert np.abs((b @ z)[3:] - dp).max() <= 1e-12
 
 
@@ -136,10 +135,10 @@ def test_drift_interactions_telescope():
     """Alignment and potential contributions sum to zero over the ring
     (any potential, here a non-quadratic one)."""
     rng = np.random.default_rng(9)
-    params = uncontrolled(n=12, length=40.0, alpha=0.0, beta=1.4)
-    potential = CustomDerivative(derivative=lambda x: np.tanh(x) + 0.3 * x)
+    params = replace(uncontrolled(n=12, length=40.0, alpha=0.0, beta=1.4),
+                     potential=CustomDerivative(derivative=lambda x: np.tanh(x) + 0.3 * x))
     q = np.cumsum(rng.uniform(0.5, 4.0, 12))
-    dp = acceleration_array(q, rng.normal(0, 3.0, 12), params, potential)
+    dp = acceleration_array(q, rng.normal(0, 3.0, 12), params)
     assert abs(dp.sum()) < 1e-10
 
 
@@ -149,12 +148,12 @@ def test_drift_interactions_telescope():
 
 def test_hamiltonian_zero_at_minimum():
     params = uncontrolled(n=3, length=9.0, alpha=0.0)
-    assert hamiltonian(np.array([0.0, 3.0, 6.0]), np.zeros(3), params, Quadratic(0.0)) == 0.0
+    assert hamiltonian(np.array([0.0, 3.0, 6.0]), np.zeros(3), params) == 0.0
 
 
 def test_hamiltonian_hand_value():
     params = uncontrolled(n=2, length=2.0, alpha=1.0)
-    energy = hamiltonian(np.array([0.0, 1.0]), np.array([1.0, 1.0]), params, Quadratic(1.0))
+    energy = hamiltonian(np.array([0.0, 1.0]), np.array([1.0, 1.0]), params)
     assert energy == pytest.approx(2.0, abs=1e-14)
 
 
@@ -163,17 +162,16 @@ def test_hamiltonian_nonnegative():
     params = uncontrolled(n=7, length=20.0, alpha=0.8)
     for _ in range(50):
         q, p = np.cumsum(rng.uniform(0.1, 4.0, 7)), rng.normal(0, 5, 7)
-        assert hamiltonian(q, p, params, Quadratic(0.8)) >= 0.0
+        assert hamiltonian(q, p, params) >= 0.0
 
 
 def test_hamiltonian_custom_needs_value():
-    params = uncontrolled(n=3)
+    params = replace(uncontrolled(n=3), potential=CustomDerivative(derivative=lambda x: x))
     q, p = np.array([0.0, 3.0, 6.0]), np.zeros(3)
-    pot = CustomDerivative(derivative=lambda x: x)
     with pytest.raises(UnsupportedOperationError):
-        hamiltonian(q, p, params, pot)
+        hamiltonian(q, p, params)
     with_value = CustomDerivative(derivative=lambda x: x, value=lambda x: 0.5 * x**2)
-    assert hamiltonian(q, p, params, with_value) == pytest.approx(13.5)
+    assert hamiltonian(q, p, replace(params, potential=with_value)) == pytest.approx(13.5)
 
 
 @st.composite
@@ -183,11 +181,8 @@ def energy_batches(draw):
     q = draw(hnp.arrays(np.float64, (samples, n), elements=st.floats(-1e6, 1e6)))
     p = draw(hnp.arrays(np.float64, (samples, n), elements=st.floats(-1e6, 1e6)))
     params = uncontrolled(n=n, length=draw(st.floats(1e-3, 1e6)), alpha=draw(st.floats(0.0, 50.0)))
-    potential = draw(st.sampled_from([
-        Quadratic(params.alpha),
-        CustomDerivative(np.tanh, value=lambda x: x * np.tanh(x)),
-    ]))
-    return q, p, params, potential
+    potential = draw(st.sampled_from([None, CustomDerivative(np.tanh, value=lambda x: x * np.tanh(x))]))
+    return q, p, replace(params, potential=potential)
 
 
 @settings(deadline=None, database=None)
@@ -195,10 +190,10 @@ def energy_batches(draw):
 def test_hamiltonian_batch_equals_rows_bitwise(case):
     """A (samples, N) batch gives one energy per row, each the very float
     of that row's own call."""
-    q, p, params, potential = case
-    batch = hamiltonian(q, p, params, potential)
+    q, p, params = case
+    batch = hamiltonian(q, p, params)
     assert batch.shape == (len(q),)
-    rows = [hamiltonian(qi, pi, params, potential) for qi, pi in zip(q, p)]
+    rows = [hamiltonian(qi, pi, params) for qi, pi in zip(q, p)]
     assert batch.tobytes() == np.array(rows).tobytes()
 
 
@@ -214,7 +209,7 @@ def test_gradient_zero_speeds_zero_stiffness():
     _, _, hess = phs_matrices(3, 0.0, params.beta, 0.0)
     z = np.concatenate([gaps_array(q, params.ring_length), np.zeros(3)])
     assert np.array_equal(hess @ z, np.zeros(6))
-    assert np.array_equal(acceleration_array(q, np.zeros(3), params, Quadratic(0.0)), np.zeros(3))
+    assert np.array_equal(acceleration_array(q, np.zeros(3), params), np.zeros(3))
 
 
 def test_gradient_componentwise_scaling():
@@ -226,20 +221,23 @@ def test_gradient_componentwise_scaling():
     grad = hess @ z
     assert np.allclose(grad[:4], 4.0)  # alpha^2 * gap = 4 * 1
     assert np.allclose(grad[4:], 3.0)
-    assert hamiltonian(q, p, params, Quadratic(2.0)) == pytest.approx(0.5 * z @ grad, rel=1e-15)
+    assert hamiltonian(q, p, params) == pytest.approx(0.5 * z @ grad, rel=1e-15)
 
 
 def test_gradient_against_finite_differences():
     """Central differences of the energy (the package's quadratic
     potential summed over the gaps, plus 0.5*|p|^2) in (gaps, speeds)
-    coordinates against Q z."""
+    coordinates against Q z.  The gaps of a ring of N >= 2 vehicles are
+    free coordinates: the state q = cumsum(gaps) on a ring of length
+    sum(gaps) has exactly those gaps."""
     rng = np.random.default_rng(21)
     n, alpha = 6, 1.7
-    potential = Quadratic(alpha)
     _, _, hess = phs_matrices(n, alpha, 1.0, 0.0)
 
     def energy(gap_vec, p_vec):
-        return 0.5 * float(p_vec @ p_vec) + float(potential.value(gap_vec).sum())
+        params = uncontrolled(n=n, length=float(gap_vec.sum()), alpha=alpha)
+        q = np.concatenate([[0.0], np.cumsum(gap_vec[:-1])])
+        return float(hamiltonian(q, p_vec, params))
 
     for _ in range(10):
         q = np.cumsum(rng.uniform(0.5, 4.0, n))
@@ -345,8 +343,8 @@ def test_params_validation():
         ClosedLoop(ell=1.0, t_gap=0.0)
     with pytest.raises(InvalidInputError):
         ClosedLoop(ell=-1.0, t_gap=1.0)
-    with pytest.raises(InvalidInputError):
-        Quadratic(alpha=-0.5)
+    with pytest.raises(InvalidInputError, match="alpha"):
+        ModelParams(5, 10.0, -0.5, 1.0, 0.0, 1.0, Uncontrolled())
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -376,27 +374,14 @@ def test_regimes_reject_non_finite(bad):
         ClosedLoop(ell=1.0, t_gap=bad)
 
 
-@pytest.mark.parametrize("bad", NON_FINITE)
-def test_quadratic_rejects_non_finite_alpha(bad):
-    with pytest.raises(InvalidInputError, match="alpha"):
-        Quadratic(alpha=bad)
-
-
 def test_state_arrays_are_read_only():
     """The recorded positions and speeds of a run cannot be written."""
     params = uncontrolled(n=2, length=2.0, sigma=1.0)
     config = SimConfig(dt=0.01, t_end=0.05, initial=Explicit(q=[0.0, 1.0], p=[0.0, 0.0]))
-    ts = simulate(params, Quadratic(params.alpha), config)
+    ts = simulate(params, config)
     for states in (ts.q, ts.p):
         with pytest.raises(ValueError):
             states[0, 0] = 5.0
-
-
-def test_quadratic_potential_basics():
-    pot = Quadratic(alpha=3.0)
-    assert pot.derivative(0.0) == 0.0
-    assert pot.derivative(2.0) == 18.0  # alpha^2 * x
-    assert pot.value(1.0) == pytest.approx(4.5)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +398,13 @@ def roll_speed_gaps(p):
     return np.roll(p, -1, axis=-1) - p
 
 
-def roll_acceleration(q, p, params, potential):
+def roll_acceleration(q, p, params):
     gap = roll_gaps(q, params.ring_length)
     dp = np.roll(p, -1, axis=-1) - p
-    force = potential.derivative(gap)
+    if params.potential is None:
+        force = params.alpha**2 * gap  # the quadratic potential's derivative
+    else:
+        force = params.potential.derivative(gap)
     acc = params.beta * (dp - np.roll(dp, 1, axis=-1)) + (force - np.roll(force, 1, axis=-1))
     regime = params.regime
     if isinstance(regime, OpenLoop):
@@ -449,9 +437,10 @@ def kernel_cases(draw):
             regime = OpenLoop(x=draw(_reals))
         else:
             regime = ClosedLoop(ell=draw(st.floats(0.0, 1e3)), t_gap=draw(st.floats(1e-3, 1e3)))
-    params = ModelParams(n, draw(st.floats(1e-3, 1e6)), draw(_rates), draw(_rates), gamma, 1.0, regime)
-    potential = draw(st.sampled_from([Quadratic(params.alpha), CustomDerivative(np.tanh)]))
-    return q, p, params, potential
+    potential = draw(st.sampled_from([None, CustomDerivative(np.tanh)]))
+    params = ModelParams(n, draw(st.floats(1e-3, 1e6)), draw(_rates), draw(_rates), gamma, 1.0, regime,
+                         potential)
+    return q, p, params
 
 
 @st.composite
@@ -474,12 +463,10 @@ def test_gaps_rows_sum_to_ring_length(q, ring_length):
 @settings(deadline=None, database=None)
 @given(kernel_cases())
 def test_slice_kernels_equal_roll_formulas_bitwise(case):
-    q, p, params, potential = case
+    q, p, params = case
     assert same_bits(gaps_array(q, params.ring_length), roll_gaps(q, params.ring_length))
     for row in p:
         assert same_bits(_forward_diff(row), roll_speed_gaps(row))
-    assert same_bits(acceleration_array(q, p, params, potential),
-                     roll_acceleration(q, p, params, potential))
+    assert same_bits(acceleration_array(q, p, params), roll_acceleration(q, p, params))
     # a lone row (1-d arrays) sees the same arithmetic as inside the batch
-    assert same_bits(acceleration_array(q[-1], p[-1], params, potential),
-                     roll_acceleration(q, p, params, potential)[-1])
+    assert same_bits(acceleration_array(q[-1], p[-1], params), roll_acceleration(q, p, params)[-1])

@@ -8,12 +8,19 @@ so a removed or renamed name would otherwise surface late.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import phcf
+from phcf.scenario import write_scenario
+from phcf.sde import _step_count
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -43,6 +50,28 @@ def test_tracer_bindings_resolve_to_callables():
     for binding, _ in tracer.SPANS:
         owner, attr = tracer._resolve(binding)
         assert callable(getattr(owner, attr, None)), binding
+
+
+@pytest.mark.parametrize("command, runs", [("simulate", 1), ("ensemble", 3)])
+def test_tracer_counts_runs_and_run_steps(tmp_path, command, runs):
+    """The tracer reads the run count from the integrator's arguments, so
+    a change of the simulate or run_ensemble signature would corrupt the
+    per-run-step metrics without any error; run it on a tiny command."""
+    sc = phcf.preset("fig1")
+    sc = replace(sc, config=replace(sc.config, t_end=0.1))
+    scenario = tmp_path / "s.ini"
+    write_scenario(sc, scenario)
+    trace = tmp_path / "trace.json"
+    args = [sys.executable, str(ROOT / "bench" / "tracer.py"), str(trace), command,
+            "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--svg", "off"]
+    if command == "ensemble":
+        args += ["--runs", str(runs)]
+    src = str(Path(phcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(args, check=True, cwd=tmp_path, env=env, timeout=120)
+    counters = json.loads(trace.read_text())["counters"]
+    assert counters["sde.runs"] == runs
+    assert counters["sde.run_steps"] == runs * _step_count(sc.config.dt, sc.config.t_end)
 
 
 def test_all_names_resolve():

@@ -14,7 +14,6 @@ from phcf import (
     InvalidInputError,
     ModelParams,
     NumericalBlowupError,
-    Quadratic,
     SimConfig,
     Uncontrolled,
     UniformStationary,
@@ -93,7 +92,7 @@ def test_step_rigid_rotation_at_equilibrium():
     params = ModelParams(20, 40.0, 1.0, 1.0, 0.0, 0.0, Uncontrolled())
     q, p = np.arange(20) * 2.0, np.full(20, 3.0)
     config = SimConfig(dt=0.01, t_end=0.01, initial=Explicit(q=q, p=p))
-    ts = simulate(params, Quadratic(params.alpha), config)
+    ts = simulate(params, config)
     assert np.array_equal(ts.p[1], p)
     assert np.array_equal(ts.q[1], q + 0.01 * p)
 
@@ -102,10 +101,10 @@ def test_step_bit_identical_with_same_noise():
     params = fig_params("fig1")
     q, p = initial_state(params, UniformZeroSpeed())
     noise = step_noise(99, 0, 20)
-    a = reference_step(q, p, params, Quadratic(params.alpha), 0.001, noise)
-    b = reference_step(q, p, params, Quadratic(params.alpha), 0.001, noise)
+    a = reference_step(q, p, params, 0.001, noise)
+    b = reference_step(q, p, params, 0.001, noise)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    ts = simulate(params, Quadratic(params.alpha), SimConfig(dt=0.001, t_end=0.001, seed=99))
+    ts = simulate(params, SimConfig(dt=0.001, t_end=0.001, seed=99))
     assert np.array_equal(ts.q[1], a[0]) and np.array_equal(ts.p[1], a[1])
 
 
@@ -113,7 +112,7 @@ def test_step_blowup_detection():
     params = replace(fig_params("fig1"), sigma=0.0)
     config = SimConfig(dt=0.001, t_end=0.01, initial=Explicit(q=np.arange(20) * 7.0, p=np.full(20, 1e9)))
     with pytest.raises(NumericalBlowupError) as info:
-        simulate(params, Quadratic(params.alpha), config)
+        simulate(params, config)
     assert info.value.step == 1
     assert len(info.value.partial.times) == 1
 
@@ -123,16 +122,14 @@ def test_simulate_equals_repeated_steps(name):
     """The batch engine equals the reference one-step update, across a
     noise-block boundary (300 steps)."""
     if name == "custom":
-        sc = preset("fig3")
-        potential = CustomDerivative(lambda x: np.tanh(x - 5.0))
+        params = replace(preset("fig3").params, potential=CustomDerivative(lambda x: np.tanh(x - 5.0)))
     else:
-        sc = preset(name)
-        potential = sc.potential
+        params = preset(name).params
     config = SimConfig(dt=0.01, t_end=3.0, sample_stride=1, seed=31)
-    ts = simulate(sc.params, potential, config)
-    q, p = initial_state(sc.params, config.initial)
+    ts = simulate(params, config)
+    q, p = initial_state(params, config.initial)
     for s in range(len(ts.times) - 1):
-        q, p = reference_step(q, p, sc.params, potential, config.dt, step_noise(31, s, 20))
+        q, p = reference_step(q, p, params, config.dt, step_noise(31, s, 20))
         assert np.array_equal(q, ts.q[s + 1])
         assert np.array_equal(p, ts.p[s + 1])
 
@@ -144,8 +141,8 @@ def test_simulate_equals_repeated_steps(name):
 def test_simulate_deterministic():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=2.0, sample_stride=10, seed=5)
-    a = simulate(sc.params, sc.potential, config)
-    b = simulate(sc.params, sc.potential, config)
+    a = simulate(sc.params, config)
+    b = simulate(sc.params, config)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
@@ -153,7 +150,7 @@ def test_simulate_deterministic():
 def test_sample_times_spacing():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=25, seed=5)
-    ts = simulate(sc.params, sc.potential, config)
+    ts = simulate(sc.params, config)
     assert ts.q.shape == ts.p.shape == (5, 20)  # steps 0, 25, 50, 75, 100
     assert np.allclose(np.diff(ts.times), 0.25, rtol=0, atol=1e-12)
     assert ts.times[-1] == pytest.approx(1.0, abs=1e-12)
@@ -164,7 +161,7 @@ def test_zero_noise_equilibria_are_fixed_points():
         params = replace(fig_params(name), sigma=0.0)
         eq_speed = initial_state(params, UniformStationary())[1][0]
         config = SimConfig(dt=0.001, t_end=10.0, sample_stride=1000, seed=0, initial=UniformStationary())
-        ts = simulate(params, Quadratic(params.alpha), config)
+        ts = simulate(params, config)
         drift_from_eq = abs(ts.p - eq_speed).max()
         assert drift_from_eq <= 1e-9, name
         gaps_err = max_gap_closure_error(ts)
@@ -182,7 +179,7 @@ def test_hamiltonian_dissipates_without_noise():
     p0 = rng.normal(0, 1.0, n)
     for dt in (1e-3, 5e-4):
         config = SimConfig(dt=dt, t_end=20.0, sample_stride=1, seed=0, initial=Explicit(q=q0, p=p0))
-        ts = simulate(params, Quadratic(params.alpha), config)
+        ts = simulate(params, config)
         energy = observables(ts).hamiltonian
         tol = 1e-9 * max(1.0, energy[0])
         assert np.diff(energy).max() <= tol
@@ -193,7 +190,7 @@ def test_open_loop_relaxation_to_commanded_speed():
     sc = preset("fig2")
     params = replace(sc.params, sigma=0.0)
     config = SimConfig(dt=0.01, t_end=250.0, sample_stride=2500, seed=0, initial=UniformZeroSpeed())
-    ts = simulate(params, sc.potential, config)
+    ts = simulate(params, config)
     assert abs(ts.p[-1].mean() - 2.05) <= 1e-3
 
 
@@ -208,7 +205,7 @@ def test_self_convergence_first_order():
     def endpoint(dt):
         steps = int(round(2.0 / dt))
         config = SimConfig(dt=dt, t_end=2.0, sample_stride=steps, seed=0, initial=Explicit(q=q0, p=p0))
-        ts = simulate(params, Quadratic(params.alpha), config)
+        ts = simulate(params, config)
         return np.concatenate([ts.q[-1], ts.p[-1]])
 
     ref = endpoint(1e-5)
@@ -221,7 +218,7 @@ def test_ring_conservation_quick():
     for name in ("fig1", "fig2", "fig3"):
         sc = preset(name)
         config = SimConfig(dt=0.01, t_end=10.0, sample_stride=10, seed=2)
-        ts = simulate(sc.params, sc.potential, config)
+        ts = simulate(sc.params, config)
         assert max_gap_closure_error(ts) <= 1e-6 * 141.0
 
 
@@ -233,7 +230,7 @@ def test_mean_speed_recursion_is_exact():
         sc = preset(name)
         params = sc.params
         config = SimConfig(dt=0.01, t_end=1.0, sample_stride=1, seed=17)
-        ts = simulate(params, sc.potential, config)
+        ts = simulate(params, config)
         n = params.n_vehicles
         sqdt = np.sqrt(config.dt)
         for s in range(len(ts.times) - 1):
@@ -252,8 +249,8 @@ def test_mean_speed_recursion_is_exact():
 def test_ensemble_base_case_matches_simulate():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=10, seed=123)
-    run = run_ensemble(sc.params, sc.potential, config, 1)[0]
-    direct = simulate(sc.params, sc.potential, replace(config, seed=derive_run_seed(123, 0)))
+    run = run_ensemble(sc.params, config, 1)[0]
+    direct = simulate(sc.params, replace(config, seed=derive_run_seed(123, 0)))
     assert run.config.seed == derive_run_seed(123, 0)
     assert np.array_equal(run.q, direct.q) and np.array_equal(run.p, direct.p)
 
@@ -263,9 +260,9 @@ def test_closed_loop_ensemble_rows_equal_simulate():
     same run made alone, across a noise-block boundary."""
     sc = preset("fig3")
     config = SimConfig(dt=0.01, t_end=3.0, sample_stride=7, seed=77)
-    runs = run_ensemble(sc.params, sc.potential, config, 3)
+    runs = run_ensemble(sc.params, config, 3)
     for r, run in enumerate(runs):
-        direct = simulate(sc.params, sc.potential, replace(config, seed=derive_run_seed(77, r)))
+        direct = simulate(sc.params, replace(config, seed=derive_run_seed(77, r)))
         assert np.array_equal(run.times, direct.times)
         assert np.array_equal(run.positions(), direct.positions())
         assert np.array_equal(run.speeds(), direct.speeds())
@@ -277,7 +274,7 @@ def test_closed_loop_ensemble_rows_equal_simulate():
 def test_ensemble_runs_are_decorrelated():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=1, seed=123)
-    runs = run_ensemble(sc.params, sc.potential, config, 2)
+    runs = run_ensemble(sc.params, config, 2)
     speeds0 = runs[0].speeds()
     speeds1 = runs[1].speeds()
     assert not np.array_equal(speeds0[1:], speeds1[1:])
@@ -287,7 +284,23 @@ def test_ensemble_runs_are_decorrelated():
 def test_ensemble_rejects_zero_runs():
     sc = preset("fig1")
     with pytest.raises(InvalidInputError):
-        run_ensemble(sc.params, sc.potential, SimConfig(dt=0.01, t_end=1.0), 0)
+        run_ensemble(sc.params, SimConfig(dt=0.01, t_end=1.0), 0)
+
+
+def test_ensemble_allocates_before_deriving_seeds(monkeypatch):
+    """10^13 runs of a 2-vehicle ring with 1001 samples need 160 PB for
+    the position samples alone, more than even a 57-bit address space
+    holds, so that first allocation fails under any overcommit setting,
+    before any buffer is written and before a single per-run seed is
+    derived: an impossible ensemble fails at once."""
+    import phcf.sde as sde_mod
+
+    derived = []
+    monkeypatch.setattr(sde_mod, "derive_run_seed", lambda seed, r: derived.append(r))
+    params = ModelParams(2, 2.0, 1.0, 1.0, 0.0, 1.0, Uncontrolled())
+    with pytest.raises(MemoryError):
+        run_ensemble(params, SimConfig(dt=0.5, t_end=500.0), 10**13)
+    assert derived == []
 
 
 def test_ensemble_mean_speed_diffusion(fig1_ensemble):
@@ -351,7 +364,7 @@ BLOWING = ModelParams(5, 10.0, 0.0, 0.0, 10.0, 1.0, ClosedLoop(ell=1.0, t_gap=0.
 def test_simulate_blowup_carries_partial():
     config = SimConfig(dt=0.001, t_end=5.0, sample_stride=10, seed=3)
     with pytest.raises(NumericalBlowupError) as exc_info:
-        simulate(BLOWING, Quadratic(0.0), config)
+        simulate(BLOWING, config)
     err = exc_info.value
     assert err.step is not None and err.time == pytest.approx(err.step * 0.001)
     partial = err.partial
@@ -364,7 +377,7 @@ def test_simulate_blowup_carries_partial():
 
 def test_ensemble_blowup_not_fatal():
     config = SimConfig(dt=0.001, t_end=5.0, sample_stride=10, seed=3)
-    runs = run_ensemble(BLOWING, Quadratic(0.0), config, 3)
+    runs = run_ensemble(BLOWING, config, 3)
     assert len(runs) == 3
     assert all(ts.blowup_step is not None for ts in runs)
     assert all(len(ts.times) > 0 for ts in runs)
@@ -376,8 +389,8 @@ def test_overtake_flag_set_on_crossing():
     params = ModelParams(4, 20.0, 0.1, 0.0, 0.0, 0.0, Uncontrolled())
     init = Explicit(q=np.array([0.0, 0.05, 10.0, 15.0]), p=np.array([5.0, -5.0, 0.0, 0.0]))
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=1, seed=0, initial=init)
-    ts = simulate(params, Quadratic(params.alpha), config)
+    ts = simulate(params, config)
     assert ts.overtake_flag
-    quiet = simulate(params, Quadratic(params.alpha),
+    quiet = simulate(params,
                      replace(config, initial=Explicit(q=np.arange(4) * 5.0, p=np.zeros(4))))
     assert not quiet.overtake_flag

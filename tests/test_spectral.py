@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from phcf import (
     ClosedLoop,
+    CustomDerivative,
     InvalidInputError,
     ModelParams,
     OpenLoop,
     Uncontrolled,
+    UnsupportedOperationError,
     build_matrices,
     dense_eigen_oracle,
     eigenvalues,
@@ -139,6 +141,17 @@ def test_regime_mismatch_rejected():
         exact_stability(ol)
     with pytest.raises(InvalidInputError):
         exact_stability(unc)
+
+
+@pytest.mark.parametrize("operation", [eigenvalues, exact_stability, build_matrices])
+def test_linear_structure_rejects_custom_potential(operation):
+    """The spectra and the drift matrix exist for the quadratic potential
+    only; params carrying a CustomDerivative are refused, not given the
+    quadratic answer of their alpha."""
+    params = replace(make_params(5, 1.0, 1.0, 1.0, ClosedLoop(ell=1.0, t_gap=1.0)),
+                     potential=CustomDerivative(np.tanh))
+    with pytest.raises(UnsupportedOperationError, match="quadratic"):
+        operation(params)
 
 
 def test_eigenvalues_dispatch():

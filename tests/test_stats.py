@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dataclasses import replace
+
 from phcf import (
+    CustomDerivative,
     InvalidInputError,
     ModelParams,
     OpenLoop,
@@ -14,6 +17,7 @@ from phcf import (
     Uncontrolled,
     UnsupportedOperationError,
     deviation_process,
+    hamiltonian,
     mean_speed_law,
     observables,
     preset,
@@ -65,13 +69,34 @@ def test_observables_energy_matches_hamiltonian():
     """The energy column against the written-out formula
     0.5*sum(p^2) + 0.5*alpha^2*sum(gap^2), gaps taken by hand."""
     sc = preset("fig1")
-    ts = simulate(sc.params, sc.potential, SimConfig(dt=0.01, t_end=1.0, sample_stride=20, seed=4))
+    ts = simulate(sc.params, SimConfig(dt=0.01, t_end=1.0, sample_stride=20, seed=4))
     obs = observables(ts)
     alpha, length = sc.params.alpha, sc.params.ring_length
     for i, (q, p) in enumerate(zip(ts.q, ts.p)):
         gaps = [q[k + 1] - q[k] for k in range(len(q) - 1)] + [q[0] + length - q[-1]]
         energy = 0.5 * sum(v * v for v in p) + 0.5 * alpha**2 * sum(g * g for g in gaps)
         assert obs.hamiltonian[i] == pytest.approx(energy, rel=1e-12)
+
+
+TANH = CustomDerivative(lambda x: np.tanh(x - 5.0), value=lambda x: np.log(np.cosh(x - 5.0)))
+
+
+def test_observables_energy_uses_the_runs_potential():
+    """A run under a custom potential reports that potential's energy,
+    not the quadratic energy of its alpha."""
+    params = replace(preset("fig3").params, potential=TANH)
+    ts = simulate(params, SimConfig(dt=0.01, t_end=1.0, sample_stride=20, seed=4))
+    energy = observables(ts).hamiltonian
+    assert np.array_equal(energy, hamiltonian(ts.q, ts.p, params))
+    quadratic = hamiltonian(ts.q, ts.p, replace(params, potential=None))
+    assert np.all(np.abs(energy - quadratic) > 1.0)
+
+
+def test_observables_need_the_potential_value():
+    params = replace(preset("fig3").params, potential=replace(TANH, value=None))
+    ts = simulate(params, SimConfig(dt=0.01, t_end=0.2, sample_stride=20, seed=4))
+    with pytest.raises(UnsupportedOperationError, match="value"):
+        observables(ts)
 
 
 def test_speed_variance_matches_projector_identity():
