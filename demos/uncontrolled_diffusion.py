@@ -12,8 +12,6 @@ sampled mean-speed variance against the closed-form diffusion law.
 
 from pathlib import Path
 
-import numpy as np
-
 from phcf import SimConfig, mean_speed_law, observables, preset, run_ensemble, simulate
 from phcf.svgplot import observables_svg, trajectory_svg
 
@@ -36,12 +34,9 @@ print(f"  speed variance settled near {obs.speed_variance[2000:].mean():.2f}")
 
 # a modest ensemble is enough to see Var[pbar] = sigma^2 t / N
 config = SimConfig(dt=0.01, t_end=100.0, sample_stride=500, seed=1)
-runs = run_ensemble(scenario.params, config, 200)
-pbar = np.stack([ts.speeds().mean(axis=1) for ts in runs], axis=1)
+ensemble = observables(run_ensemble(scenario.params, config, 200))
 law = mean_speed_law(scenario.params)
 print("\n   t   Var[pbar] sampled   sigma^2 t / N")
-for i, t in enumerate(runs[0].times):
-    if t == 0:
-        continue
-    print(f"{t:6.0f}   {pbar[i].var(ddof=1):14.3f}   {law.variance_of_mean_speed(t):13.3f}")
+for t, var in zip(ensemble.times[1:], ensemble.mean_speed[:, 1:].var(axis=0, ddof=1)):
+    print(f"{t:6.0f}   {var:14.3f}   {law.variance_of_mean_speed(t):13.3f}")
 print("\nSVG panels in", out_dir)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, NumericalBlowupError, UnsupportedOperationError
-from .model import ClosedLoop, build_matrices
+from .model import build_matrices
 from .scenario import (
     Scenario,
     format_manifest,
@@ -69,22 +69,19 @@ def _trajectory_rows(ts: TimeSeries, wrap: bool):
         yield [_num(t)] + [_num(v) for v in q[i]] + [_num(v) for v in p[i]]
 
 
-def _observable_rows(obs):
-    for i, t in enumerate(obs.times):
-        yield [
-            _num(t),
-            _num(obs.mean_speed[i]),
-            _num(obs.speed_variance[i]),
-            _num(obs.single_vehicle_speed[i]),
-            _num(obs.hamiltonian[i]),
-        ]
+def _observable_rows(obs, run=..., n_valid=None):
+    """CSV rows of one run's observables: row run of an ensemble's, cut
+    at its n_valid samples."""
+    columns = (obs.mean_speed, obs.speed_variance, obs.single_vehicle_speed, obs.hamiltonian)
+    for row in zip(obs.times[:n_valid], *(c[run] for c in columns)):
+        yield [_num(x) for x in row]
 
 
 def _stability_info(scenario: Scenario) -> dict:
     """Spectral metadata recorded in every manifest; the gap-feedback
     regime additionally gets a stability verdict.  O(N): no matrix."""
     params = scenario.params
-    if not isinstance(params.regime, ClosedLoop):
+    if params.regime.t_gap is None:
         scale = drift_matrix_norm(params.n_vehicles, params.alpha, params.beta, params.gamma)
         return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(params), scale)}
     report = stability_report(
@@ -166,43 +163,41 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
     stability = _stability_info(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_obs = [observables(ts) for ts in runs]
-    for r, obs in enumerate(all_obs):
+    obs = observables(runs)
+    for r, n_valid in enumerate(runs.n_valid):
         _write_csv(
             out / f"observables_run{r:03d}.csv",
             ["t", "mean_speed", "speed_variance", "p1", "hamiltonian"],
-            _observable_rows(obs),
+            _observable_rows(obs, r, n_valid),
         )
-    common = min(len(obs.times) for obs in all_obs)
-    mean_speeds = np.stack([obs.mean_speed[:common] for obs in all_obs])
-    variances = np.stack([obs.speed_variance[:common] for obs in all_obs])
-    times = all_obs[0].times[:common]
+    # Samples that every run reached, reduced one column of runs at a time:
+    # a reduction along axis 0 sums in another order and changes the bytes.
     rows = (
         [
-            _num(times[i]),
-            _num(mean_speeds[:, i].mean()),
-            _num(mean_speeds[:, i].var(ddof=1) if n_runs > 1 else 0.0),
-            _num(variances[:, i].mean()),
+            _num(obs.times[i]),
+            _num(obs.mean_speed[:, i].mean()),
+            _num(obs.mean_speed[:, i].var(ddof=1) if n_runs > 1 else 0.0),
+            _num(obs.speed_variance[:, i].mean()),
         ]
-        for i in range(common)
+        for i in range(runs.n_valid.min())
     )
     _write_csv(
         out / "ensemble_summary.csv",
         ["t", "mean_of_mean_speed", "var_of_mean_speed", "mean_speed_variance"],
         rows,
     )
-    blown = [r for r, ts in enumerate(runs) if ts.blowup_step is not None]
+    blown = np.flatnonzero(runs.blowup_step)
     scenario = replace(scenario, n_runs=n_runs)
     info = {
         "tool_version": __version__,
         "command": "ensemble",
-        "blowup": bool(blown),
+        "blowup": bool(blown.size),
     }
-    if blown:
-        info["blown_runs"] = ",".join(str(r) for r in blown)
+    if blown.size:
+        info["blown_runs"] = ",".join(map(str, blown))
     info.update(stability)
     _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
-    return 3 if blown else 0
+    return 3 if blown.size else 0
 
 
 def cmd_spectrum(scenario: Scenario, out_dir) -> int:
@@ -265,7 +260,7 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     diagnostics (the sufficient region must sit inside the exact one).
     """
     params = scenario.params
-    if not isinstance(params.regime, ClosedLoop):
+    if params.regime.t_gap is None:
         raise InvalidInputError("stability maps need a closed_loop scenario")
     if len(vary) != 2:
         raise InvalidInputError("exactly two --vary axes are required")

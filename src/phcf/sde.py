@@ -4,7 +4,8 @@ Speeds update explicitly with the drift and the scaled noise increment;
 positions then update with the fresh speeds (the position update is
 implicit in the coupling), which keeps the mean-speed recursion exact
 under discretization.  The state is the array pair (q, p): initial_state
-builds it, and a TimeSeries records it as (samples, N) arrays.
+builds it, and a TimeSeries records it as (samples, N) arrays, or as
+(runs, samples, N) arrays for an ensemble.
 
 Noise comes from counter-based Philox streams read in fixed blocks, so
 the increment at a given step is a pure function of (seed, step, vehicle):
@@ -20,14 +21,15 @@ arrays updated in place.  Every update is elementwise, in the order
 p + dt*drift + sigma*sqrt(dt)*noise and then q + dt*p, so each row is
 bit-identical to a run made alone.  A run is aborted when a speed exceeds
 BLOWUP_LIMIT in magnitude or the state stops being finite; one whole-array
-test per step decides whether any row needs that per-row check.
+test per step decides whether any row needs that per-row check.  The
+ensemble comes back as that one batch; simulate slices its only run out.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -94,14 +96,20 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled trajectory of one run.
+    """Sampled trajectory of one run, or of a batch of runs.
 
-    q and p are samples-by-vehicles arrays of positions and speeds, one
-    row per entry of times, read-only when the integrator made them.
-    overtake_flag records whether any recorded sample had a non-positive
-    gap (permitted by the quadratic potential, flagged as a diagnostic).
-    A run that left the finite range is truncated at its last valid
-    sample and carries blowup_step/blowup_time.
+    q and p are positions and speeds, one sample per entry of times:
+    (samples, N) for one run, (runs, samples, N) for a batch, read-only
+    when the integrator made them.  overtake_flag records whether a
+    recorded sample had a non-positive gap (permitted by the quadratic
+    potential, flagged as a diagnostic); blowup_step is the step at which
+    the state left the finite range.
+
+    One run ends at its last valid sample; its overtake_flag is a bool
+    and its blowup_step None or an int.  In a batch both are per-run
+    arrays, and blowup_step is 0 for a run that did not blow up (steps
+    count from 1).  Run r has n_valid[r] valid samples, zeros after
+    them, and the seed derive_run_seed(config.seed, r).
     """
 
     times: np.ndarray
@@ -109,16 +117,16 @@ class TimeSeries:
     p: np.ndarray
     params: ModelParams
     config: SimConfig
-    overtake_flag: bool
-    blowup_step: Optional[int] = None
-    blowup_time: Optional[float] = None
+    overtake_flag: Union[bool, np.ndarray]
+    blowup_step: Union[None, int, np.ndarray] = None
+    n_valid: Optional[np.ndarray] = None
 
     def positions(self) -> np.ndarray:
-        """Samples-by-vehicles matrix of positions."""
+        """Positions, samples by vehicles (runs first in a batch)."""
         return self.q
 
     def speeds(self) -> np.ndarray:
-        """Samples-by-vehicles matrix of speeds."""
+        """Speeds, samples by vehicles (runs first in a batch)."""
         return self.p
 
 
@@ -193,7 +201,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     """Shared engine: advances runs trajectories in lockstep as the rows
     of (runs, N) arrays, row r under the seed run_seed(r).  All update
     arithmetic is elementwise, so each row is bit-identical to a single
-    run with the same seed.
+    run with the same seed.  Returns the batch TimeSeries.
 
     Every buffer is allocated before the first seed is derived, so a run
     too large for memory fails with MemoryError at once.
@@ -214,7 +222,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     p = np.tile(p0, (runs, 1))
     seeds = [run_seed(r) for r in range(runs)]
     overtake = np.zeros(runs, dtype=bool)
-    blow_step = np.full(runs, -1, dtype=np.int64)
+    blow_step = np.zeros(runs, dtype=np.int64)
     valid = np.zeros(runs, dtype=np.int64)
     active = np.ones(runs, dtype=bool)
 
@@ -252,30 +260,18 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
             active &= ~bad
             if not active.any():
                 break
-            # freeze dead rows; they are truncated on extraction
+            # freeze dead rows; their samples are zeroed after the loop
             q[~active] = 0.0
             p[~active] = 0.0
 
-    times = np.arange(n_samples) * (stride * dt)
+    # Zero what no valid sample wrote: rows left empty by the early break
+    # and whatever dead rows recorded after they blew up.
+    tail = np.arange(n_samples) >= valid[:, None]
+    q_samples[tail] = p_samples[tail] = 0.0
     q_samples.setflags(write=False)
     p_samples.setflags(write=False)
-    out = []
-    for r, seed in enumerate(seeds):
-        v = int(valid[r])
-        bstep = None if blow_step[r] < 0 else int(blow_step[r])
-        out.append(
-            TimeSeries(
-                times=times[:v],
-                q=q_samples[r, :v],
-                p=p_samples[r, :v],
-                params=params,
-                config=replace(config, seed=seed),
-                overtake_flag=bool(overtake[r]),
-                blowup_step=bstep,
-                blowup_time=None if bstep is None else bstep * dt,
-            )
-        )
-    return out
+    times = np.arange(n_samples) * (stride * dt)
+    return TimeSeries(times, q_samples, p_samples, params, config, overtake, blow_step, n_valid=valid)
 
 
 def simulate(params: ModelParams, config: SimConfig) -> TimeSeries:
@@ -285,31 +281,34 @@ def simulate(params: ModelParams, config: SimConfig) -> TimeSeries:
     Raises NumericalBlowupError with the partial series attached if the
     state leaves the finite range.
     """
-    series = _integrate(params, config, 1, lambda r: config.seed)[0]
-    if series.blowup_step is not None:
+    batch = _integrate(params, config, 1, lambda r: config.seed)
+    v = int(batch.n_valid[0])
+    step = int(batch.blowup_step[0]) or None
+    overtake = bool(batch.overtake_flag[0])
+    series = TimeSeries(batch.times[:v], batch.q[0, :v], batch.p[0, :v], params, config, overtake, step)
+    if step is not None:
+        time = step * config.dt
         raise NumericalBlowupError(
-            f"state left the finite range at t={series.blowup_time:g} "
-            f"(step {series.blowup_step})",
-            step=series.blowup_step,
-            time=series.blowup_time,
-            partial=series,
+            f"state left the finite range at t={time:g} (step {step})", step=step, time=time, partial=series
         )
     return series
 
 
-def run_ensemble(params: ModelParams, config: SimConfig, n_runs: int):
-    """Independent trajectories under per-run seeds folded from
-    config.seed and the run index, ordered by run index.
+def run_ensemble(params: ModelParams, config: SimConfig, n_runs: int) -> TimeSeries:
+    """n_runs independent trajectories as one batch TimeSeries, run r
+    under the seed derive_run_seed(config.seed, r).
 
-    A run that blows up comes back truncated with its blowup fields set;
-    it does not abort the ensemble.
+    A run that blows up ends at its n_valid samples with its blowup_step
+    set; it does not abort the ensemble.
     """
     if n_runs < 1:
         raise InvalidInputError(f"n_runs must be >= 1, got {n_runs}")
     return _integrate(params, config, n_runs, lambda r: derive_run_seed(config.seed, r))
 
 
-def max_gap_closure_error(ts: TimeSeries) -> float:
-    """Largest |sum(gaps) - ring_length| over the recorded samples."""
+def max_gap_closure_error(ts: TimeSeries):
+    """Largest |sum(gaps) - ring_length| over the recorded samples: a
+    float for one run, one per run for a batch (zero tails add 0)."""
     g = gaps_array(ts.positions(), ts.params.ring_length)
-    return float(np.abs(g.sum(axis=1) - ts.params.ring_length).max())
+    err = np.abs(g.sum(axis=-1) - ts.params.ring_length).max(axis=-1)
+    return float(err) if err.ndim == 0 else err

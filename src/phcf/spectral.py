@@ -59,7 +59,6 @@ import numpy as np
 
 from .errors import EigenSolverError, InvalidInputError
 from .model import (
-    ClosedLoop,
     ModelParams,
     _require_quadratic,
     assemble_drift_matrix,  # noqa: F401  (bench/tracer.py times calls through this binding)
@@ -181,6 +180,9 @@ def match_distances(values_a: Sequence[complex], values_b: Sequence[complex]) ->
     from scipy.optimize import linear_sum_assignment
 
     cost = np.abs(a[:, None] - b[None, :])
+    # Catches a non-finite entry of either multiset and an overflowing distance.
+    if not np.isfinite(cost).all():
+        raise InvalidInputError("eigenvalue distances left the floating-point range")
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols]
 
@@ -317,7 +319,7 @@ def exact_stability(params: ModelParams) -> StabilityReport:
     """Stability report of the gap-feedback regime in params (quadratic
     potential only)."""
     _require_quadratic(params)
-    if not isinstance(params.regime, ClosedLoop):
+    if params.regime.t_gap is None:
         raise InvalidInputError(f"params.regime must be ClosedLoop, got {type(params.regime).__name__}")
     return stability_report(
         params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap

@@ -19,13 +19,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedOperationError
-from .model import ControlRegime, ModelParams, OpenLoop, Uncontrolled, hamiltonian
+from .model import ModelParams, hamiltonian
 from .sde import TimeSeries
 
 
 @dataclass(frozen=True)
 class ObservableSeries:
-    """Per-sample scalars derived from a trajectory."""
+    """Per-sample scalars derived from a trajectory, (runs, samples)
+    arrays for a batch; times is the shared sample clock."""
 
     times: np.ndarray
     mean_speed: np.ndarray
@@ -37,16 +38,16 @@ class ObservableSeries:
 def observables(ts: TimeSeries) -> ObservableSeries:
     """Mean speed, speed variance (1/(N-1) normalization), the first
     vehicle's speed, and the energy under the run's own potential at
-    every sample."""
+    every sample; each reduces over the vehicles, the last axis."""
     if len(ts.times) == 0:
         raise InvalidInputError("empty trajectory")
     speeds = ts.speeds()
     energy = hamiltonian(ts.positions(), speeds, ts.params)
     return ObservableSeries(
         times=ts.times.copy(),
-        mean_speed=speeds.mean(axis=1),
-        speed_variance=speeds.var(axis=1, ddof=1),
-        single_vehicle_speed=speeds[:, 0].copy(),
+        mean_speed=speeds.mean(axis=-1),
+        speed_variance=speeds.var(axis=-1, ddof=1),
+        single_vehicle_speed=speeds[..., 0].copy(),
         hamiltonian=energy,
     )
 
@@ -55,7 +56,6 @@ def observables(ts: TimeSeries) -> ObservableSeries:
 class MomentLaw:
     """Mean and variance of the ensemble mean speed as functions of t."""
 
-    regime: ControlRegime
     mean_of_mean_speed: Callable
     variance_of_mean_speed: Callable
     stationary_variance: Optional[float]
@@ -69,29 +69,27 @@ def mean_speed_law(params: ModelParams, initial_mean_speed: float = 0.0) -> Mome
     """
     sig2n = params.sigma**2 / params.n_vehicles
     p0 = float(initial_mean_speed)
-    if isinstance(params.regime, Uncontrolled):
+    if params.regime.t_gap is not None:
+        raise UnsupportedOperationError("the mean speed is not autonomous under gap feedback")
+    if not params.regime.controlled:
         return MomentLaw(
-            regime=params.regime,
             mean_of_mean_speed=lambda t: p0 + 0.0 * np.asarray(t, dtype=float),
             variance_of_mean_speed=lambda t: sig2n * np.asarray(t, dtype=float),
             stationary_variance=None,
         )
-    if isinstance(params.regime, OpenLoop):
-        x = params.regime.x
-        gam = params.gamma
-        stationary = sig2n / (2.0 * gam)
-        return MomentLaw(
-            regime=params.regime,
-            mean_of_mean_speed=lambda t: x + (p0 - x) * np.exp(-gam * np.asarray(t, dtype=float)),
-            variance_of_mean_speed=lambda t: stationary
-            * (1.0 - np.exp(-2.0 * gam * np.asarray(t, dtype=float))),
-            stationary_variance=stationary,
-        )
-    raise UnsupportedOperationError("the mean speed is not autonomous under gap feedback")
+    x = params.regime.x
+    gam = params.gamma
+    stationary = sig2n / (2.0 * gam)
+    return MomentLaw(
+        mean_of_mean_speed=lambda t: x + (p0 - x) * np.exp(-gam * np.asarray(t, dtype=float)),
+        variance_of_mean_speed=lambda t: stationary
+        * (1.0 - np.exp(-2.0 * gam * np.asarray(t, dtype=float))),
+        stationary_variance=stationary,
+    )
 
 
 def deviation_process(ts: TimeSeries) -> np.ndarray:
-    """Speeds with the per-sample mean removed, O(N) per sample.  Rows
-    sum to zero up to rounding."""
+    """Speeds with the per-sample mean removed, O(N) per sample.  Each
+    sample's deviations sum to zero up to rounding."""
     p = ts.speeds()
-    return p - p.mean(axis=1, keepdims=True)
+    return p - p.mean(axis=-1, keepdims=True)

@@ -7,17 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phcf import SimConfig, UniformZeroSpeed, preset, run_ensemble, simulate, stability_report
+from phcf import SimConfig, UniformZeroSpeed, observables, preset, run_ensemble, simulate, stability_report
 
 
 def ensemble_observables(params, config, n_runs):
     """Run an ensemble and keep only the per-run observable matrices
     (samples x runs), which is what the moment tests consume."""
-    runs = run_ensemble(params, config, n_runs)
-    times = runs[0].times
-    pbar = np.stack([ts.speeds().mean(axis=1) for ts in runs], axis=1)
-    speed_var = np.stack([ts.speeds().var(axis=1, ddof=1) for ts in runs], axis=1)
-    return SimpleNamespace(times=times, pbar=pbar, speed_var=speed_var, n_runs=n_runs)
+    obs = observables(run_ensemble(params, config, n_runs))
+    return SimpleNamespace(times=obs.times, pbar=obs.mean_speed.T, speed_var=obs.speed_variance.T,
+                           n_runs=n_runs)
 
 
 @pytest.fixture(scope="session")

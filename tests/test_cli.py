@@ -1,6 +1,7 @@
 """Scenario files, presets, CSV contracts and manifest reproducibility."""
 
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -518,6 +519,57 @@ def test_cmd_ensemble_rerun_from_manifest(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+# The blowing ring of tests/test_sde.py as a scenario: runs 0 and 1 blow
+# up before t_end, run 2 does not.
+BLOWING_SCENARIO = """\
+[model]
+n_vehicles = 5
+ring_length = 10.0
+alpha = 0.0
+beta = 0.0
+gamma = 10.0
+sigma = 1.0
+potential = quadratic
+
+[regime]
+kind = closed_loop
+ell = 1.0
+t_gap = 0.01
+
+[sim]
+dt = 0.001
+t_end = 1.95
+sample_stride = 10
+seed = 3
+initial = uniform_zero_speed
+"""
+
+# SHA-256 of each output of `ensemble --runs 3` on BLOWING_SCENARIO,
+# recorded while each run was still returned as its own TimeSeries.
+BLOWN_ENSEMBLE_SHA256 = {
+    "ensemble_summary.csv": "0979cb519b64407e1aa970d6fcc53768c4f6ca91d8d738f8ff84acbbd5462e55",
+    "observables_run000.csv": "4afc813b36055df5175b6f62d02b36055da44fdf9c0387b7f44ef726a6d08f1c",
+    "observables_run001.csv": "24a014cace80811c53cec39360ced510a42eea4cfe9da513305b2e7ba23e91a5",
+    "observables_run002.csv": "487e6412972ddecbde480ead497bd86aeec12b575095c5b4204d8f11bde221c8",
+    "run_manifest.txt": "dda283d256e0d8ada744d28ecda39d3c0c6f00525bacb759a75f0db926eebe6b",
+}
+
+
+def test_main_ensemble_with_blown_runs_is_pinned(tmp_path):
+    """Blown runs exit 3; each per-run CSV ends at the run's last valid
+    sample (191, 193 and 196 rows), the summary at the shortest run's."""
+    path = tmp_path / "blowing.ini"
+    path.write_text(BLOWING_SCENARIO)
+    out = tmp_path / "o"
+    assert main(["ensemble", "--scenario", str(path), "--out", str(out), "--runs", "3"]) == 3
+    assert "blown_runs = 0,1\n" in (out / "run_manifest.txt").read_text()
+    lengths = [len(read_csv(out / f"observables_run{r:03d}.csv")[1]) for r in range(3)]
+    assert lengths == [191, 193, 196]
+    assert len(read_csv(out / "ensemble_summary.csv")[1]) == 191
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert hashes == BLOWN_ENSEMBLE_SHA256
+
+
 # ---------------------------------------------------------------------------
 # argparse front end
 
@@ -594,16 +646,18 @@ def test_main_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch, command
     ("ensemble", "1e100", ["--runs", "2"]),
     ("spectrum", "1e200", []),
     ("spectrum", "1e100", []),
+    ("spectrum", "1e154", []),
     ("stability-map", "0.5", ["--vary", "alpha=0:1e200:3", "--vary", "gamma=0.1:1:2"]),
     ("stability-map", "0.5", ["--vary", "gamma=0.1:1e160:3", "--vary", "alpha=0.1:1:2"]),
 ], ids=["simulate", "simulate-norm", "ensemble-norm", "spectrum", "spectrum-norm",
-        "stability-map-alpha", "stability-map-gamma"])
+        "spectrum-oracle", "stability-map-alpha", "stability-map-gamma"])
 def test_main_maps_overflow_to_exit_2(tmp_path, capsys, command, alpha, extra):
     """A parameter whose float square overflows exits 2 with a message
     and, like any failed command, leaves no output directory: alpha =
     1e200 in alpha**2, gamma = 1e160 in the Hurwitz term rho**2, and
     alpha = 1e100 in the squared alpha**2 of the drift-matrix norm that
-    every manifest's stability fields need."""
+    every manifest's stability fields need, and alpha = 1e154, whose
+    finite alpha**2 still gives eigenvalues that are not finite."""
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
     path.write_text(path.read_text().replace("alpha = 0.5", f"alpha = {alpha}"))

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phcf import (
     ClosedLoop,
@@ -19,6 +21,7 @@ from phcf import (
     UniformStationary,
     UniformZeroSpeed,
     derive_run_seed,
+    deviation_process,
     initial_state,
     max_gap_closure_error,
     observables,
@@ -249,10 +252,11 @@ def test_mean_speed_recursion_is_exact():
 def test_ensemble_base_case_matches_simulate():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=10, seed=123)
-    run = run_ensemble(sc.params, config, 1)[0]
+    batch = run_ensemble(sc.params, config, 1)
     direct = simulate(sc.params, replace(config, seed=derive_run_seed(123, 0)))
-    assert run.config.seed == derive_run_seed(123, 0)
-    assert np.array_equal(run.q, direct.q) and np.array_equal(run.p, direct.p)
+    assert batch.config == config
+    assert batch.q.shape == (1,) + direct.q.shape and batch.n_valid.tolist() == [len(direct.times)]
+    assert np.array_equal(batch.q[0], direct.q) and np.array_equal(batch.p[0], direct.p)
 
 
 def test_closed_loop_ensemble_rows_equal_simulate():
@@ -260,25 +264,23 @@ def test_closed_loop_ensemble_rows_equal_simulate():
     same run made alone, across a noise-block boundary."""
     sc = preset("fig3")
     config = SimConfig(dt=0.01, t_end=3.0, sample_stride=7, seed=77)
-    runs = run_ensemble(sc.params, config, 3)
-    for r, run in enumerate(runs):
+    batch = run_ensemble(sc.params, config, 3)
+    assert batch.q.flags.c_contiguous and batch.p.flags.c_contiguous
+    assert not (batch.q.flags.writeable or batch.p.flags.writeable)
+    assert batch.blowup_step.tolist() == [0, 0, 0]
+    for r in range(3):
         direct = simulate(sc.params, replace(config, seed=derive_run_seed(77, r)))
-        assert np.array_equal(run.times, direct.times)
-        assert np.array_equal(run.positions(), direct.positions())
-        assert np.array_equal(run.speeds(), direct.speeds())
-        assert run.q.flags.c_contiguous and run.p.flags.c_contiguous
-        assert not (run.q.flags.writeable or run.p.flags.writeable)
-        assert run.overtake_flag == direct.overtake_flag
+        assert np.array_equal(batch.times, direct.times)
+        assert np.array_equal(batch.positions()[r], direct.positions())
+        assert np.array_equal(batch.speeds()[r], direct.speeds())
+        assert batch.overtake_flag[r] == direct.overtake_flag
 
 
 def test_ensemble_runs_are_decorrelated():
     sc = preset("fig1")
     config = SimConfig(dt=0.01, t_end=1.0, sample_stride=1, seed=123)
-    runs = run_ensemble(sc.params, config, 2)
-    speeds0 = runs[0].speeds()
-    speeds1 = runs[1].speeds()
-    assert not np.array_equal(speeds0[1:], speeds1[1:])
-    assert [ts.config.seed for ts in runs] == [derive_run_seed(123, r) for r in range(2)]
+    speeds = run_ensemble(sc.params, config, 2).speeds()
+    assert not np.array_equal(speeds[0, 1:], speeds[1, 1:])
 
 
 def test_ensemble_rejects_zero_runs():
@@ -377,12 +379,56 @@ def test_simulate_blowup_carries_partial():
 
 def test_ensemble_blowup_not_fatal():
     config = SimConfig(dt=0.001, t_end=5.0, sample_stride=10, seed=3)
-    runs = run_ensemble(BLOWING, config, 3)
-    assert len(runs) == 3
-    assert all(ts.blowup_step is not None for ts in runs)
-    assert all(len(ts.times) > 0 for ts in runs)
-    assert [ts.blowup_step for ts in runs] == [1908, 1927, 2017]
-    assert [len(ts.times) for ts in runs] == [191, 193, 202]
+    batch = run_ensemble(BLOWING, config, 3)
+    assert batch.q.shape == (3, 501, 5)
+    assert batch.blowup_step.tolist() == [1908, 1927, 2017]
+    assert batch.n_valid.tolist() == [191, 193, 202]
+    # every run blew up, so the loop ended early: the samples it never
+    # reached are zeros, like those the dead rows recorded
+    assert not batch.q[0, 191:].any() and not batch.p[2, 202:].any()
+
+
+def batch_cases():
+    """(params, config, n_runs): the blowing ring around its blowup times,
+    where some runs blow up and others do not, or a short gap-feedback run
+    across a noise-block boundary."""
+    seeds = st.integers(0, 2**64 - 1)
+    blowing = st.builds(lambda t, stride, seed: (BLOWING, SimConfig(0.001, t, stride, seed)),
+                        st.floats(1.85, 2.1), st.integers(1, 12), seeds)
+    fig3 = st.builds(lambda t, stride, seed: (replace(fig_params("fig3"), n_vehicles=6),
+                                             SimConfig(0.01, t, stride, seed)),
+                     st.floats(0.01, 3.0), st.integers(1, 12), seeds)
+    return st.tuples(st.one_of(blowing, fig3), st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(batch_cases())
+def test_batch_rows_equal_single_runs(case):
+    """Row r of an ensemble, its mask fields and its row of every
+    per-sample observable equal the single run under derive_run_seed(seed,
+    r), bit for bit; the samples past n_valid[r] are zeros."""
+    (params, config), n_runs = case
+    batch = run_ensemble(params, config, n_runs)
+    obs = observables(batch)
+    deviations = deviation_process(batch)
+    closure = max_gap_closure_error(batch)
+    assert batch.config == config and closure.shape == (n_runs,)
+    for r in range(n_runs):
+        try:
+            single, step = simulate(params, replace(config, seed=derive_run_seed(config.seed, r))), 0
+        except NumericalBlowupError as exc:
+            single, step = exc.partial, exc.step
+        v = batch.n_valid[r]
+        assert v == len(single.times) and np.array_equal(batch.times[:v], single.times)
+        assert np.array_equal(batch.q[r, :v], single.q) and np.array_equal(batch.p[r, :v], single.p)
+        assert batch.blowup_step[r] == step
+        assert batch.overtake_flag[r] == single.overtake_flag
+        assert not batch.q[r, v:].any() and not batch.p[r, v:].any()
+        alone = observables(single)
+        for field in ("mean_speed", "speed_variance", "single_vehicle_speed", "hamiltonian"):
+            assert np.array_equal(getattr(obs, field)[r, :v], getattr(alone, field)), field
+        assert np.array_equal(deviations[r, :v], deviation_process(single))
+        assert closure[r] == max_gap_closure_error(single)
 
 
 def test_overtake_flag_set_on_crossing():
