@@ -162,21 +162,25 @@ def _require_quadratic(params: ModelParams) -> None:
 # ring geometry and drift
 
 
+def _forward_views(x, d):
+    """(minuend, subtrahend, out) view triples of d = forward difference
+    of x along the last axis: the interior x[i+1] - x[i], then the wrap
+    x[0] - x[-1] into the last entry."""
+    return (x[..., 1:], x[..., :-1], d[..., :-1]), (x[..., :1], x[..., -1:], d[..., -1:])
+
+
+def _backward_views(x, d):
+    """The same for the backward difference: x[i] - x[i-1], then the wrap
+    x[0] - x[-1] into the first entry."""
+    return (x[..., 1:], x[..., :-1], d[..., 1:]), (x[..., :1], x[..., -1:], d[..., :1])
+
+
 def _forward_diff(x: np.ndarray) -> np.ndarray:
     """x[i+1] - x[i] along the last axis; the last entry wraps to x[0] - x[-1]."""
     x = np.asarray(x)
     d = np.empty_like(x)
-    np.subtract(x[..., 1:], x[..., :-1], d[..., :-1])
-    np.subtract(x[..., :1], x[..., -1:], d[..., -1:])
-    return d
-
-
-def _backward_diff(x: np.ndarray) -> np.ndarray:
-    """x[i] - x[i-1] along the last axis; the first entry wraps to x[0] - x[-1]."""
-    x = np.asarray(x)
-    d = np.empty_like(x)
-    np.subtract(x[..., 1:], x[..., :-1], d[..., 1:])
-    np.subtract(x[..., :1], x[..., -1:], d[..., :1])
+    for views in _forward_views(x, d):
+        np.subtract(*views)
     return d
 
 
@@ -190,26 +194,81 @@ def gaps_array(q: np.ndarray, ring_length: float) -> np.ndarray:
     return dq
 
 
-def acceleration_array(q, p, params: ModelParams):
+class _DriftWork:
+    """Buffers and slice views for evaluating the drift of one (q, p)
+    pair again and again, as an integrator does after updating q and p
+    in place.
+
+    Every buffer and every view of q, p and the buffers is made here,
+    once; evaluate() then runs the drift's ufunc sequence with out= into
+    them and allocates nothing, except what a CustomDerivative or the
+    regime's target_speed(gap) return.
+    """
+
+    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams):
+        self.q, self.p, self.params = q, p, params
+        self.gap = np.empty_like(q)
+        self.force = np.empty_like(q)
+        self.dforce = np.empty_like(q)
+        self.dp = np.empty_like(p)
+        self.acc = np.empty_like(p)
+        self.scratch = np.empty_like(p)
+        self._gap_diff = _forward_views(q, self.gap)
+        self._gap_wrap = self.gap[..., -1:]
+        self._dp_diff = _forward_views(p, self.dp)
+        self._acc_diff = _backward_views(self.dp, self.acc)
+        self._dforce_diff = _backward_views(self.force, self.dforce)
+        self._alpha2 = params.alpha**2
+        self._derivative = None if params.potential is None else params.potential.derivative
+
+    def evaluate(self) -> np.ndarray:
+        """The drift at the current q and p, in the buffer self.acc."""
+        sub = np.subtract
+        params = self.params
+        gap, force, acc = self.gap, self.force, self.acc
+        for views in self._gap_diff:
+            sub(*views)
+        np.add(self._gap_wrap, params.ring_length, self._gap_wrap)
+        if self._derivative is None:
+            np.multiply(self._alpha2, gap, force)
+        else:
+            np.copyto(force, self._derivative(gap))
+        for views in self._dp_diff:
+            sub(*views)
+        for views in self._acc_diff:
+            sub(*views)
+        np.multiply(acc, params.beta, acc)
+        for views in self._dforce_diff:
+            sub(*views)
+        np.add(acc, self.dforce, acc)
+        regime = params.regime
+        if regime.controlled:
+            scratch = self.scratch
+            sub(regime.target_speed(gap), self.p, scratch)
+            np.multiply(params.gamma, scratch, scratch)
+            np.add(acc, scratch, acc)
+        return acc
+
+
+def acceleration_array(q, p, params: ModelParams, work: Optional[_DriftWork] = None):
     """Speed drift on raw arrays; broadcasts over leading axes.
 
     beta*bwd(fwd(p)) + bwd(force) plus the control term, with fwd/bwd
     the periodic forward and backward differences (index n-1 wraps to N
     at n=1) and force the potential's derivative at each gap.  Rows of a
     batch never mix, so each equals that state evaluated alone.
+
+    Without work the result is a new array.  work is a _DriftWork built
+    for these very q, p and params (anything else raises
+    InvalidInputError); the result is then its buffer, which the next
+    call with that work overwrites.  Both paths run the same arithmetic,
+    so their results are equal bit for bit.
     """
-    gap = gaps_array(q, params.ring_length)
-    if params.potential is None:
-        force = params.alpha**2 * gap
-    else:
-        force = params.potential.derivative(gap)
-    acc = _backward_diff(_forward_diff(p))
-    acc *= params.beta
-    acc += _backward_diff(force)
-    regime = params.regime
-    if regime.controlled:
-        acc += params.gamma * (regime.target_speed(gap) - p)
-    return acc
+    if work is None:
+        return _DriftWork(np.asarray(q), np.asarray(p), params).evaluate()
+    if not (work.q is q and work.p is p and work.params is params):
+        raise InvalidInputError("the drift workspace was built for other arrays or params")
+    return work.evaluate()
 
 
 def hamiltonian(q, p, params: ModelParams):

@@ -23,6 +23,15 @@ bit-identical to a run made alone.  A run is aborted when a speed exceeds
 BLOWUP_LIMIT in magnitude or the state stops being finite; one whole-array
 test per step decides whether any row needs that per-row check.  The
 ensemble comes back as that one batch; simulate slices its only run out.
+
+At N = 20 a step costs numpy call overhead, not arithmetic, so the loop
+allocates nothing per step.  Each integration builds one drift workspace
+(model._DriftWork) for its (runs, N) arrays, with every buffer and slice
+view made once, and calls acceleration_array(q, p, params, work) exactly
+once per step, through this module's binding: bench/tracer.py counts
+run-steps from the calls to phcf.sde.acceleration_array.  The noise
+rows, the per-run noise columns and the blowup test's buffers are made
+once per call too.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError, NumericalBlowupError
-from .model import ModelParams, _require_finite, acceleration_array, gaps_array
+from .model import ModelParams, _DriftWork, _require_finite, acceleration_array, gaps_array
 
 # Steps per Philox counter block; the block index is the stream counter.
 NOISE_BLOCK = 256
@@ -220,6 +229,12 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     q0, p0 = initial_state(params, config.initial)
     q = np.tile(q0, (runs, 1))
     p = np.tile(p0, (runs, 1))
+    # every per-step buffer and view is made once, before the loop
+    work = _DriftWork(q, p, params)
+    noise_rows = list(noise)
+    noise_runs = [noise[:, r] for r in range(runs)]
+    p_abs = np.empty_like(p)
+    q_finite = np.empty(q.shape, dtype=bool)
     seeds = [run_seed(r) for r in range(runs)]
     overtake = np.zeros(runs, dtype=bool)
     blow_step = np.zeros(runs, dtype=np.int64)
@@ -239,18 +254,18 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
             break
         j = s % NOISE_BLOCK
         if j == 0:
-            for r, seed in enumerate(seeds):
-                noise[:, r] = noise_block(seed, s // NOISE_BLOCK, n)
+            for column, seed in zip(noise_runs, seeds):
+                column[...] = noise_block(seed, s // NOISE_BLOCK, n)
             noise *= sig_sqdt
         # p + dt*acc + sigma*sqrt(dt)*noise, then q + dt*p, in that order
-        acc = acceleration_array(q, p, params)
+        acc = acceleration_array(q, p, params, work)
         acc *= dt
         p += acc
-        p += noise[j]
+        p += noise_rows[j]
         np.multiply(p, dt, out=acc)
         q += acc
         # NaN fails the comparison too; per-row masks only when this fires
-        if not (np.abs(p).max() <= BLOWUP_LIMIT and np.isfinite(q).all()):
+        if not (np.abs(p, out=p_abs).max() <= BLOWUP_LIMIT and np.isfinite(q, out=q_finite).all()):
             bad = active & (
                 ~np.isfinite(p).all(axis=1)
                 | ~np.isfinite(q).all(axis=1)

@@ -91,17 +91,20 @@ def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
     -lin_j.
     """
     n = len(cos)
-    m = 2.0 - 2.0 * cos
-    lin = beta * m + gamma
-    const = a2 * m
-    if g is not None:
-        # Equal bit for bit to the scalar powers omega**j: numpy computes
-        # both with the same complex power routine.
-        const = const + g * (1.0 - np.exp(2j * np.pi / n) ** np.arange(n))
-    s = np.sqrt((lin * lin - 4.0 * const).astype(complex))
-    roots = np.empty(lin.shape + (2,), dtype=complex)
-    roots[..., 0] = (-lin + s) / 2.0
-    roots[..., 1] = (-lin - s) / 2.0
+    # Parameters near the float range give non-finite roots, returned
+    # without numpy warnings; match_distances refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = 2.0 - 2.0 * cos
+        lin = beta * m + gamma
+        const = a2 * m
+        if g is not None:
+            # Equal bit for bit to the scalar powers omega**j: numpy computes
+            # both with the same complex power routine.
+            const = const + g * (1.0 - np.exp(2j * np.pi / n) ** np.arange(n))
+        s = np.sqrt((lin * lin - 4.0 * const).astype(complex))
+        roots = np.empty(lin.shape + (2,), dtype=complex)
+        roots[..., 0] = (-lin + s) / 2.0
+        roots[..., 1] = (-lin - s) / 2.0
     zero = const == 0
     roots[zero, 0] = 0.0
     roots[zero, 1] = -lin[zero]

@@ -100,16 +100,19 @@ class _Panel:
             )
 
     def polyline(self, xs, ys, color, width=1.0):
-        pts = []
-        for x, y in zip(xs, ys):
-            if np.isnan(y):
-                if len(pts) > 1:
-                    self._emit_polyline(pts, color, width)
-                pts = []
-                continue
-            pts.append((self.px(x), self.py(y)))
-        if len(pts) > 1:
-            self._emit_polyline(pts, color, width)
+        """One polyline per run of at least two points between NaN ys.
+
+        px and py map whole arrays with the scalar arithmetic, element
+        by element, so each point is the same double as mapped alone.
+        """
+        ys = np.asarray(ys, dtype=float)
+        xp = self.px(np.asarray(xs, dtype=float)).tolist()
+        yp = self.py(ys).tolist()
+        start = 0
+        for stop in np.flatnonzero(np.isnan(ys)).tolist() + [len(yp)]:
+            if stop - start > 1:
+                self._emit_polyline(zip(xp[start:stop], yp[start:stop]), color, width)
+            start = stop + 1
 
     def _emit_polyline(self, pts, color, width):
         coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in pts)

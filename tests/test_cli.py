@@ -366,6 +366,21 @@ def test_cmd_spectrum_svg(tmp_path):
     assert svg.startswith("<svg") and "circle" in svg
 
 
+def test_svg_polyline_breaks_at_nan():
+    """A trace breaks at every NaN y, and a piece of fewer than two points
+    draws nothing.  The panel maps x to 10*x and y to 100 - 10*y."""
+    from phcf.svgplot import _Panel
+
+    panel = _Panel(0, 0, 100, 100, (0.0, 10.0), (0.0, 10.0))
+    del panel.parts[:]
+    panel.polyline(np.arange(9.0), [0, np.nan, 1, 2, np.nan, np.nan, 3, 4, 5], "red")
+    tail = '" fill="none" stroke="red" stroke-width="1.00"/>'
+    assert panel.parts == [
+        '<polyline points="20.00,90.00 30.00,80.00' + tail,
+        '<polyline points="60.00,70.00 70.00,60.00 80.00,50.00' + tail,
+    ]
+
+
 # ---------------------------------------------------------------------------
 # stability map command
 

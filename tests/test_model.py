@@ -23,7 +23,7 @@ from phcf import (
     hamiltonian,
     simulate,
 )
-from phcf.model import _forward_diff, _ring_difference_matrix, acceleration_array, gaps_array
+from phcf.model import _DriftWork, _forward_diff, _ring_difference_matrix, acceleration_array, gaps_array
 from oracles import phs_matrices, ring_difference
 
 
@@ -470,3 +470,26 @@ def test_slice_kernels_equal_roll_formulas_bitwise(case):
     assert same_bits(acceleration_array(q, p, params), roll_acceleration(q, p, params))
     # a lone row (1-d arrays) sees the same arithmetic as inside the batch
     assert same_bits(acceleration_array(q[-1], p[-1], params), roll_acceleration(q, p, params)[-1])
+    # one workspace while q and p change in place, as in the integrator:
+    # a move, a reversal, and a dead row zeroed
+    work = _DriftWork(q, p, params)
+    for change in range(4):
+        if change == 1:
+            q += p
+        elif change == 2:
+            p[...] = p[..., ::-1]
+        elif change == 3:
+            q[0] = p[0] = 0.0
+        acc = acceleration_array(q, p, params, work)
+        assert same_bits(acc, roll_acceleration(q, p, params))
+    # the result is the workspace's buffer, overwritten by the next call
+    assert acceleration_array(q, p, params, work) is acc
+
+
+def test_drift_workspace_refuses_other_arrays():
+    q, p = np.arange(4.0).reshape(1, 4), np.ones((1, 4))
+    params = uncontrolled(n=4, length=8.0)
+    work = _DriftWork(q, p, params)
+    for args in [(q.copy(), p, params), (q, p.copy(), params), (q, p, replace(params, beta=2.0))]:
+        with pytest.raises(InvalidInputError):
+            acceleration_array(*args, work)
