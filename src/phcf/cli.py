@@ -65,16 +65,19 @@ def _trajectory_rows(ts: TimeSeries, wrap: bool):
     if wrap:
         q = np.mod(q, ts.params.ring_length)
     p = ts.speeds()
-    for i, t in enumerate(ts.times):
-        yield [_num(t)] + [_num(v) for v in q[i]] + [_num(v) for v in p[i]]
+    # repr of a tolist() float is _num's string; one (N,) row at a time,
+    # so no (samples, N) array of Python floats is ever built
+    for i, t in enumerate(ts.times.tolist()):
+        yield [repr(t), *map(repr, q[i].tolist()), *map(repr, p[i].tolist())]
 
 
 def _observable_rows(obs, run=..., n_valid=None):
     """CSV rows of one run's observables: row run of an ensemble's, cut
     at its n_valid samples."""
     columns = (obs.mean_speed, obs.speed_variance, obs.single_vehicle_speed, obs.hamiltonian)
-    for row in zip(obs.times[:n_valid], *(c[run] for c in columns)):
-        yield [_num(x) for x in row]
+    # one run's (samples,) columns as Python floats, formatted as _num does
+    for row in zip(obs.times[:n_valid].tolist(), *(c[run].tolist() for c in columns)):
+        yield list(map(repr, row))
 
 
 def _stability_info(scenario: Scenario) -> dict:

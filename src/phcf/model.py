@@ -37,7 +37,9 @@ def _require_finite(obj, *names):
 
 # Each regime carries what differs between them: ``controlled`` (whether
 # speeds relax toward a commanded speed at rate gamma), ``t_gap`` (None
-# without gap feedback) and target_speed(gap), the commanded speed.
+# without gap feedback) and target_speed(gap, out=None), the commanded
+# speed.  Only ClosedLoop's depends on the gap; it writes into out when
+# one is given, and the other two ignore out and return their scalar.
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class Uncontrolled:
     controlled: ClassVar[bool] = False
     t_gap: ClassVar[None] = None
 
-    def target_speed(self, gap):
+    def target_speed(self, gap, out=None):
         """0: every common speed is steady, and 0 is the convention."""
         return 0.0
 
@@ -63,7 +65,7 @@ class OpenLoop:
     def __post_init__(self):
         _require_finite(self, "x")
 
-    def target_speed(self, gap):
+    def target_speed(self, gap, out=None):
         return self.x
 
 
@@ -82,8 +84,13 @@ class ClosedLoop:
         if self.ell < 0:
             raise InvalidInputError(f"ell must be nonnegative, got {self.ell}")
 
-    def target_speed(self, gap):
-        return (gap - self.ell) / self.t_gap
+    def target_speed(self, gap, out=None):
+        """(gap - ell)/t_gap; with out, the same two ufuncs write into out
+        and return it."""
+        if out is None:
+            return (gap - self.ell) / self.t_gap
+        np.subtract(gap, self.ell, out)
+        return np.divide(out, self.t_gap, out)
 
 
 ControlRegime = Union[Uncontrolled, OpenLoop, ClosedLoop]
@@ -164,20 +171,32 @@ def _require_quadratic(params: ModelParams) -> None:
 
 def _forward_views(x, d):
     """(minuend, subtrahend, out) view triples of d = forward difference
-    of x along the last axis: the interior x[i+1] - x[i], then the wrap
-    x[0] - x[-1] into the last entry."""
-    return (x[..., 1:], x[..., :-1], d[..., :-1]), (x[..., :1], x[..., -1:], d[..., -1:])
+    of x along the last axis, for C-contiguous x and d of one shape.
+
+    The first triple is the interior x[i+1] - x[i] taken over the
+    flattened buffers: one ufunc for every row of a batch at once.  At
+    each row's last entry it subtracts across two rows (the next row's
+    first entry minus this one's last).  The second triple, the wrap
+    x[0] - x[-1], runs after it and overwrites exactly those entries, so
+    every entry that survives is the row's own difference.  The
+    discarded entries can raise floating-point warnings (overflow,
+    invalid value) that no row alone would.
+    """
+    xf, df = x.reshape(-1), d.reshape(-1)
+    return (xf[1:], xf[:-1], df[:-1]), (x[..., :1], x[..., -1:], d[..., -1:])
 
 
 def _backward_views(x, d):
-    """The same for the backward difference: x[i] - x[i-1], then the wrap
-    x[0] - x[-1] into the first entry."""
-    return (x[..., 1:], x[..., :-1], d[..., 1:]), (x[..., :1], x[..., -1:], d[..., :1])
+    """The same for the backward difference x[i] - x[i-1]: the flat
+    interior crosses rows at each row's first entry, which the wrap
+    x[0] - x[-1] then overwrites."""
+    xf, df = x.reshape(-1), d.reshape(-1)
+    return (xf[1:], xf[:-1], df[1:]), (x[..., :1], x[..., -1:], d[..., :1])
 
 
 def _forward_diff(x: np.ndarray) -> np.ndarray:
     """x[i+1] - x[i] along the last axis; the last entry wraps to x[0] - x[-1]."""
-    x = np.asarray(x)
+    x = np.ascontiguousarray(x)
     d = np.empty_like(x)
     for views in _forward_views(x, d):
         np.subtract(*views)
@@ -194,6 +213,15 @@ def gaps_array(q: np.ndarray, ring_length: float) -> np.ndarray:
     return dq
 
 
+def _views_share_memory(views, x, d) -> bool:
+    """Whether a difference's flat interior views are views of x and d
+    (reshape copies an array it cannot flatten in place)."""
+    (hi, lo, out), _ = views
+    if x.size == 0:
+        return True
+    return np.shares_memory(hi, x) and np.shares_memory(lo, x) and np.shares_memory(out, d)
+
+
 class _DriftWork:
     """Buffers and slice views for evaluating the drift of one (q, p)
     pair again and again, as an integrator does after updating q and p
@@ -201,11 +229,20 @@ class _DriftWork:
 
     Every buffer and every view of q, p and the buffers is made here,
     once; evaluate() then runs the drift's ufunc sequence with out= into
-    them and allocates nothing, except what a CustomDerivative or the
-    regime's target_speed(gap) return.
+    them and allocates nothing, except what a CustomDerivative returns.
+    Each of the four ring differences (gap, speed difference,
+    acceleration, force difference) is one ufunc over the flattened
+    (..., N) buffers for all rows at once, then one over the wrap column,
+    which overwrites the row-crossing entries of the first (see
+    _forward_views).  q and p must therefore be C-contiguous: the flat
+    view of any other array is a copy, and evaluate() would read stale
+    data from it.  Anything else raises InvalidInputError.
     """
 
     def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams):
+        for name, x in (("q", q), ("p", p)):
+            if not x.flags.c_contiguous:
+                raise InvalidInputError(f"the drift workspace needs a C-contiguous {name}")
         self.q, self.p, self.params = q, p, params
         self.gap = np.empty_like(q)
         self.force = np.empty_like(q)
@@ -218,6 +255,14 @@ class _DriftWork:
         self._dp_diff = _forward_views(p, self.dp)
         self._acc_diff = _backward_views(self.dp, self.acc)
         self._dforce_diff = _backward_views(self.force, self.dforce)
+        for views, x, d in (
+            (self._gap_diff, q, self.gap),
+            (self._dp_diff, p, self.dp),
+            (self._acc_diff, self.dp, self.acc),
+            (self._dforce_diff, self.force, self.dforce),
+        ):
+            if not _views_share_memory(views, x, d):
+                raise InvalidInputError("a flat view of the drift workspace is a copy")
         self._alpha2 = params.alpha**2
         self._derivative = None if params.potential is None else params.potential.derivative
 
@@ -244,7 +289,7 @@ class _DriftWork:
         regime = params.regime
         if regime.controlled:
             scratch = self.scratch
-            sub(regime.target_speed(gap), self.p, scratch)
+            sub(regime.target_speed(gap, scratch), self.p, scratch)
             np.multiply(params.gamma, scratch, scratch)
             np.add(acc, scratch, acc)
         return acc
@@ -258,14 +303,16 @@ def acceleration_array(q, p, params: ModelParams, work: Optional[_DriftWork] = N
     at n=1) and force the potential's derivative at each gap.  Rows of a
     batch never mix, so each equals that state evaluated alone.
 
-    Without work the result is a new array.  work is a _DriftWork built
-    for these very q, p and params (anything else raises
-    InvalidInputError); the result is then its buffer, which the next
-    call with that work overwrites.  Both paths run the same arithmetic,
-    so their results are equal bit for bit.
+    Without work the result is a new array, computed from C-contiguous
+    copies of q and p where they are not C-contiguous already (same
+    values, same bits).  work is a _DriftWork built for these very q, p
+    and params (anything else raises InvalidInputError); the result is
+    then its buffer, which the next call with that work overwrites.
+    Both paths run the same arithmetic, so their results are equal bit
+    for bit.
     """
     if work is None:
-        return _DriftWork(np.asarray(q), np.asarray(p), params).evaluate()
+        return _DriftWork(np.ascontiguousarray(q), np.ascontiguousarray(p), params).evaluate()
     if not (work.q is q and work.p is p and work.params is params):
         raise InvalidInputError("the drift workspace was built for other arrays or params")
     return work.evaluate()

@@ -25,13 +25,17 @@ test per step decides whether any row needs that per-row check.  The
 ensemble comes back as that one batch; simulate slices its only run out.
 
 At N = 20 a step costs numpy call overhead, not arithmetic, so the loop
-allocates nothing per step.  Each integration builds one drift workspace
-(model._DriftWork) for its (runs, N) arrays, with every buffer and slice
-view made once, and calls acceleration_array(q, p, params, work) exactly
-once per step, through this module's binding: bench/tracer.py counts
-run-steps from the calls to phcf.sde.acceleration_array.  The noise
-rows, the per-run noise columns and the blowup test's buffers are made
-once per call too.
+allocates nothing per step and makes as few numpy calls as it can.  Each
+integration builds one drift workspace (model._DriftWork) for its
+C-contiguous (runs, N) arrays, with every buffer and view made once, and
+calls acceleration_array(q, p, params, work) exactly once per step,
+through this module's binding: bench/tracer.py counts run-steps from the
+calls to phcf.sde.acceleration_array.  Each ring difference of the drift
+is one 1-D ufunc over the flattened buffer of all runs plus one over the
+(runs, 1) wrap column that overwrites the entries crossing from one run
+into the next, so its cost hardly grows with the number of runs.  The
+noise rows, the per-run noise columns and the blowup test's buffers are
+made once per call too.
 """
 
 from __future__ import annotations
@@ -227,6 +231,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     # one block of draws for all runs, refilled in place at each block start
     noise = np.empty((NOISE_BLOCK, runs, n))
     q0, p0 = initial_state(params, config.initial)
+    # C-contiguous, as the drift workspace requires
     q = np.tile(q0, (runs, 1))
     p = np.tile(p0, (runs, 1))
     # every per-step buffer and view is made once, before the loop

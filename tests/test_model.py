@@ -418,13 +418,21 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_bits_but_nan(a, b):
+    """same_bits with every nan taken as one.  When both operands of an
+    add are nans, numpy passes on one or the other depending on whether
+    the entry falls in the vector body or the scalar tail of its loop,
+    so the sign of a nan depends on its position in the array."""
+    return same_bits(np.where(np.isnan(a), np.nan, a), np.where(np.isnan(b), np.nan, b))
+
+
 _rates = st.floats(0.0, 50.0)
 _reals = st.floats(-1e6, 1e6)
 
 
 @st.composite
-def kernel_cases(draw):
-    runs = draw(st.integers(1, 4))
+def kernel_cases(draw, min_runs=1):
+    runs = draw(st.integers(min_runs, 4))
     n = draw(st.integers(2, 25))
     q = draw(hnp.arrays(np.float64, (runs, n), elements=_reals))
     p = draw(hnp.arrays(np.float64, (runs, n), elements=_reals))
@@ -493,3 +501,78 @@ def test_drift_workspace_refuses_other_arrays():
     for args in [(q.copy(), p, params), (q, p.copy(), params), (q, p, replace(params, beta=2.0))]:
         with pytest.raises(InvalidInputError):
             acceleration_array(*args, work)
+
+
+@st.composite
+def scaled_batches(draw):
+    """(q, p, params) with 2..4 rows whose scales differ by up to 1e6, so
+    that a row-crossing difference left in a result would show; one row
+    may carry a nan or an infinity at the entries next to its neighbours."""
+    q, p, params = draw(kernel_cases(min_runs=2))
+    scales = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=len(q), max_size=len(q))))
+    q *= scales[:, None]
+    p *= scales[:, None]
+    if draw(st.booleans()):
+        x = q if draw(st.booleans()) else p
+        row = draw(st.integers(0, len(q) - 1))
+        x[row, draw(st.sampled_from([..., 0, -1]))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return q, p, params
+
+
+@settings(deadline=None, database=None)
+@given(scaled_batches())
+def test_batch_rows_equal_rows_alone_bitwise(case):
+    """Each difference runs over the flattened batch and the wrap column
+    then overwrites the row-crossing entries: no row may see another,
+    not even a non-finite neighbour."""
+    q, p, params = case
+    with np.errstate(all="ignore"):
+        acc = acceleration_array(q, p, params)
+        gaps = gaps_array(q, params.ring_length)
+        for r in range(len(q)):
+            assert same_bits_but_nan(acc[r], acceleration_array(q[r], p[r], params))
+            assert same_bits_but_nan(gaps[r], gaps_array(q[r], params.ring_length))
+
+
+def _layouts(x):
+    """x as Fortran-ordered, reversed, strided and broadcast arrays."""
+    wide = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+    wide[::2, ::3] = x
+    return [
+        np.asfortranarray(x),
+        x[..., ::-1].copy()[..., ::-1],
+        wide[::2, ::3],
+        np.broadcast_to(x[:1], x.shape),
+    ]
+
+
+@settings(deadline=None, database=None)
+@given(kernel_cases(min_runs=2))
+def test_non_contiguous_inputs_equal_contiguous_copy_bitwise(case):
+    q, p, params = case
+    for q_in, p_in in zip(_layouts(q), _layouts(p)):
+        assert not q_in.flags.c_contiguous and not p_in.flags.c_contiguous
+        q_c, p_c = np.ascontiguousarray(q_in), np.ascontiguousarray(p_in)
+        assert same_bits(acceleration_array(q_in, p_in, params), acceleration_array(q_c, p_c, params))
+        assert same_bits(gaps_array(q_in, params.ring_length), gaps_array(q_c, params.ring_length))
+
+
+def test_drift_workspace_refuses_non_contiguous_arrays():
+    q, p = np.arange(8.0).reshape(2, 4), np.ones((2, 4))
+    params = uncontrolled(n=4, length=8.0)
+    for x in _layouts(q):
+        with pytest.raises(InvalidInputError, match="C-contiguous q"):
+            _DriftWork(x, p, params)
+        with pytest.raises(InvalidInputError, match="C-contiguous p"):
+            _DriftWork(q, x, params)
+
+
+def test_closed_loop_target_speed_writes_out():
+    regime = ClosedLoop(ell=1.3, t_gap=0.7)
+    gap = np.random.default_rng(5).uniform(-10.0, 10.0, (3, 7))
+    buf = np.empty_like(gap)
+    assert regime.target_speed(gap, out=buf) is buf
+    assert same_bits(buf, (gap - 1.3) / 0.7)
+    assert same_bits(regime.target_speed(gap), buf)
+    for scalar_regime, value in ((Uncontrolled(), 0.0), (OpenLoop(x=2.5), 2.5)):
+        assert scalar_regime.target_speed(gap, out=buf) == value
