@@ -19,23 +19,31 @@ and leaves no state behind between calls.
 The integrator advances all runs of an ensemble as the rows of (runs, N)
 arrays updated in place.  Every update is elementwise, in the order
 p + dt*drift + sigma*sqrt(dt)*noise and then q + dt*p, so each row is
-bit-identical to a run made alone.  A run is aborted when a speed exceeds
-BLOWUP_LIMIT in magnitude or the state stops being finite; one whole-array
-test per step decides whether any row needs that per-row check.  The
-ensemble comes back as that one batch; simulate slices its only run out.
+bit-identical to a run made alone.  A run is aborted at the first step
+after which a speed exceeds BLOWUP_LIMIT in magnitude or the state is not
+finite.  Steps run one noise block at a time, first without that test;
+one test at the end of the block accepts it exactly when no step would
+have failed, and a block that fails is replayed from its start with the
+test at every step (see _integrate), so the result is that of testing
+every step, to the bit.  The ensemble comes back as that one batch;
+simulate slices its only run out.
 
 At N = 20 a step costs numpy call overhead, not arithmetic, so the loop
 allocates nothing per step and makes as few numpy calls as it can.  Each
 integration builds one drift workspace (model._DriftWork) for its
 C-contiguous (runs, N) arrays, with every buffer and view made once, and
-calls acceleration_array(q, p, params, work) exactly once per step,
-through this module's binding: bench/tracer.py counts run-steps from the
-calls to phcf.sde.acceleration_array.  Each ring difference of the drift
-is one 1-D ufunc over the flattened buffer of all runs plus one over the
-(runs, 1) wrap column that overwrites the entries crossing from one run
-into the next, so its cost hardly grows with the number of runs.  The
-noise rows, the per-run noise columns and the blowup test's buffers are
-made once per call too.
+calls acceleration_array(q, p, params, work) through this module's
+binding once per step, and once more per step of the fast pass of a block
+that is replayed: bench/tracer.py counts run-steps from the calls to
+phcf.sde.acceleration_array.  Each ring difference of the drift is one
+1-D ufunc over the flattened buffer of all runs plus one over the (runs,
+1) wrap column that overwrites the entries crossing from one run into the
+next, so its cost hardly grows with the number of runs.  Past the drift,
+a step is five in-place ufuncs, none of them for the blowup test: dt*p
+goes into the noise row the step has just added to p, where the
+block-end test finds the dt*p of every step of the block.  The noise
+rows, the block-start copy of the state and the finiteness test's buffer
+are made once per call too.
 """
 
 from __future__ import annotations
@@ -115,8 +123,9 @@ class TimeSeries:
     (samples, N) for one run, (runs, samples, N) for a batch, read-only
     when the integrator made them.  overtake_flag records whether a
     recorded sample had a non-positive gap (permitted by the quadratic
-    potential, flagged as a diagnostic); blowup_step is the step at which
-    the state left the finite range.
+    potential, flagged as a diagnostic); blowup_step is the step after
+    which a speed exceeded BLOWUP_LIMIT in magnitude or the state was not
+    finite, the step that ended the run.
 
     One run ends at its last valid sample; its overtake_flag is a bool
     and its blowup_step None or an int.  In a batch both are per-run
@@ -218,6 +227,21 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
 
     Every buffer is allocated before the first seed is derived, so a run
     too large for memory fails with MemoryError at once.
+
+    Each noise block runs first in a fast pass without the per-step
+    blowup test, under the caller's np.errstate with every kind it does
+    not ignore set to "call", which records the error instead of acting
+    on it.  The block is accepted when no error was recorded, every dt*p
+    it computed is strictly inside +-fl(dt*BLOWUP_LIMIT) and q is finite
+    at its end: rounding is monotone, so |p| > BLOWUP_LIMIT implies
+    |fl(dt*p)| >= fl(dt*BLOWUP_LIMIT), and a non-finite entry of q stays
+    non-finite under q += dt*p.  An accepted block is therefore one in
+    which the per-step test never fires.  Any other block is restored to
+    its start, its noise drawn again, and replayed under the caller's
+    settings with the per-step test, which gives the bits, blowup steps,
+    sample counts and floating-point warnings or errors of testing every
+    step.  The fast pass may evaluate the drift, a CustomDerivative too,
+    on a diverged state up to the end of its block before that replay.
     """
     n = params.n_vehicles
     length = params.ring_length
@@ -228,7 +252,8 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     # run-major, so each run's samples are one C-contiguous block
     q_samples = np.empty((runs, n_samples, n))
     p_samples = np.empty((runs, n_samples, n))
-    # one block of draws for all runs, refilled in place at each block start
+    # one block of draws for all runs, refilled in place at each block
+    # start; each step overwrites the row it used with dt*p
     noise = np.empty((NOISE_BLOCK, runs, n))
     q0, p0 = initial_state(params, config.initial)
     # C-contiguous, as the drift workspace requires
@@ -237,8 +262,6 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     # every per-step buffer and view is made once, before the loop
     work = _DriftWork(q, p, params)
     noise_rows = list(noise)
-    noise_runs = [noise[:, r] for r in range(runs)]
-    p_abs = np.empty_like(p)
     q_finite = np.empty(q.shape, dtype=bool)
     seeds = [run_seed(r) for r in range(runs)]
     overtake = np.zeros(runs, dtype=bool)
@@ -247,42 +270,85 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     active = np.ones(runs, dtype=bool)
 
     sig_sqdt = params.sigma * math.sqrt(dt)
-    k = 0
-    for s in range(n_steps + 1):
-        if s % stride == 0 and k < n_samples:
-            q_samples[:, k] = q
-            p_samples[:, k] = p
-            overtake |= active & (gaps_array(q, length).min(axis=1) <= 0)
-            valid[active] = k + 1
-            k += 1
-        if s == n_steps:
-            break
-        j = s % NOISE_BLOCK
-        if j == 0:
-            for column, seed in zip(noise_runs, seeds):
-                column[...] = noise_block(seed, s // NOISE_BLOCK, n)
-            noise *= sig_sqdt
-        # p + dt*acc + sigma*sqrt(dt)*noise, then q + dt*p, in that order
-        acc = acceleration_array(q, p, params, work)
-        acc *= dt
-        p += acc
-        p += noise_rows[j]
-        np.multiply(p, dt, out=acc)
-        q += acc
-        # NaN fails the comparison too; per-row masks only when this fires
-        if not (np.abs(p, out=p_abs).max() <= BLOWUP_LIMIT and np.isfinite(q, out=q_finite).all()):
-            bad = active & (
-                ~np.isfinite(p).all(axis=1)
-                | ~np.isfinite(q).all(axis=1)
-                | (np.abs(p).max(axis=1) > BLOWUP_LIMIT)
+    # fl(dt*BLOWUP_LIMIT), the bound on the dt*p of an accepted block
+    dtp_limit = dt * BLOWUP_LIMIT
+    # what a block restores before its replay, and its copy at block start
+    block_state = (q, p, overtake, valid)
+    block_start = [np.empty_like(x) for x in block_state]
+    errors = []
+    fast_errstate = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+
+    def record_error(kind, flag):
+        errors.append(kind)
+
+    def draw_noise(block):
+        for r, seed in enumerate(seeds):
+            noise[:, r] = noise_block(seed, block, n)
+        np.multiply(noise, sig_sqdt, noise)
+
+    def record(s):
+        # sample s // stride, and the flags of the runs still alive
+        k = s // stride
+        q_samples[:, k] = q
+        p_samples[:, k] = p
+        overtake[active & (gaps_array(q, length).min(axis=1) <= 0)] = True
+        valid[active] = k + 1
+
+    def advance(block, exact):
+        """Run the steps of one noise block.  With exact, test every step
+        for blowup and return False once every run has blown up."""
+        start = block * NOISE_BLOCK
+        for s, row in zip(range(start, min(start + NOISE_BLOCK, n_steps)), noise_rows):
+            if s % stride == 0:
+                record(s)
+            # p + dt*acc + sigma*sqrt(dt)*noise, then q + dt*p, in that order
+            acc = acceleration_array(q, p, params, work)
+            acc *= dt
+            np.add(p, acc, p)
+            np.add(p, row, p)
+            np.multiply(p, dt, row)
+            np.add(q, row, q)
+            # NaN fails the comparison too; per-row masks only when this fires
+            if exact and not (
+                p.max() <= BLOWUP_LIMIT and p.min() >= -BLOWUP_LIMIT and np.isfinite(q, out=q_finite).all()
+            ):
+                bad = active & (
+                    ~np.isfinite(p).all(axis=1)
+                    | ~np.isfinite(q).all(axis=1)
+                    | (np.abs(p).max(axis=1) > BLOWUP_LIMIT)
+                )
+                blow_step[bad] = s + 1
+                active[bad] = False
+                if not active.any():
+                    return False
+                # freeze dead rows; their samples are zeroed after the loop
+                q[~active] = 0.0
+                p[~active] = 0.0
+        return True
+
+    for block in range(-(-n_steps // NOISE_BLOCK)):
+        draw_noise(block)
+        for x, saved in zip(block_state, block_start):
+            saved[...] = x
+        errors.clear()
+        with np.errstate(call=record_error, **fast_errstate):
+            advance(block, exact=False)
+            dtp = noise[: n_steps - block * NOISE_BLOCK]
+            accepted = (
+                not errors
+                and dtp.max() < dtp_limit
+                and dtp.min() > -dtp_limit
+                and np.isfinite(q, out=q_finite).all()
             )
-            blow_step[bad] = s + 1
-            active &= ~bad
-            if not active.any():
+        if not accepted:
+            for x, saved in zip(block_state, block_start):
+                x[...] = saved
+            draw_noise(block)
+            if not advance(block, exact=True):
                 break
-            # freeze dead rows; their samples are zeroed after the loop
-            q[~active] = 0.0
-            p[~active] = 0.0
+    else:
+        if n_steps % stride == 0:
+            record(n_steps)
 
     # Zero what no valid sample wrote: rows left empty by the early break
     # and whatever dead rows recorded after they blew up.

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
 Each is the plain, one-object-at-a-time form of something the package
-computes in a faster or batched way: one Euler-Maruyama step, the noise
-of one step, the scalar mode factor, the scalar Hurwitz test, the dense
+computes in a faster or batched way: one Euler-Maruyama step, a run of
+such steps that tests every step for blowup, the noise of one step, the
+scalar mode factor, the scalar Hurwitz test, the dense
 mean-removal projector, and the port-Hamiltonian matrices J, R and Q.
 """
 
@@ -10,9 +11,9 @@ import math
 
 import numpy as np
 
-from phcf import InvalidInputError
-from phcf.model import acceleration_array
-from phcf.sde import NOISE_BLOCK, noise_block
+from phcf import InvalidInputError, initial_state
+from phcf.model import acceleration_array, gaps_array
+from phcf.sde import BLOWUP_LIMIT, NOISE_BLOCK, _step_count, noise_block
 
 
 def reference_step(q, p, params, dt, noise):
@@ -22,6 +23,35 @@ def reference_step(q, p, params, dt, noise):
     p_new = p + dt * acc + params.sigma * math.sqrt(dt) * noise
     q_new = q + dt * p_new
     return q_new, p_new
+
+
+def reference_run(params, config, seed):
+    """One run of reference_step from config.initial under the noise of
+    seed, ended by the first step after which a speed exceeds
+    BLOWUP_LIMIT in magnitude or q or p is not finite.
+
+    Returns (q, p, overtake, blowup_step): the (samples, N) states
+    recorded every sample_stride steps from the start, whether one of
+    them has a non-positive gap, and the step that ended the run (0 if
+    none did; steps count from 1)."""
+    q, p = initial_state(params, config.initial)
+    n_steps = _step_count(config.dt, config.t_end)
+    qs, ps = [], []
+    overtake, blowup = False, 0
+    for s in range(n_steps + 1):
+        if s % config.sample_stride == 0:
+            qs.append(q)
+            ps.append(p)
+            overtake |= bool((gaps_array(q, params.ring_length) <= 0).any())
+        if s == n_steps:
+            break
+        if s % NOISE_BLOCK == 0:
+            draws = noise_block(seed, s // NOISE_BLOCK, params.n_vehicles)
+        q, p = reference_step(q, p, params, config.dt, draws[s % NOISE_BLOCK])
+        if not (np.isfinite(q).all() and np.isfinite(p).all() and np.abs(p).max() <= BLOWUP_LIMIT):
+            blowup = s + 1
+            break
+    return np.array(qs), np.array(ps), overtake, blowup
 
 
 def step_noise(seed, step, n_vehicles):

@@ -1,12 +1,13 @@
 """Integrator contracts: determinism, equilibria, dissipation, moments."""
 
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phcf import (
@@ -29,8 +30,9 @@ from phcf import (
     run_ensemble,
     simulate,
 )
+import phcf.sde
 from phcf.sde import NOISE_BLOCK, noise_block
-from oracles import reference_step, step_noise
+from oracles import reference_run, reference_step, step_noise
 
 
 def fig_params(name):
@@ -429,6 +431,221 @@ def test_batch_rows_equal_single_runs(case):
             assert np.array_equal(getattr(obs, field)[r, :v], getattr(alone, field)), field
         assert np.array_equal(deviations[r, :v], deviation_process(single))
         assert closure[r] == max_gap_closure_error(single)
+
+
+# A two-vehicle ring whose gap ahead of vehicle 0 starts at 50 and, without
+# noise, closes by 0.02 per step (dt 0.01, speeds 1 and -1).  Its potential
+# puts a force only on gaps within KICK_W of chosen centres, a window
+# narrower than that step, so the gap falls in each at most once.
+KICK_L, KICK_W, KICK = 100.0, 0.0075, 1e11
+
+
+def kick_gap(step):
+    """The gap ahead of vehicle 0 after step steps without noise."""
+    return 50.0 - 0.02 * step
+
+
+def kick_params(sigma, *windows):
+    """The two-vehicle ring whose potential has derivative value on each
+    gap within KICK_W of center, and 0 elsewhere."""
+
+    def derivative(g):
+        out = np.zeros_like(g)
+        for center, value in windows:
+            out[np.abs(g - center) < KICK_W] = value
+        return out
+
+    return ModelParams(2, KICK_L, 0.0, 0.0, 0.0, sigma, Uncontrolled(), CustomDerivative(derivative))
+
+
+def kick_case(n_steps, step, back, sigma, stride, seed, n_runs):
+    """(params, config, n_runs): the two-vehicle ring, kicked at step
+    step (counting from 1) to a speed of 1e9, ten times BLOWUP_LIMIT.
+    With back, the next step takes the kick back, so the speed is over
+    the limit at that one step only.  With noise the gap wanders, and a
+    run may miss the kick."""
+    windows = [(kick_gap(step - 1), KICK)]
+    if back:
+        # the kick moves the gap by dt * 2e9 on top of its usual 0.02
+        windows.append((kick_gap(step) - 2e7, -KICK))
+    init = Explicit(q=np.array([0.0, 50.0]), p=np.array([1.0, -1.0]))
+    return kick_params(sigma, *windows), SimConfig(0.01, n_steps * 0.01, stride, seed, init), n_runs
+
+
+def kick_cases():
+    """Kicks mid-block, at the last step of a block, at the first of the
+    next, and at the last step of a run whose step count is not a
+    multiple of NOISE_BLOCK."""
+    n_steps = st.integers(257, 700).filter(lambda n: n % NOISE_BLOCK)
+    return n_steps.flatmap(lambda n: st.builds(
+        kick_case, st.just(n), st.sampled_from([100, 255, 256, 257, 400, n]), st.booleans(),
+        st.sampled_from([0.0, 0.01]), st.integers(1, 12), st.integers(0, 2**64 - 1), st.integers(1, 4)))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(kick_cases())
+@example(kick_case(300, 100, True, 0.0, 1, 0, 2))
+@example(kick_case(600, 255, True, 0.0, 3, 0, 1))
+@example(kick_case(600, 256, True, 0.0, 1, 0, 1))
+@example(kick_case(600, 257, True, 0.0, 7, 0, 1))
+@example(kick_case(300, 300, False, 0.0, 1, 0, 1))
+@example(kick_case(600, 400, True, 0.01, 1, 1, 4))
+@example(kick_case(600, 256, True, 0.01, 1, 3, 4))
+@example((BLOWING, SimConfig(0.001, 2.0, 10, 3), 3))
+def test_blowups_land_where_the_per_step_rule_puts_them(case):
+    """Each run of an ensemble, and the single run, ends at the step,
+    with the samples, sample count and overtake flag, of the reference
+    loop that tests every step for blowup."""
+    params, config, n_runs = case
+    batch = run_ensemble(params, config, n_runs)
+    for r in range(n_runs):
+        q, p, overtake, step = reference_run(params, config, derive_run_seed(config.seed, r))
+        v = len(q)
+        assert (batch.blowup_step[r], batch.n_valid[r], batch.overtake_flag[r]) == (step, v, overtake)
+        assert np.array_equal(batch.q[r, :v], q) and np.array_equal(batch.p[r, :v], p)
+        assert not batch.q[r, v:].any() and not batch.p[r, v:].any()
+    q, p, overtake, step = reference_run(params, config, config.seed)
+    try:
+        single, single_step = simulate(params, config), 0
+    except NumericalBlowupError as exc:
+        single, single_step = exc.partial, exc.step
+    assert (single_step, single.overtake_flag) == (step, overtake)
+    assert np.array_equal(single.q, q) and np.array_equal(single.p, p)
+
+
+def test_kick_lands_on_its_step():
+    """The kick taken back puts the speed over BLOWUP_LIMIT at step 257
+    alone, and the reference run ends there."""
+    params, config, _ = kick_case(600, 257, True, 0.0, 1, 0, 1)
+    q, p = initial_state(params, config.initial)
+    over = []
+    for s in range(1, 300):
+        q, p = reference_step(q, p, params, config.dt, np.zeros(2))
+        if np.abs(p).max() > 1e8:
+            over.append(s)
+    assert over == [257]
+    q, p, overtake, step = reference_run(params, config, 0)
+    assert (step, len(q), overtake) == (257, 257, False)
+
+
+def simulate_outcome(params, config):
+    """What simulate did, and the warnings it emitted in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            simulate(params, config)
+            result = ("finished",)
+        except NumericalBlowupError as exc:
+            result = ("blowup", exc.step, len(exc.partial.times))
+        except FloatingPointError as exc:
+            result = ("raised", str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+OVERFLOW = [(RuntimeWarning, "overflow encountered in subtract")] * 2
+
+
+def one_step_overflow():
+    # alternating speeds of +-1e308: their differences overflow in the first drift
+    p = np.where(np.arange(20) % 2 == 0, 1e308, -1e308)
+    config = SimConfig(dt=0.001, t_end=0.01, initial=Explicit(q=np.arange(20) * 7.0, p=p))
+    return replace(fig_params("fig1"), sigma=0.0), config
+
+
+def mid_run_overflow():
+    # at step 300 of 500 both gaps sit in windows of force +-1e308, and
+    # their difference overflows
+    gap = kick_gap(299)
+    params, config, _ = kick_case(500, 300, False, 0.0, 1, 0, 1)
+    return kick_params(0.0, (gap, 1e308), (KICK_L - gap, -1e308)), config
+
+
+def mid_run_underflow():
+    # at step 300 of 500 the force is gap * 1e-310, which underflows and
+    # changes nothing else
+    gap = kick_gap(299)
+    params, config, _ = kick_case(500, 300, False, 0.0, 1, 0, 1)
+
+    def derivative(g):
+        return np.where(np.abs(g - gap) < KICK_W, g, 0.0) * 1e-310
+
+    return replace(params, potential=CustomDerivative(derivative)), config
+
+
+def position_overflow():
+    # vehicle 1 moves 9.9e305 per step from 1e308, below the speed limit,
+    # until its position overflows at step 81, the last: only q shows it
+    params = ModelParams(2, 1.7e308, 0.0, 0.0, 0.0, 0.0, Uncontrolled())
+    init = Explicit(q=np.array([0.0, 1e308]), p=np.array([0.0, 9.9e7]))
+    return params, SimConfig(dt=1e298, t_end=8.1e299, initial=init)
+
+
+FP_CASES = {
+    "blowing": lambda: (BLOWING, SimConfig(dt=0.001, t_end=5.0, sample_stride=10, seed=3)),
+    "one_step": one_step_overflow,
+    "mid_run": mid_run_overflow,
+    "underflow": mid_run_underflow,
+    "position": position_overflow,
+}
+# the step whose update raises under np.errstate(all="raise")
+RAISED_AT = {"one_step": 1, "mid_run": 300, "underflow": 300, "position": 81}
+
+
+@pytest.mark.parametrize("errstate, case, expected", [
+    ("default", "blowing", (("blowup", 1987, 199), [])),
+    ("raise", "blowing", (("blowup", 1987, 199), [])),
+    ("ignore", "blowing", (("blowup", 1987, 199), [])),
+    ("default", "one_step", (("blowup", 1, 1), OVERFLOW)),
+    ("raise", "one_step", (("raised", "overflow encountered in subtract"), [])),
+    ("ignore", "one_step", (("blowup", 1, 1), [])),
+    ("default", "mid_run", (("blowup", 300, 300), OVERFLOW)),
+    ("raise", "mid_run", (("raised", "overflow encountered in subtract"), [])),
+    ("ignore", "mid_run", (("blowup", 300, 300), [])),
+    ("default", "underflow", (("finished",), [])),
+    ("raise", "underflow", (("raised", "underflow encountered in multiply"), [])),
+    ("ignore", "underflow", (("finished",), [])),
+    ("default", "position", (("blowup", 81, 81), [(RuntimeWarning, "overflow encountered in add")])),
+    ("raise", "position", (("raised", "overflow encountered in add"), [])),
+    ("ignore", "position", (("blowup", 81, 81), [])),
+])
+def test_floating_point_errors_reach_the_caller(errstate, case, expected, monkeypatch):
+    """The warnings, exceptions and blowup steps under the caller's
+    np.errstate are those of testing every step, also when the error
+    falls in a later noise block or is an underflow that changes nothing
+    the block-end test looks at."""
+    params, config = FP_CASES[case]()
+    seen = []
+    drift = phcf.sde.acceleration_array
+    monkeypatch.setattr(phcf.sde, "acceleration_array", lambda q, *args: seen.append(q.copy()) or drift(q, *args))
+    with np.errstate(**{"default": {}, "raise": {"all": "raise"}, "ignore": {"all": "ignore"}}[errstate]):
+        assert simulate_outcome(params, config) == expected
+    if errstate == "raise" and case in RAISED_AT:
+        # the last drift evaluated the state the raising step started from
+        with np.errstate(all="ignore"):
+            q = reference_run(params, replace(config, sample_stride=1), config.seed)[0]
+        assert np.array_equal(seen[-1][0], q[RAISED_AT[case] - 1])
+
+
+def test_drift_runs_once_per_step(monkeypatch):
+    """bench/tracer.py counts run-steps from the calls to
+    phcf.sde.acceleration_array: one per step without a blowup, and a
+    block that blows up adds the calls of its fast pass."""
+    drift, draw = phcf.sde.acceleration_array, phcf.sde.noise_block
+    drifts, draws = [], []
+    monkeypatch.setattr(phcf.sde, "acceleration_array", lambda *args: drifts.append(1) or drift(*args))
+    monkeypatch.setattr(phcf.sde, "noise_block", lambda *args: draws.append(1) or draw(*args))
+    batch = run_ensemble(fig_params("fig3"), SimConfig(0.01, 10.0, 7, 5), 3)
+    assert not batch.blowup_step.any()
+    assert (len(drifts), len(draws)) == (1000, 4 * 3)
+    drifts.clear()
+    draws.clear()
+    with pytest.raises(NumericalBlowupError) as info:
+        simulate(BLOWING, SimConfig(dt=0.001, t_end=5.0, sample_stride=10, seed=3))
+    # block 7 (steps 1792 to 2047) holds the blowup at step 1987: its fast
+    # pass runs all 256 steps, then its replay draws its noise again and
+    # runs to the blowup
+    assert info.value.step // NOISE_BLOCK == 7
+    assert (len(drifts), len(draws)) == (info.value.step + NOISE_BLOCK, 8 + 1)
 
 
 def test_overtake_flag_set_on_crossing():
