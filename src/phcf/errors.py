@@ -26,11 +26,4 @@ class NumericalBlowupError(RuntimeError):
 
 
 class EigenSolverError(RuntimeError):
-    """The dense eigenvalue iteration did not converge.
-
-    ``partial`` holds whatever eigenvalues were recovered, or None.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The dense eigenvalue iteration did not converge."""

@@ -1,16 +1,27 @@
 """Scenario files: flat key-value documents that drive the CLI.
 
 INI-style sections [model], [regime], [sim], [output] with units noted in
-comments.  Unknown keys and unknown sections are errors, so configuration
-drift fails loudly.  A [manifest] section (written by runs) is tolerated
-on load, which lets a run manifest be replayed as a scenario.
+comments.  A section's keys are the fields of its dataclass in field
+order: [model] those of ModelParams but regime, [regime] a kind and then
+the fields of that regime's class, [sim] those of SimConfig and [output]
+those of OutputOptions.  Each value is read by its field's annotation
+(int, float or bool); only potential (always quadratic) and initial (a
+start-condition name) are read by name.  Unknown keys and unknown
+sections are errors, so configuration drift fails loudly.  A [manifest]
+section (written by runs) is tolerated on load, which lets a run
+manifest be replayed as a scenario.
 """
 
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from functools import cache
+from types import MappingProxyType
+from typing import Optional, get_type_hints
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .model import ClosedLoop, ModelParams, OpenLoop, Uncontrolled
@@ -18,23 +29,17 @@ from .sde import SimConfig, UniformStationary, UniformZeroSpeed
 
 SCHEMA_VERSION = 1
 
-_MODEL_KEYS = ("n_vehicles", "ring_length", "alpha", "beta", "gamma", "sigma", "potential")
-_SIM_KEYS = ("dt", "t_end", "sample_stride", "seed", "initial")
-_OUTPUT_KEYS = ("svg", "wrap_positions")
-# [regime] kind, regime class and the unit comment written above its
-# fields; the section's other keys are the class's dataclass fields.
+# [regime] kind, regime class and the unit comments written above its keys
 _REGIMES = (
-    ("uncontrolled", Uncontrolled, None),
-    ("open_loop", OpenLoop, "; x: length/time"),
-    ("closed_loop", ClosedLoop, "; ell: length units, t_gap: time units"),
+    ("uncontrolled", Uncontrolled, ()),
+    ("open_loop", OpenLoop, ("; x: length/time",)),
+    ("closed_loop", ClosedLoop, ("; ell: length units, t_gap: time units",)),
 )
 # [sim] initial names and their initial-condition classes
 _INITIALS = (
     ("uniform_zero_speed", UniformZeroSpeed),
     ("uniform_stationary", UniformStationary),
 )
-# manifest keys that feed back into the scenario on load
-_MANIFEST_SCENARIO_KEYS = ("preset", "n_runs")
 
 
 @dataclass(frozen=True)
@@ -96,10 +101,13 @@ def _row_named(table, name, what):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    """Value text; numpy scalars are written as their Python equivalents."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return repr(float(value))
     return str(value)
 
 
@@ -109,43 +117,22 @@ def format_scenario(scenario: Scenario) -> str:
     p = scenario.params
     if p.potential is not None:
         raise InvalidInputError("a CustomDerivative potential cannot be written to a scenario")
-    regime = p.regime
-    lines = [
-        "[model]",
-        "; n_vehicles: count, ring_length: length units",
-        "; alpha, beta, gamma: 1/time; sigma: length/time^(3/2)",
-        f"n_vehicles = {p.n_vehicles}",
-        f"ring_length = {_fmt(p.ring_length)}",
-        f"alpha = {_fmt(p.alpha)}",
-        f"beta = {_fmt(p.beta)}",
-        f"gamma = {_fmt(p.gamma)}",
-        f"sigma = {_fmt(p.sigma)}",
-        "potential = quadratic",
-        "",
-        "[regime]",
-    ]
-    kind, _, units = _row_of(_REGIMES, regime)
-    lines.append(f"kind = {kind}")
-    if units is not None:
-        lines.append(units)
-    lines += [f"{f.name} = {_fmt(getattr(regime, f.name))}" for f in fields(regime)]
-    c = scenario.config
-    initial = _row_of(_INITIALS, c.initial)[0]
-    lines += [
-        "",
-        "[sim]",
-        "; dt, t_end: time units",
-        f"dt = {_fmt(c.dt)}",
-        f"t_end = {_fmt(c.t_end)}",
-        f"sample_stride = {c.sample_stride}",
-        f"seed = {c.seed}",
-        f"initial = {initial}",
-        "",
-        "[output]",
-        f"svg = {_fmt(scenario.output.svg)}",
-        f"wrap_positions = {_fmt(scenario.output.wrap_positions)}",
-        "",
-    ]
+    kind, _, units = _row_of(_REGIMES, p.regime)
+    named = {"potential": "quadratic", "initial": _row_of(_INITIALS, scenario.config.initial)[0]}
+    # section, the dataclass that holds its keys, the lines above its keys
+    sections = (
+        ("model", p, ("; n_vehicles: count, ring_length: length units",
+                      "; alpha, beta, gamma: 1/time; sigma: length/time^(3/2)")),
+        ("regime", p.regime, (f"kind = {kind}", *units)),
+        ("sim", scenario.config, ("; dt, t_end: time units",)),
+        ("output", scenario.output, ()),
+    )
+    lines = []
+    for name, obj, head in sections:
+        lines += [f"[{name}]", *head]
+        lines += [f"{key} = {named.get(key) or _fmt(getattr(obj, key))}"
+                  for key in _field_parsers(type(obj))]
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -159,7 +146,7 @@ def format_manifest(scenario: Scenario, info: dict) -> str:
     if scenario.preset_name is not None:
         lines.append(f"preset = {scenario.preset_name}")
     if scenario.n_runs is not None:
-        lines.append(f"n_runs = {scenario.n_runs}")
+        lines.append(f"n_runs = {_fmt(scenario.n_runs)}")
     for key, value in info.items():
         lines.append(f"{key} = {_fmt(value)}")
     lines.append("")
@@ -170,44 +157,66 @@ def format_manifest(scenario: Scenario, info: dict) -> str:
 # parsing
 
 
-def _section(cp, name, required=True):
-    if not cp.has_section(name):
-        if required:
-            raise InvalidInputError(f"scenario is missing the [{name}] section")
-        return None
-    return cp[name]
-
-
-def _check_keys(name, section, allowed):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise InvalidInputError(f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
-    missing = set(allowed) - set(section)
-    if missing:
-        raise InvalidInputError(f"missing key(s) in [{name}]: {', '.join(sorted(missing))}")
-
-
-def _get_float(section, key):
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise InvalidInputError(f"{key}: {exc}") from exc
-
-
-def _get_int(section, key):
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise InvalidInputError(f"{key}: {exc}") from exc
-
-
-def _get_bool(section, key):
-    value = section[key].strip().lower()
+def _parse_bool(text):
+    value = text.strip().lower()
     if value in ("true", "1", "yes", "on"):
         return True
     if value in ("false", "0", "no", "off"):
         return False
-    raise InvalidInputError(f"{key}: expected a boolean, got {section[key]!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_potential(text):
+    if text.strip().lower() != "quadratic":
+        raise InvalidInputError(f"unsupported potential {text!r}")
+    return None  # the quadratic potential
+
+
+def _parse_initial(text):
+    return _row_named(_INITIALS, text.strip().lower(), "initial condition")[1]()
+
+
+# parser of a field's key by the field's annotation
+_PARSERS = {int: int, float: float, bool: _parse_bool}
+# the keys parsed by name; regime is a field with its own section, not a key
+_NAMED = {"potential": _parse_potential, "initial": _parse_initial}
+
+
+@cache
+def _field_parsers(cls) -> MappingProxyType:
+    """Key -> parser for each field of the dataclass cls, in field order:
+    potential and initial by name, every other field by its annotation.
+    regime, which has its own section, is no key."""
+    hints = get_type_hints(cls)
+    return MappingProxyType({f.name: _NAMED.get(f.name) or _PARSERS[hints[f.name]]
+                             for f in fields(cls) if f.name != "regime"})
+
+
+def _parse(key, parse, text):
+    """parse(text), with a ValueError reported as "key: message"."""
+    try:
+        return parse(text)
+    except InvalidInputError:
+        raise
+    except ValueError as exc:
+        raise InvalidInputError(f"{key}: {exc}") from exc
+
+
+def _read(cp, name, cls, extra=()):
+    """Keyword arguments of cls from the [name] section, whose keys are
+    exactly extra and cls's fields."""
+    if not cp.has_section(name):
+        raise InvalidInputError(f"scenario is missing the [{name}] section")
+    section = cp[name]
+    parsers = _field_parsers(cls)
+    allowed = {*extra, *parsers}
+    unknown = set(section) - allowed
+    if unknown:
+        raise InvalidInputError(f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
+    missing = allowed - set(section)
+    if missing:
+        raise InvalidInputError(f"missing key(s) in [{name}]: {', '.join(sorted(missing))}")
+    return {key: _parse(key, parse, section[key]) for key, parse in parsers.items()}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -222,61 +231,24 @@ def parse_scenario(text: str) -> Scenario:
     if unknown:
         raise InvalidInputError(f"unknown section(s): {', '.join(sorted(unknown))}")
 
-    model = _section(cp, "model")
-    _check_keys("model", model, _MODEL_KEYS)
-    if model["potential"].strip().lower() != "quadratic":
-        raise InvalidInputError(f"unsupported potential {model['potential']!r}")
-
-    regime_sec = _section(cp, "regime")
-    if "kind" not in regime_sec:
+    # each section is looked for only after the one above it was read: a
+    # dropped section header reports the keys it leaves in the section above
+    model = _read(cp, "model", ModelParams)
+    if not cp.has_section("regime"):
+        raise InvalidInputError("scenario is missing the [regime] section")
+    if "kind" not in cp["regime"]:
         raise InvalidInputError("missing key(s) in [regime]: kind")
-    _, regime_class, _ = _row_named(_REGIMES, regime_sec["kind"].strip().lower(), "regime kind")
-    names = tuple(f.name for f in fields(regime_class))
-    _check_keys("regime", regime_sec, ("kind",) + names)
-    regime = regime_class(**{name: _get_float(regime_sec, name) for name in names})
+    _, regime_class, _ = _row_named(_REGIMES, cp["regime"]["kind"].strip().lower(), "regime kind")
+    params = ModelParams(**model, regime=regime_class(**_read(cp, "regime", regime_class, ("kind",))))
+    config = SimConfig(**_read(cp, "sim", SimConfig))
+    output = OutputOptions()
+    if cp.has_section("output"):
+        output = OutputOptions(**_read(cp, "output", OutputOptions))
 
-    params = ModelParams(
-        n_vehicles=_get_int(model, "n_vehicles"),
-        ring_length=_get_float(model, "ring_length"),
-        alpha=_get_float(model, "alpha"),
-        beta=_get_float(model, "beta"),
-        gamma=_get_float(model, "gamma"),
-        sigma=_get_float(model, "sigma"),
-        regime=regime,
-    )
-
-    sim = _section(cp, "sim")
-    _check_keys("sim", sim, _SIM_KEYS)
-    _, initial_class = _row_named(_INITIALS, sim["initial"].strip().lower(), "initial condition")
-    config = SimConfig(
-        dt=_get_float(sim, "dt"),
-        t_end=_get_float(sim, "t_end"),
-        sample_stride=_get_int(sim, "sample_stride"),
-        seed=_get_int(sim, "seed"),
-        initial=initial_class(),
-    )
-
-    output_sec = _section(cp, "output", required=False)
-    if output_sec is None:
-        output = OutputOptions()
-    else:
-        _check_keys("output", output_sec, _OUTPUT_KEYS)
-        output = OutputOptions(
-            svg=_get_bool(output_sec, "svg"),
-            wrap_positions=_get_bool(output_sec, "wrap_positions"),
-        )
-
-    preset_name = None
-    n_runs = None
-    if cp.has_section("manifest"):
-        manifest = cp["manifest"]
-        if "preset" in manifest:
-            preset_name = manifest["preset"].strip()
-        if "n_runs" in manifest:
-            n_runs = _get_int(manifest, "n_runs")
-
+    manifest = cp["manifest"] if cp.has_section("manifest") else {}
+    n_runs = _parse("n_runs", int, manifest["n_runs"]) if "n_runs" in manifest else None
     return Scenario(params=params, config=config, output=output,
-                    preset_name=preset_name, n_runs=n_runs)
+                    preset_name=manifest.get("preset"), n_runs=n_runs)
 
 
 def load_scenario(path) -> Scenario:

@@ -174,8 +174,9 @@ def initial_state(params: ModelParams, initial: InitialCondition):
 # noise
 
 
-def noise_block(seed: int, block_index: int, n_vehicles: int, block_steps: int = NOISE_BLOCK) -> np.ndarray:
-    """Standard-normal draws for block_steps consecutive steps of one run.
+def noise_block(seed: int, block_index: int, n_vehicles: int) -> np.ndarray:
+    """Standard-normal draws, (NOISE_BLOCK, n_vehicles), for the steps of
+    block block_index of one run.
 
     The draws are those of Generator(Philox(key=seed, counter=block_index
     << 64)).  Instead of building that generator, the calling thread's
@@ -201,7 +202,7 @@ def noise_block(seed: int, block_index: int, n_vehicles: int, block_steps: int =
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return gen.standard_normal((block_steps, n_vehicles))
+    return gen.standard_normal((NOISE_BLOCK, n_vehicles))
 
 
 def derive_run_seed(seed: int, run_index: int) -> int:

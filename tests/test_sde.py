@@ -319,24 +319,22 @@ def test_ensemble_mean_speed_diffusion(fig1_ensemble):
 # noise blocks
 
 
-def philox_block(seed, block, n, steps=NOISE_BLOCK):
+def philox_block(seed, block, n):
     """Reference: a fresh generator positioned at the block's counter."""
     gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
-    return gen.standard_normal((steps, n))
+    return gen.standard_normal((NOISE_BLOCK, n))
 
 
 @pytest.mark.parametrize("block", [0, 1, 2**40])
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_noise_block_matches_fresh_philox(seed, block):
     assert np.array_equal(noise_block(seed, block, 3), philox_block(seed, block, 3))
-    assert np.array_equal(noise_block(seed, block, 3, 7), philox_block(seed, block, 3, 7))
 
 
 def test_noise_block_calls_share_no_state():
-    """Interleaved calls, including odd draw counts that leave the
-    generator's buffer part-used, equal isolated reference draws."""
-    keys = [(seed, block, n, steps) for seed in (0, 5, 2**64 - 1) for block in (0, 3, 2**40)
-            for n, steps in ((1, 1), (3, 5), (20, NOISE_BLOCK))]
+    """Interleaved calls, most of which leave the generator's buffer
+    part-used, equal isolated reference draws."""
+    keys = [(seed, block, n) for seed in (0, 5, 2**64 - 1) for block in (0, 3, 2**40) for n in (1, 3, 20)]
     expected = {key: philox_block(*key) for key in keys}
     for key in keys + keys[::-1] + keys[1::2]:
         assert np.array_equal(noise_block(*key), expected[key]), key
@@ -345,7 +343,7 @@ def test_noise_block_calls_share_no_state():
 def test_noise_block_threads_share_no_state():
     """Each thread re-keys its own generator, so concurrent calls with
     frequent thread switches still return the reference draws."""
-    keys = [(seed, block, 3, 9) for seed in range(40) for block in (0, 1)]
+    keys = [(seed, block, 3) for seed in range(40) for block in (0, 1)]
     expected = [philox_block(*key) for key in keys]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
