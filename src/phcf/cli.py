@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidInputError, NumericalBlowupError, UnsupportedOperationError
+from .errors import EigenSolverError, InvalidInputError, NumericalBlowupError, UnsupportedOperationError
 from .model import build_matrices
 from .scenario import (
     Scenario,
@@ -27,6 +27,7 @@ from .scenario import (
     format_scenario,
     with_seed,
     with_svg,
+    write_scenario,
 )
 from .sde import TimeSeries, run_ensemble, simulate
 from .spectral import (
@@ -48,16 +49,28 @@ def _num(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_outputs(out_dir, scenario: Scenario, command: str, files: dict, fields: dict):
+    """Create out_dir and write a command's finished outputs into it, then
+    run_manifest.txt with tool_version and command ahead of fields.
 
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    files maps a file name to SVG text or to a CSV's (header, rows).  A
+    command computes every output before it calls this, so a command that
+    fails leaves no directory.
+    """
+    info = {"tool_version": __version__, "command": command, **fields}
+    files = {**files, "run_manifest.txt": format_manifest(scenario, info)}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        # newline="" writes each "\n" as it is, for text and CSV alike
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                header, rows = content
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
 
 
 def _trajectory_rows(ts: TimeSeries, wrap: bool):
@@ -69,6 +82,9 @@ def _trajectory_rows(ts: TimeSeries, wrap: bool):
     # so no (samples, N) array of Python floats is ever built
     for i, t in enumerate(ts.times.tolist()):
         yield [repr(t), *map(repr, q[i].tolist()), *map(repr, p[i].tolist())]
+
+
+_OBSERVABLES_HEADER = ["t", "mean_speed", "speed_variance", "p1", "hamiltonian"]
 
 
 def _observable_rows(obs, run=..., n_valid=None):
@@ -119,42 +135,27 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     except NumericalBlowupError as exc:
         ts = exc.partial
         blowup = exc
-    stability = _stability_info(scenario)
-    # Created after the run and the stability fields, so a command that
-    # fails leaves no directory.
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    fields = {"overtake": ts.overtake_flag, "blowup": blowup is not None}
+    if blowup is not None:
+        fields["blowup_time"] = blowup.time
+    fields.update(_stability_info(scenario))
 
     wrap = scenario.output.wrap_positions
     n = scenario.params.n_vehicles
     header = ["t"] + [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-    _write_csv(out / "trajectory.csv", header, _trajectory_rows(ts, wrap))
     obs = observables(ts)
-    _write_csv(
-        out / "observables.csv",
-        ["t", "mean_speed", "speed_variance", "p1", "hamiltonian"],
-        _observable_rows(obs),
-    )
-    if scenario.output.svg and len(ts.times) > 1:
-        _write_text(
-            out / "trajectory.svg",
-            trajectory_svg(ts.times, ts.positions(), scenario.params.ring_length, wrap=wrap),
-        )
-        _write_text(
-            out / "observables.svg",
-            observables_svg(obs.times, obs.mean_speed, obs.speed_variance, obs.single_vehicle_speed),
-        )
-
-    info = {
-        "tool_version": __version__,
-        "command": "simulate",
-        "overtake": ts.overtake_flag,
-        "blowup": blowup is not None,
+    files = {
+        "trajectory.csv": (header, _trajectory_rows(ts, wrap)),
+        "observables.csv": (_OBSERVABLES_HEADER, _observable_rows(obs)),
     }
-    if blowup is not None:
-        info["blowup_time"] = blowup.time
-    info.update(stability)
-    _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
+    if scenario.output.svg and len(ts.times) > 1:
+        files["trajectory.svg"] = trajectory_svg(
+            ts.times, ts.positions(), scenario.params.ring_length, wrap=wrap
+        )
+        files["observables.svg"] = observables_svg(
+            obs.times, obs.mean_speed, obs.speed_variance, obs.single_vehicle_speed
+        )
+    _write_outputs(out_dir, scenario, "simulate", files, fields)
     return 0 if blowup is None else 3
 
 
@@ -164,15 +165,11 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
     manifest.  Returns 0, or 3 if any member blew up."""
     runs = run_ensemble(scenario.params, scenario.config, n_runs=n_runs)
     stability = _stability_info(scenario)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     obs = observables(runs)
-    for r, n_valid in enumerate(runs.n_valid):
-        _write_csv(
-            out / f"observables_run{r:03d}.csv",
-            ["t", "mean_speed", "speed_variance", "p1", "hamiltonian"],
-            _observable_rows(obs, r, n_valid),
-        )
+    files = {
+        f"observables_run{r:03d}.csv": (_OBSERVABLES_HEADER, _observable_rows(obs, r, n_valid))
+        for r, n_valid in enumerate(runs.n_valid)
+    }
     # Samples that every run reached, reduced one column of runs at a time:
     # a reduction along axis 0 sums in another order and changes the bytes.
     rows = (
@@ -184,22 +181,16 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
         ]
         for i in range(runs.n_valid.min())
     )
-    _write_csv(
-        out / "ensemble_summary.csv",
+    files["ensemble_summary.csv"] = (
         ["t", "mean_of_mean_speed", "var_of_mean_speed", "mean_speed_variance"],
         rows,
     )
     blown = np.flatnonzero(runs.blowup_step)
-    scenario = replace(scenario, n_runs=n_runs)
-    info = {
-        "tool_version": __version__,
-        "command": "ensemble",
-        "blowup": bool(blown.size),
-    }
+    fields = {"blowup": bool(blown.size)}
     if blown.size:
-        info["blown_runs"] = ",".join(map(str, blown))
-    info.update(stability)
-    _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
+        fields["blown_runs"] = ",".join(map(str, blown))
+    fields.update(stability)
+    _write_outputs(out_dir, replace(scenario, n_runs=n_runs), "ensemble", files, fields)
     return 3 if blown.size else 0
 
 
@@ -210,23 +201,20 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     check_dense_size(2 * scenario.params.n_vehicles)
     params = scenario.params
     spectrum = eigenvalues(params)
+    # Before the oracle: a spectrum that left the float range is refused
+    # without a dense solve.
+    stability = _stability_info(scenario)
     # The drift matrix is not kept once the oracle has it.
     oracle = dense_eigen_oracle(build_matrices(params))
     diffs = match_distances(spectrum, oracle)
-    stability = _stability_info(scenario)
-    # Created after the computation, so a spectrum that fails leaves no directory.
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [
         [str(i // 2), str(i % 2), _num(lam.real), _num(lam.imag), _num(diffs[i])]
         for i, lam in enumerate(spectrum.tolist())
     ]
-    _write_csv(out / "spectrum.csv", ["j", "k", "re_lambda", "im_lambda", "oracle_abs_diff"], rows)
+    files = {"spectrum.csv": (["j", "k", "re_lambda", "im_lambda", "oracle_abs_diff"], rows)}
     if scenario.output.svg:
-        _write_text(out / "spectrum.svg", spectrum_svg(spectrum))
-    info = {"tool_version": __version__, "command": "spectrum"}
-    info.update(stability)
-    _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
+        files["spectrum.svg"] = spectrum_svg(spectrum)
+    _write_outputs(out_dir, scenario, "spectrum", files, stability)
     return 0
 
 
@@ -271,12 +259,7 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     if name1 == name2:
         raise InvalidInputError("the two sweep axes must differ")
 
-    base = {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "t_gap": params.regime.t_gap,
-    }
+    point = dict(alpha=params.alpha, beta=params.beta, gamma=params.gamma, t_gap=params.regime.t_gap)
     n = params.n_vehicles
     rows = []
     exact = np.zeros((len(values1), len(values2)), dtype=bool)
@@ -285,10 +268,7 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     for i, v1 in enumerate(values1):
         # One report per row, the second axis as an array: memory stays
         # O(len(values2) * N) whatever the grid size.
-        point = dict(base)
-        point[name1] = float(v1)
-        point[name2] = values2
-        report = stability_report(n, point["alpha"], point["beta"], point["gamma"], point["t_gap"])
+        report = stability_report(n, **{**point, name1: float(v1), name2: values2})
         exact[i] = report.exact_stable
         suff[i] = report.sufficient_stable
         violations.extend((v1, values2[j]) for j in np.flatnonzero(suff[i] & ~exact[i]))
@@ -304,37 +284,26 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
         )
         return 4
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "stability.csv",
-        ["param1", "param2", "exact_stable", "sufficient_stable", "spectral_abscissa"],
-        rows,
-    )
+    header = ["param1", "param2", "exact_stable", "sufficient_stable", "spectral_abscissa"]
+    files = {"stability.csv": (header, rows)}
     if scenario.output.svg:
-        _write_text(
-            out / "stability_map.svg",
-            stability_map_svg(values1, values2, exact, suff, name1, name2),
-        )
-    info = {
-        "tool_version": __version__,
-        "command": "stability-map",
+        files["stability_map.svg"] = stability_map_svg(values1, values2, exact, suff, name1, name2)
+    fields = {
         "sweep_param1": name1,
         "sweep_param2": name2,
         "sweep_values1": f"{values1[0]:g}:{values1[-1]:g}:{len(values1)}",
         "sweep_values2": f"{values2[0]:g}:{values2[-1]:g}:{len(values2)}",
     }
-    _write_text(out / "run_manifest.txt", format_manifest(scenario, info))
+    _write_outputs(out_dir, scenario, "stability-map", files, fields)
     return 0
 
 
 def cmd_preset(name: str, out_path=None) -> int:
     """Emit one of the bundled scenarios (to stdout without a path)."""
-    text = format_scenario(preset(name))
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(format_scenario(preset(name)))
     else:
-        _write_text(out_path, text)
+        write_scenario(preset(name), out_path)
     return 0
 
 
@@ -407,15 +376,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, UnsupportedOperationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (InvalidInputError, UnsupportedOperationError, EigenSolverError, OSError) as exc:
+        message = str(exc)
     except MemoryError as exc:
-        print(f"error: not enough memory for this run ({exc})", file=sys.stderr)
-        return 2
+        message = f"not enough memory for this run ({exc})"
     except OverflowError as exc:
-        print(f"error: a value left the floating-point range ({exc})", file=sys.stderr)
-        return 2
+        message = f"a value left the floating-point range ({exc})"
+    # one line, also for a message that quotes a multi-line input
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

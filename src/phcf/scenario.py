@@ -9,7 +9,9 @@ those of OutputOptions.  Each value is read by its field's annotation
 start-condition name) are read by name.  Unknown keys and unknown
 sections are errors, so configuration drift fails loudly.  A [manifest]
 section (written by runs) is tolerated on load, which lets a run
-manifest be replayed as a scenario.
+manifest be replayed as a scenario; its schema_version must be
+SCHEMA_VERSION, since a manifest of another version would replay to
+other bytes.
 """
 
 from __future__ import annotations
@@ -245,10 +247,22 @@ def parse_scenario(text: str) -> Scenario:
     if cp.has_section("output"):
         output = OutputOptions(**_read(cp, "output", OutputOptions))
 
-    manifest = cp["manifest"] if cp.has_section("manifest") else {}
-    n_runs = _parse("n_runs", int, manifest["n_runs"]) if "n_runs" in manifest else None
-    return Scenario(params=params, config=config, output=output,
-                    preset_name=manifest.get("preset"), n_runs=n_runs)
+    preset_name = n_runs = None
+    if cp.has_section("manifest"):
+        manifest = cp["manifest"]
+        if "schema_version" not in manifest:
+            raise InvalidInputError("missing key(s) in [manifest]: schema_version")
+        version = _parse("schema_version", int, manifest["schema_version"])
+        if version != SCHEMA_VERSION:
+            raise InvalidInputError(f"manifest schema_version {version} is not {SCHEMA_VERSION}: "
+                                    "its run cannot be replayed")
+        preset_name = manifest.get("preset")
+        # one line, as format_manifest writes it back
+        if preset_name is not None and "\n" in preset_name:
+            raise InvalidInputError(f"preset must be one line, got {preset_name!r}")
+        if "n_runs" in manifest:
+            n_runs = _parse("n_runs", int, manifest["n_runs"])
+    return Scenario(params=params, config=config, output=output, preset_name=preset_name, n_runs=n_runs)
 
 
 def load_scenario(path) -> Scenario:

@@ -227,7 +227,8 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     run with the same seed.  Returns the batch TimeSeries.
 
     Every buffer is allocated before the first seed is derived, so a run
-    too large for memory fails with MemoryError at once.
+    too large for memory, or for the address space, fails with
+    MemoryError at once.
 
     Each noise block runs first in a fast pass without the per-step
     blowup test, under the caller's np.errstate with every kind it does
@@ -250,12 +251,15 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     stride = config.sample_stride
     n_steps = _step_count(dt, config.t_end)
     n_samples = n_steps // stride + 1
-    # run-major, so each run's samples are one C-contiguous block
-    q_samples = np.empty((runs, n_samples, n))
-    p_samples = np.empty((runs, n_samples, n))
-    # one block of draws for all runs, refilled in place at each block
-    # start; each step overwrites the row it used with dt*p
-    noise = np.empty((NOISE_BLOCK, runs, n))
+    try:
+        # run-major, so each run's samples are one C-contiguous block
+        q_samples = np.empty((runs, n_samples, n))
+        p_samples = np.empty((runs, n_samples, n))
+        # one block of draws for all runs, refilled in place at each block
+        # start; each step overwrites the row it used with dt*p
+        noise = np.empty((NOISE_BLOCK, runs, n))
+    except ValueError as exc:  # numpy's refusal of a size past the address space
+        raise MemoryError(str(exc)) from exc
     q0, p0 = initial_state(params, config.initial)
     # C-contiguous, as the drift workspace requires
     q = np.tile(q0, (runs, 1))

@@ -76,8 +76,14 @@ DENSE_ORACLE_MAX_DIM = 2048
 
 
 def _mode_angles(n: int) -> list:
-    """2*pi*j/n for j = 0..n-1, rounded exactly as the scalar expression."""
-    return (2.0 * math.pi * np.arange(n) / n).tolist()
+    """2*pi*j/n for j = 0..n-1, rounded exactly as the scalar expression.
+    Raises MemoryError when n is past the address space, as when it is
+    past memory."""
+    try:
+        j = np.arange(n)
+    except ValueError as exc:  # numpy's refusal of a size past the address space
+        raise MemoryError(str(exc)) from exc
+    return (2.0 * math.pi * j / n).tolist()
 
 
 def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
@@ -182,8 +188,10 @@ def match_distances(values_a: Sequence[complex], values_b: Sequence[complex]) ->
     check_dense_size(a.size)
     from scipy.optimize import linear_sum_assignment
 
-    cost = np.abs(a[:, None] - b[None, :])
-    # Catches a non-finite entry of either multiset and an overflowing distance.
+    # A non-finite entry of either multiset or an overflowing distance is
+    # refused below, without numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.abs(a[:, None] - b[None, :])
     if not np.isfinite(cost).all():
         raise InvalidInputError("eigenvalue distances left the floating-point range")
     rows, cols = linear_sum_assignment(cost)
@@ -210,10 +218,14 @@ def spectral_abscissa_nonzero(values, scale):
     """Largest real part over eigenvalues outside the structural-zero ball.
 
     Broadcasts: values of shape S + (M,) and scale of shape S give one
-    abscissa per cell, a float when S is ().
+    abscissa per cell, a float when S is ().  Raises InvalidInputError
+    when a value or the scale is not finite.
     """
     v = np.asarray(values, dtype=complex)
-    keep = np.abs(v) >= ZERO_EIGENVALUE_RTOL * np.asarray(scale)[..., None]
+    scale = np.asarray(scale)
+    if not (np.isfinite(v).all() and np.isfinite(scale).all()):
+        raise InvalidInputError("the spectrum or its scale left the floating-point range")
+    keep = np.abs(v) >= ZERO_EIGENVALUE_RTOL * scale[..., None]
     if not keep.any(axis=-1).all():
         raise InvalidInputError("all eigenvalues are structural zeros")
     real = v.real
@@ -278,7 +290,8 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
     nu_j = (1-c_j)*(gamma/T + 2*alpha^2), rho_j = -(gamma/T)*s_j;
     a cell is exactly stable iff gamma > 0 and every mode passes the
     Hurwitz test.  Raises InvalidInputError if any cell has only
-    structural-zero eigenvalues.
+    structural-zero eigenvalues, or eigenvalues or a scale past the float
+    range.
     """
     # Cells on the leading axes, a length-1 axis for the modes.
     alpha, beta, gamma, t_gap = np.broadcast_arrays(
@@ -288,7 +301,6 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
     cells = list(zip(*(x.ravel().tolist() for x in (alpha, beta, gamma, t_gap))))
     # Powers per cell with Python's float power, as the one-cell formulas.
     a2 = np.array([a**2 for a in alpha.ravel().tolist()]).reshape(alpha.shape)
-    g = gamma / t_gap
     sufficient = [sufficient_condition(a, gm, t) for a, _, gm, t in cells]
     scale = np.array([drift_matrix_norm(n, *cell) for cell in cells]).reshape(shape)
 
@@ -296,14 +308,18 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
     cos = np.array([math.cos(a) for a in angles])
     c = cos[1:]
     s = np.array([math.sin(a) for a in angles[1:]])
-    kappa = 2.0 * beta * (1.0 - c) + gamma
-    nu = (1.0 - c) * (g + 2.0 * a2)
-    rho = -g * s
-    # Python's float power, as the scalar formula: pow(x, 2) is not always
-    # x*x rounded, and numpy's array power is neither.
-    rho_sq = np.array([r**2 for r in rho.ravel().tolist()]).reshape(rho.shape)
-    det = kappa * (nu * kappa) - rho_sq
-    stable = (kappa > 0) & (det > 0)
+    # Parameters near the float range give non-finite terms, computed
+    # without numpy warnings; spectral_abscissa_nonzero refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gamma / t_gap
+        kappa = 2.0 * beta * (1.0 - c) + gamma
+        nu = (1.0 - c) * (g + 2.0 * a2)
+        rho = -g * s
+        # Python's float power, as the scalar formula: pow(x, 2) is not always
+        # x*x rounded, and numpy's array power is neither.
+        rho_sq = np.array([r**2 for r in rho.ravel().tolist()]).reshape(rho.shape)
+        det = kappa * (nu * kappa) - rho_sq
+        stable = (kappa > 0) & (det > 0)
     values = _mode_roots(cos, a2, beta, gamma, g)
     return StabilityReport(
         kappa=kappa,

@@ -38,11 +38,14 @@ class ObservableSeries:
 def observables(ts: TimeSeries) -> ObservableSeries:
     """Mean speed, speed variance (1/(N-1) normalization), the first
     vehicle's speed, and the energy under the run's own potential at
-    every sample; each reduces over the vehicles, the last axis."""
+    every sample; each reduces over the vehicles, the last axis.  An
+    energy past the float range, as on a ring near the float range, is
+    inf without a numpy warning."""
     if len(ts.times) == 0:
         raise InvalidInputError("empty trajectory")
     speeds = ts.speeds()
-    energy = hamiltonian(ts.positions(), speeds, ts.params)
+    with np.errstate(over="ignore"):
+        energy = hamiltonian(ts.positions(), speeds, ts.params)
     return ObservableSeries(
         times=ts.times.copy(),
         mean_speed=speeds.mean(axis=-1),

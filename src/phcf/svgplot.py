@@ -7,8 +7,11 @@ identical bytes.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+
+from .errors import InvalidInputError
 
 _FONT = 'font-family="sans-serif" font-size="11"'
 _PALETTE = [
@@ -25,6 +28,10 @@ def _ticks(lo, hi, n=5):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
+    # Tick steps are normal floats: below that 10**k loses digits and
+    # then underflows to 0.
+    if not sys.float_info.min <= span / n < math.inf:
+        raise InvalidInputError(f"cannot draw ticks on an axis from {lo!r} to {hi!r}")
     step = 10.0 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= n:
@@ -220,6 +227,15 @@ def spectrum_svg(values) -> str:
     return _document(540, 500, [panel])
 
 
+def _cells(values):
+    """Limits and cell width of a sweep axis: cells |step| wide (1.0 for
+    one value or a constant axis), centred on the values, so a descending
+    axis is drawn as its ascending twin."""
+    width = float(abs(values[1] - values[0])) if len(values) > 1 else 0.0
+    width = width or 1.0
+    return (float(values.min()) - width / 2, float(values.max()) + width / 2), width
+
+
 def stability_map_svg(x_values, y_values, exact, sufficient, xlabel, ylabel) -> str:
     """Heatmap of stability verdicts over a 2-parameter grid.
 
@@ -230,10 +246,8 @@ def stability_map_svg(x_values, y_values, exact, sufficient, xlabel, ylabel) -> 
     ys = np.asarray(y_values, dtype=float)
     exact = np.asarray(exact, dtype=bool)
     sufficient = np.asarray(sufficient, dtype=bool)
-    dx = xs[1] - xs[0] if len(xs) > 1 else 1.0
-    dy = ys[1] - ys[0] if len(ys) > 1 else 1.0
-    xlim = (float(xs[0]) - dx / 2, float(xs[-1]) + dx / 2)
-    ylim = (float(ys[0]) - dy / 2, float(ys[-1]) + dy / 2)
+    xlim, dx = _cells(xs)
+    ylim, dy = _cells(ys)
     panel = _Panel(60, 24, 440, 440, xlim, ylim, title="stability map")
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):

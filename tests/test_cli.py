@@ -1,15 +1,21 @@
 """Scenario files, presets, CSV contracts and manifest reproducibility."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phcf
 from phcf import CustomDerivative, InvalidInputError, load_scenario, preset, stability_report
@@ -381,6 +387,78 @@ def test_svg_polyline_breaks_at_nan():
     ]
 
 
+@pytest.mark.parametrize("command, builder", [
+    ("simulate", "trajectory_svg"),
+    ("simulate", "observables_svg"),
+    ("spectrum", "spectrum_svg"),
+    ("stability-map", "stability_map_svg"),
+])
+def test_main_failing_svg_leaves_no_directory(tmp_path, capsys, monkeypatch, command, builder):
+    """Every output is computed before the directory is made: an SVG that
+    cannot be drawn fails the command with no files behind."""
+    import phcf.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise InvalidInputError("cannot draw")
+
+    monkeypatch.setattr(cli_mod, builder, fail)
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace("t_end = 250.0", "t_end = 0.5"))
+    extra = ["--vary", "alpha=0.5:1:2", "--vary", "gamma=1:2:2"] if command == "stability-map" else []
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")] + extra) == 2
+    assert capsys.readouterr().err == "error: cannot draw\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_subnormal_sweep_step_leaves_no_directory(tmp_path, capsys):
+    """A sweep step of 1e-323 has no tick spacing the map's axes can
+    draw; the command fails before any file is written."""
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(path)]) == 0
+    argv = ["stability-map", "--scenario", str(path), "--out", str(tmp_path / "o"),
+            "--vary", "alpha=0:1e-323:2", "--vary", "gamma=1:2:2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def _x_ticks(svg):
+    """Tick labels of a 440 x 440 map panel's x axis, as floats."""
+    return [float(t) for t in re.findall(r'y="480.00" [^>]*text-anchor="middle">([^<]+)</text>', svg)]
+
+
+def test_stability_map_svg_constant_axis():
+    """A constant axis is drawn one cell wide: no NaN coordinates."""
+    from phcf.svgplot import stability_map_svg
+
+    xs = np.full(3, 1.0)
+    ys = np.linspace(0.5, 1.0, 2)
+    cells = np.ones((3, 2), dtype=bool)
+    svg = stability_map_svg(xs, ys, cells, cells, "alpha", "gamma")
+    assert "nan" not in svg
+    assert _x_ticks(svg) and all(0.5 <= t <= 1.5 for t in _x_ticks(svg))
+
+
+def test_stability_map_svg_descending_axis():
+    """A descending axis gets ticks inside its range and cells of
+    positive width and height, as its ascending twin."""
+    from phcf.svgplot import stability_map_svg
+
+    xs = np.linspace(3.0, 1.0, 5)
+    ys = np.linspace(2.0, 1.0, 2)
+    cells = np.zeros((5, 2), dtype=bool)
+    svg = stability_map_svg(xs, ys, cells, cells, "alpha", "gamma")
+    ticks = _x_ticks(svg)
+    assert ticks and all(0.75 <= t <= 3.25 for t in ticks)
+    sizes = re.findall(r'<rect x="[^"]+" y="[^"]+" width="([^"]+)" height="([^"]+)" fill="#d6604d"', svg)
+    assert len(sizes) == 10
+    assert all(float(w) > 0 and float(h) > 0 for w, h in sizes)
+    # the same elements as the ascending twin's, in another order
+    twin = stability_map_svg(xs[::-1], ys[::-1], cells, cells, "alpha", "gamma")
+    assert sorted(svg.splitlines()) == sorted(twin.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # stability map command
 
@@ -479,15 +557,15 @@ def test_cmd_stability_map_one_report_per_row(tmp_path, monkeypatch):
     calls = []
     real = cli_mod.stability_report
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(n, **point):
+        calls.append(point)
+        return real(n, **point)
 
     monkeypatch.setattr(cli_mod, "stability_report", counted)
     vary = [parse_vary("alpha=0.25:3:5"), parse_vary("gamma=0.25:3:7")]
     assert cmd_stability_map(preset("fig3"), vary, tmp_path) == 0
     assert len(calls) == 5
-    assert all(np.shape(args[3]) == (7,) for args in calls)
+    assert all(np.shape(point["gamma"]) == (7,) for point in calls)
     assert len(read_csv(tmp_path / "stability.csv")[1]) == 35
 
 
@@ -655,31 +733,145 @@ def test_main_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch, command
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command, alpha, extra", [
-    ("simulate", "1e200", []),
-    ("simulate", "1e100", []),
-    ("ensemble", "1e100", ["--runs", "2"]),
-    ("spectrum", "1e200", []),
-    ("spectrum", "1e100", []),
-    ("spectrum", "1e154", []),
-    ("stability-map", "0.5", ["--vary", "alpha=0:1e200:3", "--vary", "gamma=0.1:1:2"]),
-    ("stability-map", "0.5", ["--vary", "gamma=0.1:1e160:3", "--vary", "alpha=0.1:1:2"]),
+@pytest.mark.parametrize("command, edit, extra", [
+    ("simulate", "alpha = 1e200", []),
+    ("simulate", "alpha = 1e100", []),
+    ("ensemble", "alpha = 1e100", ["--runs", "2"]),
+    ("spectrum", "alpha = 1e200", []),
+    ("spectrum", "alpha = 1e100", []),
+    ("spectrum", "alpha = 1e154", []),
+    ("stability-map", "alpha = 0.5", ["--vary", "alpha=0:1e200:3", "--vary", "gamma=0.1:1:2"]),
+    ("stability-map", "alpha = 0.5", ["--vary", "gamma=0.1:1e160:3", "--vary", "alpha=0.1:1:2"]),
+    ("simulate", "beta = 1e308", []),
+    ("ensemble", "beta = 1e308", ["--runs", "2"]),
+    ("spectrum", "beta = 1e308", []),
+    ("stability-map", "beta = 1.0", ["--vary", "beta=1e308:1.7e308:3", "--vary", "gamma=1:2:2"]),
 ], ids=["simulate", "simulate-norm", "ensemble-norm", "spectrum", "spectrum-norm",
-        "spectrum-oracle", "stability-map-alpha", "stability-map-gamma"])
-def test_main_maps_overflow_to_exit_2(tmp_path, capsys, command, alpha, extra):
+        "spectrum-oracle", "stability-map-alpha", "stability-map-gamma", "simulate-beta",
+        "ensemble-beta", "spectrum-beta", "stability-map-beta"])
+def test_main_maps_overflow_to_exit_2(tmp_path, capsys, command, edit, extra):
     """A parameter whose float square overflows exits 2 with a message
     and, like any failed command, leaves no output directory: alpha =
     1e200 in alpha**2, gamma = 1e160 in the Hurwitz term rho**2, and
     alpha = 1e100 in the squared alpha**2 of the drift-matrix norm that
     every manifest's stability fields need, and alpha = 1e154, whose
-    finite alpha**2 still gives eigenvalues that are not finite."""
+    finite alpha**2 still gives eigenvalues that are not finite.  beta =
+    1e308 overflows the numpy terms of the spectrum and the Hurwitz test
+    without a warning, and the spectral fields refuse the result."""
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
-    path.write_text(path.read_text().replace("alpha = 0.5", f"alpha = {alpha}"))
+    key = edit.split(" = ")[0]
+    path.write_text(re.sub(rf"^{key} = .*$", edit, path.read_text(), flags=re.M))
     assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "range" in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+# Extra arguments of each command in the property test of main().
+COMMANDS = {
+    "simulate": [],
+    "ensemble": ["--runs", "2"],
+    "spectrum": [],
+    "stability-map": ["--vary", "alpha=0.25:1:2", "--vary", "gamma=0.5:2:2"],
+}
+# Replacement values: finite extremes, subnormals, inf and nan, huge
+# integers and junk.
+ANY_VALUE = st.one_of(st.floats().map(repr), st.integers(-10**40, 10**40).map(str), st.text(max_size=12))
+# The keys that size a run get values that keep it small (at most 1000
+# steps of at most 64 vehicles, from t_end = 0.05 and dt = 0.001) or make
+# it far too large to allocate, never one that would run for minutes.
+SIZED = {
+    "n_vehicles": st.one_of(st.integers(-10**40, 64), st.integers(10**15, 10**40)).map(str)
+    | st.floats().map(repr),
+    "dt": st.floats().filter(lambda x: not 1e-20 < x < 5e-5).map(repr),
+    "t_end": st.floats().filter(lambda x: not 1.0 < x < 1e17).map(repr),
+}
+
+
+@st.composite
+def edited_presets(draw):
+    """A preset's text, cut to t_end = 0.05 with a sample every 10 steps,
+    with one value changed, one line duplicated or one line dropped."""
+    text = format_scenario(preset(draw(st.sampled_from(["fig1", "fig2", "fig3"]))))
+    lines = text.replace("t_end = 250.0", "t_end = 0.05").replace("stride = 100", "stride = 10").split("\n")
+    edit = draw(st.sampled_from(["value", "duplicate", "drop"]))
+    if edit == "value":
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line]))
+        key = lines[i].split(" = ")[0]
+        lines[i] = f"{key} = {draw(SIZED.get(key, ANY_VALUE))}"
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [lines[i]] * 2 if edit == "duplicate" else []
+    return "\n".join(lines)
+
+
+def run_main(argv):
+    """main(argv) in process: (exit code, standard error)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def contents(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(edited_presets(), st.sampled_from(sorted(COMMANDS)))
+def test_main_contract_on_edited_presets(text, command):
+    """Every command on an edited preset exits 0, 2 or 3; exit 2 prints
+    one error line and leaves no output directory, and the manifest of an
+    exit 0 replays to the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "s.ini").write_bytes(text.encode("utf-8", "surrogatepass"))
+        code, err = run_main([command, "--scenario", str(tmp / "s.ini"), "--out", str(tmp / "o"),
+                              *COMMANDS[command]])
+        assert code in (0, 2, 3), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not (tmp / "o").exists()
+        if code == 0:
+            replay = [command, "--scenario", str(tmp / "o" / "run_manifest.txt"), "--out", str(tmp / "r"),
+                      *COMMANDS[command]]
+            assert run_main(replay) == (0, "")
+            assert contents(tmp / "r") == contents(tmp / "o")
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("simulate", "n_vehicles = 20", f"n_vehicles = {10**40}"),
+    ("ensemble", "t_end = 250.0", "t_end = 1e300"),
+    ("stability-map", "n_vehicles = 20", f"n_vehicles = {10**40}"),
+    ("simulate", "[model]", ""),
+], ids=["simulate-address-space", "ensemble-address-space", "stability-map-address-space",
+        "no-section-header"])
+def test_main_exit_2_prints_one_line(tmp_path, capsys, command, old, new):
+    """Buffers past the address space (numpy refuses them with a
+    ValueError) count as too large for memory, and a parser message that
+    quotes the input over several lines is printed on one."""
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace(old, new))
+    extra = {"ensemble": ["--runs", "2"], "stability-map": COMMANDS["stability-map"]}.get(command, [])
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_energy_past_float_range_is_inf(tmp_path, capsys):
+    """On a ring of length 1e200 the energy overflows; the run blows up
+    at its first step and records an infinite energy without a warning."""
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig1", "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace("ring_length = 141.0", "ring_length = 1e200"))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "o" / "observables.csv")
+    assert rows[0][-1] == "inf"
 
 
 @pytest.mark.parametrize("runs", ["0", "100000000000"])

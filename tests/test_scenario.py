@@ -128,6 +128,32 @@ def test_one_key_edit_parses_or_is_invalid(sc, edit, data):
         pass
 
 
+@pytest.mark.parametrize("line, message", [
+    (None, "missing key(s) in [manifest]: schema_version"),
+    ("schema_version = junk", "schema_version: invalid literal"),
+    ("schema_version = 1.0", "schema_version: invalid literal"),
+    ("schema_version = 99", "schema_version 99 is not 1"),
+])
+def test_manifest_schema_version_is_checked(line, message):
+    """A manifest of another schema version would replay to other bytes,
+    so it is refused, as is one whose version is missing or not an integer."""
+    text = format_manifest(preset("fig1"), {})
+    assert "schema_version = 1\n" in text
+    edited = text.replace("schema_version = 1\n", "" if line is None else line + "\n")
+    with pytest.raises(InvalidInputError) as info:
+        parse_scenario(edited)
+    assert message in str(info.value)
+
+
+def test_manifest_preset_spanning_lines_is_refused():
+    """An indented line after preset continues its value; written back,
+    that value would be a bare line no parse accepts."""
+    text = format_manifest(preset("fig1"), {})
+    assert "preset = fig1\n" in text
+    with pytest.raises(InvalidInputError, match="preset must be one line"):
+        parse_scenario(text.replace("preset = fig1\n", "preset = fig1\n  extra\n"))
+
+
 # ---------------------------------------------------------------------------
 # field coverage
 
