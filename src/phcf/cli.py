@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EigenSolverError, InvalidInputError, NumericalBlowupError, UnsupportedOperationError
-from .model import build_matrices
+from .model import _linear_scalars, build_matrices
 from .scenario import (
     Scenario,
     format_manifest,
@@ -99,13 +99,11 @@ def _observable_rows(obs, run=..., n_valid=None):
 def _stability_info(scenario: Scenario) -> dict:
     """Spectral metadata recorded in every manifest; the gap-feedback
     regime additionally gets a stability verdict.  O(N): no matrix."""
-    params = scenario.params
-    if params.regime.t_gap is None:
-        scale = drift_matrix_norm(params.n_vehicles, params.alpha, params.beta, params.gamma)
-        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(params), scale)}
-    report = stability_report(
-        params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap
-    )
+    n, alpha, beta, gamma, t_gap = _linear_scalars(scenario.params)
+    if t_gap is None:
+        scale = drift_matrix_norm(n, alpha, beta, gamma)
+        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(scenario.params), scale)}
+    report = stability_report(n, alpha, beta, gamma, t_gap)
     if report.marginal:
         verdict = "marginal"
     else:
@@ -121,6 +119,10 @@ def _stability_info(scenario: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
+# A floating-point error in a run leaves a state that is not finite, which
+# the integrator reports as a blowup (exit 3); the run warns nothing.
+_RUN_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
+
 
 def cmd_simulate(scenario: Scenario, out_dir) -> int:
     """Run one trajectory; write trajectory.csv, observables.csv,
@@ -129,16 +131,18 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     Returns 0, or 3 when the run blew up (partial output is still
     written and the manifest carries the blowup flag).
     """
+    stability = _stability_info(scenario)
     blowup = None
     try:
-        ts = simulate(scenario.params, scenario.config)
+        with np.errstate(**_RUN_ERRSTATE):
+            ts = simulate(scenario.params, scenario.config)
     except NumericalBlowupError as exc:
         ts = exc.partial
         blowup = exc
     fields = {"overtake": ts.overtake_flag, "blowup": blowup is not None}
     if blowup is not None:
         fields["blowup_time"] = blowup.time
-    fields.update(_stability_info(scenario))
+    fields.update(stability)
 
     wrap = scenario.output.wrap_positions
     n = scenario.params.n_vehicles
@@ -163,8 +167,9 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
     """Run an ensemble; write per-run observables CSVs, a cross-run
     summary (time, moments of the mean speed, mean variance) and the
     manifest.  Returns 0, or 3 if any member blew up."""
-    runs = run_ensemble(scenario.params, scenario.config, n_runs=n_runs)
     stability = _stability_info(scenario)
+    with np.errstate(**_RUN_ERRSTATE):
+        runs = run_ensemble(scenario.params, scenario.config, n_runs=n_runs)
     obs = observables(runs)
     files = {
         f"observables_run{r:03d}.csv": (_OBSERVABLES_HEADER, _observable_rows(obs, r, n_valid))
@@ -235,7 +240,10 @@ def parse_vary(spec: str):
     for value in (start, stop):
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value}")
-    values = np.linspace(start, stop, count)
+    try:
+        values = np.linspace(start, stop, count)
+    except ValueError as exc:  # numpy's refusal of a size past the address space
+        raise MemoryError(str(exc)) from exc
     if name == "t_gap" and not (values > 0).all():
         raise InvalidInputError(f"t_gap must be positive, got {values[values <= 0][0]}")
     if (values < 0).any():
@@ -250,8 +258,8 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     Any grid cell with sufficient_stable and not exact_stable aborts with
     diagnostics (the sufficient region must sit inside the exact one).
     """
-    params = scenario.params
-    if params.regime.t_gap is None:
+    n, alpha, beta, gamma, t_gap = _linear_scalars(scenario.params)
+    if t_gap is None:
         raise InvalidInputError("stability maps need a closed_loop scenario")
     if len(vary) != 2:
         raise InvalidInputError("exactly two --vary axes are required")
@@ -259,8 +267,7 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     if name1 == name2:
         raise InvalidInputError("the two sweep axes must differ")
 
-    point = dict(alpha=params.alpha, beta=params.beta, gamma=params.gamma, t_gap=params.regime.t_gap)
-    n = params.n_vehicles
+    point = dict(alpha=alpha, beta=beta, gamma=gamma, t_gap=t_gap)
     rows = []
     exact = np.zeros((len(values1), len(values2)), dtype=bool)
     suff = np.zeros_like(exact)

@@ -155,16 +155,6 @@ class ModelParams:
             raise InvalidInputError("controlled regimes require gamma > 0")
 
 
-def _require_quadratic(params: ModelParams) -> None:
-    """Refuse params whose potential is not the quadratic one: the linear
-    structure (drift matrix, spectra) exists only for that potential."""
-    if params.potential is not None:
-        raise UnsupportedOperationError(
-            "the drift matrix and the spectra need the quadratic potential; "
-            "these params carry a CustomDerivative"
-        )
-
-
 # ---------------------------------------------------------------------------
 # ring geometry and drift
 
@@ -347,10 +337,10 @@ def _ring_difference_matrix(n: int) -> np.ndarray:
     return a
 
 
-def assemble_drift_matrix(n, alpha, beta, gamma, *, controlled, t_gap=None) -> np.ndarray:
+def assemble_drift_matrix(n, alpha, beta, gamma, t_gap=None) -> np.ndarray:
     """Dense 2N x 2N drift matrix from scalar parameters.
 
-    ``controlled`` adds the -gamma*I damping block; ``t_gap`` additionally
+    gamma > 0 adds the -gamma*I damping block; ``t_gap`` additionally
     adds the gap-feedback block (gamma/t_gap)*I in the lower left.
     """
     a = _ring_difference_matrix(n)
@@ -358,12 +348,32 @@ def assemble_drift_matrix(n, alpha, beta, gamma, *, controlled, t_gap=None) -> n
     eye = np.eye(n)
     lower_left = -(alpha**2) * a.T
     lower_right = -beta * ata
-    if controlled:
+    if gamma > 0:
         lower_right = lower_right - gamma * eye
     if t_gap is not None:
         lower_left = lower_left + (gamma / t_gap) * eye
     zero = np.zeros((n, n))
     return np.block([[zero, a], [lower_left, lower_right]])
+
+
+def _linear_scalars(params: ModelParams):
+    """(n_vehicles, alpha, beta, gamma, t_gap) of the linear drift, the
+    scalars of every matrix, spectrum and stability result.
+
+    gamma is the literal 0.0 without control: params.gamma may be -0.0,
+    and beta*mu + -0.0 keeps a signed zero that + 0.0 does not.  t_gap is
+    None without gap feedback.  Raises UnsupportedOperationError for a
+    CustomDerivative potential: the linear structure exists only for the
+    quadratic one.
+    """
+    if params.potential is not None:
+        raise UnsupportedOperationError(
+            "the drift matrix and the spectra need the quadratic potential; "
+            "these params carry a CustomDerivative"
+        )
+    regime = params.regime
+    gamma = params.gamma if regime.controlled else 0.0
+    return params.n_vehicles, params.alpha, params.beta, gamma, regime.t_gap
 
 
 def build_matrices(params: ModelParams) -> np.ndarray:
@@ -373,12 +383,4 @@ def build_matrices(params: ModelParams) -> np.ndarray:
     regime.target_speed(0.0).  Eigenvalues never depend on the shift.
     Raises UnsupportedOperationError for a CustomDerivative potential.
     """
-    _require_quadratic(params)
-    return assemble_drift_matrix(
-        params.n_vehicles,
-        params.alpha,
-        params.beta,
-        params.gamma,
-        controlled=params.regime.controlled,
-        t_gap=params.regime.t_gap,
-    )
+    return assemble_drift_matrix(*_linear_scalars(params))

@@ -60,7 +60,7 @@ import numpy as np
 from .errors import EigenSolverError, InvalidInputError
 from .model import (
     ModelParams,
-    _require_quadratic,
+    _linear_scalars,
     assemble_drift_matrix,  # noqa: F401  (bench/tracer.py times calls through this binding)
 )
 
@@ -75,15 +75,17 @@ MARGINAL_ABSCISSA = 1e-10
 DENSE_ORACLE_MAX_DIM = 2048
 
 
-def _mode_angles(n: int) -> list:
-    """2*pi*j/n for j = 0..n-1, rounded exactly as the scalar expression.
-    Raises MemoryError when n is past the address space, as when it is
-    past memory."""
+def _mode_tables(n: int):
+    """(cos, sin) of the angles 2*pi*j/n for j = 0..n-1, each angle
+    rounded exactly as the scalar expression and each entry from
+    math.cos/math.sin.  Raises MemoryError when n is past the address
+    space, as when it is past memory."""
     try:
         j = np.arange(n)
     except ValueError as exc:  # numpy's refusal of a size past the address space
         raise MemoryError(str(exc)) from exc
-    return (2.0 * math.pi * j / n).tolist()
+    angles = (2.0 * math.pi * j / n).tolist()
+    return np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
 
 
 def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
@@ -117,20 +119,9 @@ def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
     return roots.reshape(lin.shape[:-1] + (2 * n,))
 
 
-def mode_spectrum(n, alpha, beta, gamma, t_gap=None) -> np.ndarray:
-    """Per-mode closed-form spectrum from scalar parameters: a read-only
-    complex array, entry 2j + k is mode j, branch k.
-
-    t_gap=None drops the gap-feedback coupling (uncontrolled / open loop).
-    """
-    cos = np.array([math.cos(a) for a in _mode_angles(n)])
-    values = _mode_roots(cos, alpha**2, beta, gamma, None if t_gap is None else gamma / t_gap)
-    values.setflags(write=False)
-    return values
-
-
 def eigenvalues(params: ModelParams) -> np.ndarray:
-    """Closed-form spectrum for whichever regime params carries.
+    """Closed-form spectrum for whichever regime params carries: a
+    read-only complex array, entry 2j + k is mode j, branch k.
 
     Mode 0 carries a double zero without control and {0, -gamma} under
     control.  Under constant speed control every other eigenvalue has
@@ -139,12 +130,11 @@ def eigenvalues(params: ModelParams) -> np.ndarray:
     in modes j and N-j.  Raises UnsupportedOperationError for a
     CustomDerivative potential.
     """
-    _require_quadratic(params)
-    regime = params.regime
-    # The literal 0.0 without control: params.gamma may be -0.0, and
-    # beta*mu + -0.0 keeps a signed zero that + 0.0 does not.
-    gamma = params.gamma if regime.controlled else 0.0
-    return mode_spectrum(params.n_vehicles, params.alpha, params.beta, gamma, regime.t_gap)
+    n, alpha, beta, gamma, t_gap = _linear_scalars(params)
+    cos, _ = _mode_tables(n)
+    values = _mode_roots(cos, alpha**2, beta, gamma, None if t_gap is None else gamma / t_gap)
+    values.setflags(write=False)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +294,8 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
     sufficient = [sufficient_condition(a, gm, t) for a, _, gm, t in cells]
     scale = np.array([drift_matrix_norm(n, *cell) for cell in cells]).reshape(shape)
 
-    angles = _mode_angles(n)
-    cos = np.array([math.cos(a) for a in angles])
-    c = cos[1:]
-    s = np.array([math.sin(a) for a in angles[1:]])
+    cos, sin = _mode_tables(n)
+    c, s = cos[1:], sin[1:]
     # Parameters near the float range give non-finite terms, computed
     # without numpy warnings; spectral_abscissa_nonzero refuses them.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,10 +325,8 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
 def exact_stability(params: ModelParams) -> StabilityReport:
     """Stability report of the gap-feedback regime in params (quadratic
     potential only)."""
-    _require_quadratic(params)
-    if params.regime.t_gap is None:
+    n, alpha, beta, gamma, t_gap = _linear_scalars(params)
+    if t_gap is None:
         raise InvalidInputError(f"params.regime must be ClosedLoop, got {type(params.regime).__name__}")
-    return stability_report(
-        params.n_vehicles, params.alpha, params.beta, params.gamma, params.regime.t_gap
-    )
+    return stability_report(n, alpha, beta, gamma, t_gap)
 

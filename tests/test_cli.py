@@ -746,9 +746,11 @@ def test_main_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch, command
     ("ensemble", "beta = 1e308", ["--runs", "2"]),
     ("spectrum", "beta = 1e308", []),
     ("stability-map", "beta = 1.0", ["--vary", "beta=1e308:1.7e308:3", "--vary", "gamma=1:2:2"]),
+    ("simulate", "t_gap = 5e-324", []),
+    ("ensemble", "t_gap = 5e-324", ["--runs", "2"]),
 ], ids=["simulate", "simulate-norm", "ensemble-norm", "spectrum", "spectrum-norm",
         "spectrum-oracle", "stability-map-alpha", "stability-map-gamma", "simulate-beta",
-        "ensemble-beta", "spectrum-beta", "stability-map-beta"])
+        "ensemble-beta", "spectrum-beta", "stability-map-beta", "simulate-t_gap", "ensemble-t_gap"])
 def test_main_maps_overflow_to_exit_2(tmp_path, capsys, command, edit, extra):
     """A parameter whose float square overflows exits 2 with a message
     and, like any failed command, leaves no output directory: alpha =
@@ -757,7 +759,9 @@ def test_main_maps_overflow_to_exit_2(tmp_path, capsys, command, edit, extra):
     every manifest's stability fields need, and alpha = 1e154, whose
     finite alpha**2 still gives eigenvalues that are not finite.  beta =
     1e308 overflows the numpy terms of the spectrum and the Hurwitz test
-    without a warning, and the spectral fields refuse the result."""
+    without a warning, and the spectral fields refuse the result.  The
+    subnormal t_gap = 5e-324 makes gamma/t_gap infinite: the spectral
+    fields are refused before a run starts, so its drift never warns."""
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
     key = edit.split(" = ")[0]
@@ -841,21 +845,22 @@ def test_main_contract_on_edited_presets(text, command):
             assert contents(tmp / "r") == contents(tmp / "o")
 
 
-@pytest.mark.parametrize("command, old, new", [
-    ("simulate", "n_vehicles = 20", f"n_vehicles = {10**40}"),
-    ("ensemble", "t_end = 250.0", "t_end = 1e300"),
-    ("stability-map", "n_vehicles = 20", f"n_vehicles = {10**40}"),
-    ("simulate", "[model]", ""),
+@pytest.mark.parametrize("command, old, new, extra", [
+    ("simulate", "n_vehicles = 20", f"n_vehicles = {10**40}", []),
+    ("ensemble", "t_end = 250.0", "t_end = 1e300", ["--runs", "2"]),
+    ("stability-map", "n_vehicles = 20", f"n_vehicles = {10**40}", COMMANDS["stability-map"]),
+    ("simulate", "[model]", "", []),
+    ("stability-map", "", "", ["--vary", f"alpha=0:1:{10**20}", "--vary", "gamma=1:2:2"]),
 ], ids=["simulate-address-space", "ensemble-address-space", "stability-map-address-space",
-        "no-section-header"])
-def test_main_exit_2_prints_one_line(tmp_path, capsys, command, old, new):
+        "no-section-header", "stability-map-sweep-count"])
+def test_main_exit_2_prints_one_line(tmp_path, capsys, command, old, new, extra):
     """Buffers past the address space (numpy refuses them with a
-    ValueError) count as too large for memory, and a parser message that
-    quotes the input over several lines is printed on one."""
+    ValueError), a ring's or a sweep axis's, count as too large for
+    memory, and a parser message that quotes the input over several lines
+    is printed on one."""
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
     path.write_text(path.read_text().replace(old, new))
-    extra = {"ensemble": ["--runs", "2"], "stability-map": COMMANDS["stability-map"]}.get(command, [])
     assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -872,6 +877,25 @@ def test_main_energy_past_float_range_is_inf(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     _, rows = read_csv(tmp_path / "o" / "observables.csv")
     assert rows[0][-1] == "inf"
+
+
+@pytest.mark.parametrize("command, extra", [("simulate", []), ("ensemble", ["--runs", "2"])],
+                         ids=["simulate", "ensemble"])
+def test_main_run_past_float_range_blows_up_silently(tmp_path, capsys, command, extra):
+    """On a ring of length 1e305 with t_gap = 1e-10 the commanded speed
+    overflows in the drift at the first step.  The command exits 3 and
+    records the blowup; numpy warns nothing, because the state that is
+    not finite already reports the error."""
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(path)]) == 0
+    text = path.read_text()
+    for edit in ("ring_length = 1e305", "t_gap = 1e-10", "t_end = 0.05"):
+        key = edit.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", edit, text, flags=re.M)
+    path.write_text(text)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")] + extra) == 3
+    assert capsys.readouterr().err == ""
+    assert "\nblowup = true\n" in (tmp_path / "o" / "run_manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("runs", ["0", "100000000000"])

@@ -52,12 +52,20 @@ def test_tracer_bindings_resolve_to_callables():
         assert callable(getattr(owner, attr, None)), binding
 
 
-@pytest.mark.parametrize("command, runs", [("simulate", 1), ("ensemble", 3)])
-def test_tracer_counts_runs_and_run_steps(tmp_path, command, runs):
+@pytest.mark.parametrize("name, command, runs", [
+    ("fig1", "simulate", 1),
+    ("fig1", "ensemble", 3),
+    ("fig3", "simulate", 1),
+], ids=["simulate-1", "ensemble-3", "fig3-simulate-1"])
+def test_tracer_counts_runs_and_run_steps(tmp_path, name, command, runs):
     """The tracer reads the run count from the integrator's arguments, so
     a change of the simulate or run_ensemble signature would corrupt the
-    per-run-step metrics without any error; run it on a tiny command."""
-    sc = phcf.preset("fig1")
+    per-run-step metrics without any error; run it on a tiny command.
+    The spans the benchmark's workloads must exercise are counted through
+    the bindings the tracer wraps, so a command that stops calling one of
+    them fails here too: the stability report on gap feedback only, the
+    observables once per command, the stacked samples at least once."""
+    sc = phcf.preset(name)
     sc = replace(sc, config=replace(sc.config, t_end=0.1))
     scenario = tmp_path / "s.ini"
     write_scenario(sc, scenario)
@@ -69,9 +77,13 @@ def test_tracer_counts_runs_and_run_steps(tmp_path, command, runs):
     src = str(Path(phcf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run(args, check=True, cwd=tmp_path, env=env, timeout=120)
-    counters = json.loads(trace.read_text())["counters"]
+    report = json.loads(trace.read_text())
+    counters, spans = report["counters"], report["spans"]
     assert counters["sde.runs"] == runs
     assert counters["sde.run_steps"] == runs * _step_count(sc.config.dt, sc.config.t_end)
+    assert (spans["spectral.stability_report"]["calls"] > 0) == (name == "fig3")
+    assert spans["stats.observables"]["calls"] == 1
+    assert spans["sde.stack"]["calls"] > 0
 
 
 def test_all_names_resolve():

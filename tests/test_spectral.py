@@ -30,7 +30,6 @@ from phcf.spectral import (
     ZERO_EIGENVALUE_RTOL,
     check_dense_size,
     drift_matrix_norm,
-    mode_spectrum,
     near_zero_count,
     sufficient_condition,
 )
@@ -161,9 +160,9 @@ def test_eigenvalues_dispatch():
     # Without control the damping is the literal 0.0, not a signed-zero
     # gamma: with beta = -0.0 the mode-0 root -lin keeps the sign of 0.0.
     signed = ModelParams(4, 4.0, 1.0, -0.0, -0.0, 0.0, Uncontrolled())
-    got = eigenvalues(signed).real
-    assert np.array_equal(np.signbit(got), np.signbit(mode_spectrum(4, 1.0, -0.0, 0.0).real))
-    assert np.signbit(got[1])
+    got = eigenvalues(signed)
+    assert bits(got) == bits(loop_mode_spectrum(4, 1.0, -0.0, 0.0))
+    assert np.signbit(got[1].real)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def test_gamma_destabilization_counterexample():
     assert stability_report(20, 0.3, 1.0, 0.05, 1.0).exact_stable
     assert not stability_report(20, 0.3, 1.0, 0.10, 1.0).exact_stable
     for gamma, stable in ((0.05, True), (0.10, False)):
-        b = assemble_drift_matrix(20, 0.3, 1.0, gamma, controlled=True, t_gap=1.0)
+        b = assemble_drift_matrix(20, 0.3, 1.0, gamma, t_gap=1.0)
         abscissa = spectral_abscissa_nonzero(dense_eigen_oracle(b), np.linalg.norm(b))
         assert (abscissa < 0) == stable
 
@@ -418,7 +417,7 @@ def loop_stability_report(n, alpha, beta, gamma, t_gap):
         det = kappa * (nu * kappa + rho * eta) - rho**2
         rows.append((kappa, nu, rho, det, complex_hurwitz_stable(kappa, eta, nu, rho)))
     kappa, nu, rho, det, stable = (np.array(col) for col in zip(*rows))
-    b = assemble_drift_matrix(n, alpha, beta, gamma, controlled=gamma > 0, t_gap=t_gap)
+    b = assemble_drift_matrix(n, alpha, beta, gamma, t_gap=t_gap)
     values = loop_mode_spectrum(n, alpha, beta, gamma, t_gap)
     abscissa = spectral_abscissa_nonzero(values, np.linalg.norm(b))
     return kappa, nu, rho, det, stable, bool(gamma > 0 and stable.all()), abscissa
@@ -452,7 +451,7 @@ def regime_scalars(draw, max_n=40):
 @example((2, 0.5, 2.0, 1.0, 1.0))
 def test_closed_form_norm_equals_dense_norm(case):
     n, alpha, beta, gamma, t_gap = case
-    b = assemble_drift_matrix(n, alpha, beta, gamma, controlled=gamma > 0, t_gap=t_gap)
+    b = assemble_drift_matrix(n, alpha, beta, gamma, t_gap=t_gap)
     dense = np.linalg.norm(b)
     assert drift_matrix_norm(n, alpha, beta, gamma, t_gap) == pytest.approx(dense, rel=1e-13, abs=0)
 
@@ -463,8 +462,12 @@ def test_closed_form_norm_equals_dense_norm(case):
 @example((20, 0.5, 1.0, 1.0, 1.0))
 def test_mode_spectrum_equals_loop_bitwise(case):
     n, alpha, beta, gamma, t_gap = case
+    if gamma == 0:
+        regime = Uncontrolled()
+    else:
+        regime = OpenLoop(x=1.0) if t_gap is None else ClosedLoop(ell=1.0, t_gap=t_gap)
     expected = loop_mode_spectrum(n, alpha, beta, gamma, t_gap)
-    assert bits(mode_spectrum(n, alpha, beta, gamma, t_gap=t_gap)) == bits(expected)
+    assert bits(eigenvalues(make_params(n, alpha, beta, gamma, regime))) == bits(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -614,7 +617,7 @@ def test_broadcast_stability_report_rejects_all_zero_cell():
 def test_spectrum_values_array_and_entries_view():
     """A spectrum is one read-only complex array; entry 2j + k is the
     per-mode loop's (mode j, branch k) root."""
-    spec = mode_spectrum(5, 0.5, 1.0, 1.0, t_gap=2.0)
+    spec = eigenvalues(make_params(5, 0.5, 1.0, 1.0, ClosedLoop(ell=1.0, t_gap=2.0)))
     assert spec.dtype == complex and spec.shape == (10,)
     assert not spec.flags.writeable
     assert bits(spec) == bits(loop_mode_spectrum(5, 0.5, 1.0, 1.0, t_gap=2.0))
