@@ -7,14 +7,16 @@ every Fourier mode passes the complex Hurwitz test.  The bundled fig3
 parameters sit below the threshold: one mode pair grows, the speed
 variance rises exponentially at twice the spectral abscissa, and the
 trajectory fan develops a single wave running backward through the
-platoon while the vehicles drive forward.
+platoon while the vehicles drive forward.  The mean speed is untouched by
+the instability: it is Fourier mode 0, an OU process around 2.05 with
+the stationary variance sigma^2/(2 gamma N).
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from phcf import exact_stability, observables, preset, simulate
+from phcf import exact_stability, mean_speed_law, observables, preset, simulate
 from phcf.svgplot import observables_svg, trajectory_svg
 
 out_dir = Path(__file__).parent / "output"
@@ -37,6 +39,10 @@ print(f"\nlate-time V(t) growth rate on this run: {growth:.5f} "
       f"(2 x abscissa = {2 * report.spectral_abscissa_nonzero:.5f})")
 print(f"speed range at t=250: [{series.p[-1].min():.2f}, {series.p[-1].max():.2f}] "
       "- stop-and-go amplitudes")
+law = mean_speed_law(scenario.params)
+print(f"mean speed over t >= 150: {obs.mean_speed[late].mean():.3f} (law x = {law.x:.3f})")
+print(f"stationary Var[pbar]: sampled {((obs.mean_speed[late] - law.x) ** 2).mean():.4f}, "
+      f"law {law.stationary_variance:.4f}")
 
 (out_dir / "closed_loop_trajectories.svg").write_text(
     trajectory_svg(series.times, series.positions(), scenario.params.ring_length)

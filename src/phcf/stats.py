@@ -1,24 +1,31 @@
-"""Trajectory observables and closed-form mean-speed moment laws.
+"""Trajectory observables and the closed-form mean-speed moment law.
 
-The ensemble mean speed decouples from the interactions (they telescope
-over the ring), leaving only the control relaxation and the aggregated
-noise with effective volatility sigma/sqrt(N):
+The ensemble mean speed pbar = (1/N) sum_n p_n decouples from the
+interactions: the potential forces and the speed-difference friction
+telescope over the ring, for any potential.  What is left is the control
+relaxation and the aggregated noise, of effective volatility
+sigma/sqrt(N).  Every regime's commanded speed averages to its value at
+the mean gap L/N: it is 0 without control and x under open loop, and
+under gap feedback the average of (gap_n - ell)/T is (L/N - ell)/T,
+because the gaps sum to L.  So in all three regimes
 
-    uncontrolled:  d pbar = (sigma/N) sum_n dW_n          (diffusion)
-    open loop:     d pbar = gamma*(x - pbar) dt + (sigma/N) sum_n dW_n
+    d pbar = gamma*(x - pbar) dt + (sigma/N) sum_n dW_n,   x = target_speed(L/N),
 
-so Var[pbar(t)] = sigma^2 t / N without control and
-(sigma^2/(2 gamma N)) (1 - exp(-2 gamma t)) under constant speed control.
+with gamma = 0 without control.  Var[pbar(t)] is sigma^2 t / N when
+gamma = 0 (a diffusion) and (sigma^2/(2 gamma N)) (1 - exp(-2 gamma t))
+otherwise.  Under gap feedback this holds even where the regime is
+unstable: pbar is Fourier mode 0, which decouples from the growing modes
+(its eigenvalues are 0 and -gamma).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedOperationError
+from .errors import InvalidInputError
 from .model import ModelParams, hamiltonian
 from .sde import TimeSeries
 
@@ -40,55 +47,52 @@ def observables(ts: TimeSeries) -> ObservableSeries:
     vehicle's speed, and the energy under the run's own potential at
     every sample; each reduces over the vehicles, the last axis.  An
     energy past the float range, as on a ring near the float range, is
-    inf without a numpy warning."""
+    inf without a numpy warning.  In a batch, every observable of run r
+    is NaN past its n_valid[r] samples, so a blown run's zeroed tail
+    cannot pass for a state in a reduction over runs."""
     if len(ts.times) == 0:
         raise InvalidInputError("empty trajectory")
     speeds = ts.speeds()
     with np.errstate(over="ignore"):
         energy = hamiltonian(ts.positions(), speeds, ts.params)
-    return ObservableSeries(
-        times=ts.times.copy(),
-        mean_speed=speeds.mean(axis=-1),
-        speed_variance=speeds.var(axis=-1, ddof=1),
-        single_vehicle_speed=speeds[..., 0].copy(),
-        hamiltonian=energy,
-    )
+    columns = (speeds.mean(axis=-1), speeds.var(axis=-1, ddof=1), speeds[..., 0].copy(), energy)
+    if ts.n_valid is not None:
+        valid = np.arange(len(ts.times)) < ts.n_valid[:, None]
+        columns = [np.where(valid, c, np.nan) for c in columns]
+    return ObservableSeries(ts.times.copy(), *columns)
 
 
 @dataclass(frozen=True)
 class MomentLaw:
-    """Mean and variance of the ensemble mean speed as functions of t."""
+    """The mean speed's law, d pbar = gamma*(x - pbar) dt + sqrt(diffusion) dB
+    from pbar(0) = initial_mean_speed, with diffusion = sigma^2/N; its mean
+    and variance at times t."""
 
-    mean_of_mean_speed: Callable
-    variance_of_mean_speed: Callable
-    stationary_variance: Optional[float]
+    x: float
+    gamma: float
+    diffusion: float
+    initial_mean_speed: float
+
+    def mean_of_mean_speed(self, t):
+        return self.x + (self.initial_mean_speed - self.x) * np.exp(-self.gamma * np.asarray(t, dtype=float))
+
+    def variance_of_mean_speed(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.gamma == 0:  # the integral of exp(-2 gamma s) over [0, t] is t
+            return self.diffusion * t
+        return self.stationary_variance * (1.0 - np.exp(-2.0 * self.gamma * t))
+
+    @property
+    def stationary_variance(self) -> Optional[float]:
+        """sigma^2/(2 gamma N), or None when gamma = 0 (no stationary law)."""
+        return None if self.gamma == 0 else self.diffusion / (2.0 * self.gamma)
 
 
 def mean_speed_law(params: ModelParams, initial_mean_speed: float = 0.0) -> MomentLaw:
-    """Closed-form moments of the mean speed (see the module docstring).
-
-    Valid for any potential, since the interactions telescope; undefined
-    under gap feedback, where the mean speed is not autonomous.
-    """
-    sig2n = params.sigma**2 / params.n_vehicles
-    p0 = float(initial_mean_speed)
-    if params.regime.t_gap is not None:
-        raise UnsupportedOperationError("the mean speed is not autonomous under gap feedback")
-    if not params.regime.controlled:
-        return MomentLaw(
-            mean_of_mean_speed=lambda t: p0 + 0.0 * np.asarray(t, dtype=float),
-            variance_of_mean_speed=lambda t: sig2n * np.asarray(t, dtype=float),
-            stationary_variance=None,
-        )
-    x = params.regime.x
-    gam = params.gamma
-    stationary = sig2n / (2.0 * gam)
-    return MomentLaw(
-        mean_of_mean_speed=lambda t: x + (p0 - x) * np.exp(-gam * np.asarray(t, dtype=float)),
-        variance_of_mean_speed=lambda t: stationary
-        * (1.0 - np.exp(-2.0 * gam * np.asarray(t, dtype=float))),
-        stationary_variance=stationary,
-    )
+    """Closed-form moments of the mean speed in every regime and for any
+    potential (see the module docstring)."""
+    x = float(params.regime.target_speed(params.ring_length / params.n_vehicles))
+    return MomentLaw(x, params.gamma, params.sigma**2 / params.n_vehicles, float(initial_mean_speed))
 
 
 def deviation_process(ts: TimeSeries) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from dataclasses import replace
 
 from phcf import (
+    ClosedLoop,
     CustomDerivative,
     InvalidInputError,
     ModelParams,
@@ -21,9 +22,10 @@ from phcf import (
     mean_speed_law,
     observables,
     preset,
+    run_ensemble,
     simulate,
 )
-from phcf.sde import TimeSeries
+from phcf.sde import Explicit, TimeSeries
 from oracles import deviation_matrix
 
 
@@ -99,6 +101,29 @@ def test_observables_need_the_potential_value():
         observables(ts)
 
 
+# A gap-feedback ring that blows up within t = 2.1 (as in test_sde.py).
+BLOWING = ModelParams(5, 10.0, 0.0, 0.0, 10.0, 1.0, ClosedLoop(ell=1.0, t_gap=0.01))
+FIELDS = ("mean_speed", "speed_variance", "single_vehicle_speed", "hamiltonian")
+
+
+def test_batch_observables_are_nan_past_n_valid():
+    """A blown run's observables are NaN past its n_valid samples, so a
+    cross-run mean there is NaN, not a mean over zeroed states; before
+    n_valid they equal the observables of the run's own valid samples, bit
+    for bit."""
+    batch = run_ensemble(BLOWING, SimConfig(0.001, 5.0, 10, 3), 3)
+    obs = observables(batch)
+    assert batch.n_valid.tolist() == [191, 193, 202]
+    assert np.isnan(obs.mean_speed[:, 300].mean())
+    for r, v in enumerate(batch.n_valid):
+        alone = observables(TimeSeries(batch.times[:v], batch.q[r, :v], batch.p[r, :v], BLOWING,
+                                       batch.config, False))
+        for field in FIELDS:
+            column = getattr(obs, field)[r]
+            assert np.isnan(column[v:]).all() and not np.isnan(column[:v]).any(), field
+            assert np.array_equal(column[:v], getattr(alone, field)), field
+
+
 def test_speed_variance_matches_projector_identity():
     """||M p||^2 = (N-1) V(t): guards the 1/(N-1) normalization."""
     rng = np.random.default_rng(6)
@@ -152,9 +177,61 @@ def test_law_open_loop_stationary_variance():
     assert law.variance_of_mean_speed(0.0) == 0.0
 
 
-def test_law_closed_loop_unsupported():
-    with pytest.raises(UnsupportedOperationError):
-        mean_speed_law(preset("fig3").params)
+def test_law_closed_loop_fig3():
+    """Gap feedback relaxes the mean speed to (L/N - ell)/T = (7.05 - 5)/1."""
+    law = mean_speed_law(preset("fig3").params)
+    assert law.x == 2.05
+    assert law.stationary_variance == 0.025
+    assert law.mean_of_mean_speed(0.0) == 0.0
+    assert law.variance_of_mean_speed(1e9) == pytest.approx(0.025)
+
+
+CUBIC = CustomDerivative(lambda g: g + 0.1 * g**3)
+
+
+@st.composite
+def zero_noise_runs(draw):
+    """(params, config) at sigma = 0 from an uneven Explicit start, in each
+    regime, and under gap feedback also with a cubic potential."""
+    n = draw(st.integers(3, 12))
+    length = draw(st.floats(2.0 * n, 10.0 * n))
+    weights = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    q = np.concatenate([[0.0], np.cumsum(length * weights / weights.sum())[:-1]])
+    p = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["uncontrolled", "open", "closed", "closed_cubic"]))
+    if kind == "uncontrolled":
+        regime, gamma = Uncontrolled(), 0.0
+    elif kind == "open":
+        regime, gamma = OpenLoop(x=draw(st.floats(-3.0, 3.0))), draw(st.floats(0.05, 2.0))
+    else:
+        regime = ClosedLoop(ell=draw(st.floats(0.0, 5.0)), t_gap=draw(st.floats(0.5, 3.0)))
+        gamma = draw(st.floats(0.05, 2.0))
+    params = ModelParams(n, length, draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 2.0)), gamma, 0.0,
+                         regime, CUBIC if kind == "closed_cubic" else None)
+    config = SimConfig(dt=draw(st.sampled_from([0.001, 0.01])), t_end=draw(st.floats(0.1, 5.0)),
+                       initial=Explicit(q, p))
+    return params, config
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(zero_noise_runs())
+def test_noiseless_mean_speed_follows_the_law(case):
+    """Without noise the sampled mean speed is the Euler-Maruyama
+    recursion x + (pbar0 - x)(1 - gamma dt)^k to rounding, whatever the
+    gaps, the regime or the potential, and it stays within
+    |pbar0 - x| gamma dt of the law's continuous mean."""
+    params, config = case
+    ts = simulate(params, config)
+    pbar = ts.p.mean(axis=-1)
+    law = mean_speed_law(params, initial_mean_speed=pbar[0])
+    x, gamma_dt = law.x, params.gamma * config.dt
+    # (1 - gamma dt)^k through log1p: the power of the rounded 1 - gamma dt
+    # would carry k times its rounding error.
+    recursion = x + (pbar[0] - x) * np.exp(np.arange(len(pbar)) * np.log1p(-gamma_dt))
+    rounding = 1e-13 * max(1.0, np.abs(ts.p).max(), abs(x))
+    assert np.abs(pbar - recursion).max() <= rounding
+    gap = np.abs(pbar - law.mean_of_mean_speed(ts.times)).max()
+    assert gap <= abs(pbar[0] - x) * gamma_dt + rounding
 
 
 @pytest.mark.parametrize("t_probe", [10.0, 50.0, 100.0])
@@ -182,6 +259,23 @@ def test_open_loop_moments_match_monte_carlo(fig2_ensemble, t_probe):
     sample_var = samples.var(ddof=1)
     se_var = sample_var * np.sqrt(2.0 / (r - 1))
     assert abs(sample_var - law.variance_of_mean_speed(t_probe)) <= 3 * se_var
+
+
+@pytest.mark.parametrize("moment, t_probe", [("mean", t) for t in (1.0, 3.0, 10.0, 50.0, 100.0)]
+                         + [("variance", t) for t in (10.0, 50.0, 100.0)])
+def test_closed_loop_moments_match_monte_carlo(fig3_ensemble, moment, t_probe):
+    """Under gap feedback, unstable fig3 included, the ensemble mean and
+    variance of pbar are within 3 standard errors of the law's."""
+    samples = fig3_ensemble.pbar[int(np.searchsorted(fig3_ensemble.times, t_probe))]
+    law = mean_speed_law(preset("fig3").params, initial_mean_speed=0.0)
+    r = fig3_ensemble.n_runs
+    if moment == "mean":
+        se = samples.std(ddof=1) / np.sqrt(r)
+        assert abs(samples.mean() - law.mean_of_mean_speed(t_probe)) <= 3 * se
+    else:
+        sample_var = samples.var(ddof=1)
+        se = sample_var * np.sqrt(2.0 / (r - 1))
+        assert abs(sample_var - law.variance_of_mean_speed(t_probe)) <= 3 * se
 
 
 def test_open_loop_stationary_window(fig2_ensemble):
