@@ -203,15 +203,6 @@ def gaps_array(q: np.ndarray, ring_length: float) -> np.ndarray:
     return dq
 
 
-def _views_share_memory(views, x, d) -> bool:
-    """Whether a difference's flat interior views are views of x and d
-    (reshape copies an array it cannot flatten in place)."""
-    (hi, lo, out), _ = views
-    if x.size == 0:
-        return True
-    return np.shares_memory(hi, x) and np.shares_memory(lo, x) and np.shares_memory(out, d)
-
-
 class _DriftWork:
     """Buffers and slice views for evaluating the drift of one (q, p)
     pair again and again, as an integrator does after updating q and p
@@ -245,14 +236,6 @@ class _DriftWork:
         self._dp_diff = _forward_views(p, self.dp)
         self._acc_diff = _backward_views(self.dp, self.acc)
         self._dforce_diff = _backward_views(self.force, self.dforce)
-        for views, x, d in (
-            (self._gap_diff, q, self.gap),
-            (self._dp_diff, p, self.dp),
-            (self._acc_diff, self.dp, self.acc),
-            (self._dforce_diff, self.force, self.dforce),
-        ):
-            if not _views_share_memory(views, x, d):
-                raise InvalidInputError("a flat view of the drift workspace is a copy")
         self._alpha2 = params.alpha**2
         self._derivative = None if params.potential is None else params.potential.derivative
 

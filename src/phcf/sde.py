@@ -5,7 +5,8 @@ positions then update with the fresh speeds (the position update is
 implicit in the coupling), which keeps the mean-speed recursion exact
 under discretization.  The state is the array pair (q, p): initial_state
 builds it, and a TimeSeries records it as (samples, N) arrays, or as
-(runs, samples, N) arrays for an ensemble.
+(runs, samples, N) arrays for an ensemble, NaN past each run's valid
+samples.
 
 Noise comes from counter-based Philox streams read in fixed blocks, so
 the increment at a given step is a pure function of (seed, step, vehicle):
@@ -130,8 +131,9 @@ class TimeSeries:
     One run ends at its last valid sample; its overtake_flag is a bool
     and its blowup_step None or an int.  In a batch both are per-run
     arrays, and blowup_step is 0 for a run that did not blow up (steps
-    count from 1).  Run r has n_valid[r] valid samples, zeros after
-    them, and the seed derive_run_seed(config.seed, r).
+    count from 1).  Run r has n_valid[r] valid samples, NaN after them,
+    and the seed derive_run_seed(config.seed, r): a reduction over the
+    vehicles is NaN past n_valid[r] without a mask of its own.
     """
 
     times: np.ndarray
@@ -326,7 +328,8 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
                 active[bad] = False
                 if not active.any():
                     return False
-                # freeze dead rows; their samples are zeroed after the loop
+                # freeze dead rows at finite zeros; their samples become NaN
+                # after the loop
                 q[~active] = 0.0
                 p[~active] = 0.0
         return True
@@ -355,10 +358,10 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         if n_steps % stride == 0:
             record(n_steps)
 
-    # Zero what no valid sample wrote: rows left empty by the early break
-    # and whatever dead rows recorded after they blew up.
+    # NaN what no valid sample wrote: rows left empty by the early break
+    # and the zeros dead rows recorded after they blew up.
     tail = np.arange(n_samples) >= valid[:, None]
-    q_samples[tail] = p_samples[tail] = 0.0
+    q_samples[tail] = p_samples[tail] = np.nan
     q_samples.setflags(write=False)
     p_samples.setflags(write=False)
     times = np.arange(n_samples) * (stride * dt)
@@ -398,8 +401,9 @@ def run_ensemble(params: ModelParams, config: SimConfig, n_runs: int) -> TimeSer
 
 
 def max_gap_closure_error(ts: TimeSeries):
-    """Largest |sum(gaps) - ring_length| over the recorded samples: a
-    float for one run, one per run for a batch (zero tails add 0)."""
+    """Largest |sum(gaps) - ring_length| over the valid samples: a float
+    for one run, one per run for a batch (its NaN tail is skipped; step 0
+    is always valid)."""
     g = gaps_array(ts.positions(), ts.params.ring_length)
-    err = np.abs(g.sum(axis=-1) - ts.params.ring_length).max(axis=-1)
+    err = np.nanmax(np.abs(g.sum(axis=-1) - ts.params.ring_length), axis=-1)
     return float(err) if err.ndim == 0 else err

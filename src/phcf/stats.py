@@ -48,18 +48,16 @@ def observables(ts: TimeSeries) -> ObservableSeries:
     every sample; each reduces over the vehicles, the last axis.  An
     energy past the float range, as on a ring near the float range, is
     inf without a numpy warning.  In a batch, every observable of run r
-    is NaN past its n_valid[r] samples, so a blown run's zeroed tail
-    cannot pass for a state in a reduction over runs."""
+    is NaN past its n_valid[r] samples, where its states are NaN, so a
+    reduction over runs there is NaN too."""
     if len(ts.times) == 0:
         raise InvalidInputError("empty trajectory")
     speeds = ts.speeds()
     with np.errstate(over="ignore"):
         energy = hamiltonian(ts.positions(), speeds, ts.params)
-    columns = (speeds.mean(axis=-1), speeds.var(axis=-1, ddof=1), speeds[..., 0].copy(), energy)
-    if ts.n_valid is not None:
-        valid = np.arange(len(ts.times)) < ts.n_valid[:, None]
-        columns = [np.where(valid, c, np.nan) for c in columns]
-    return ObservableSeries(ts.times.copy(), *columns)
+    return ObservableSeries(
+        ts.times.copy(), speeds.mean(axis=-1), speeds.var(axis=-1, ddof=1), speeds[..., 0].copy(), energy
+    )
 
 
 @dataclass(frozen=True)
@@ -97,6 +95,7 @@ def mean_speed_law(params: ModelParams, initial_mean_speed: float = 0.0) -> Mome
 
 def deviation_process(ts: TimeSeries) -> np.ndarray:
     """Speeds with the per-sample mean removed, O(N) per sample.  Each
-    sample's deviations sum to zero up to rounding."""
+    sample's deviations sum to zero up to rounding; in a batch they are
+    NaN past each run's n_valid samples, as the speeds are."""
     p = ts.speeds()
     return p - p.mean(axis=-1, keepdims=True)

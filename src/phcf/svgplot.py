@@ -42,6 +42,8 @@ def _ticks(lo, hi, n=5):
     t = first
     while t <= hi + 1e-9 * span:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:  # a step below half an ulp of t never advances
+            break
         t += step
     return out
 

@@ -459,6 +459,37 @@ def test_stability_map_svg_descending_axis():
     assert sorted(svg.splitlines()) == sorted(twin.splitlines())
 
 
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_main_simulate_svg_on_one_ulp_axis(tmp_path):
+    """The mean speed of an open-loop ring at x = 9e7 spans one ulp
+    (1.49e-8), so the observables panel's tick step is below half an ulp
+    of its ticks; the command still writes all five files.  It runs in a
+    subprocess capped at 2 GiB of address space and 60 s, so a tick loop
+    that never advances fails fast instead of filling the memory."""
+    from phcf import ModelParams, OpenLoop, SimConfig, UniformStationary
+    from phcf.scenario import write_scenario
+
+    params = ModelParams(20, 141.0, 0.5, 1.0, 1.0, 3e-7, OpenLoop(x=9e7))
+    config = SimConfig(dt=0.001, t_end=0.02, sample_stride=1, seed=0, initial=UniformStationary())
+    write_scenario(Scenario(params=params, config=config), tmp_path / "ulp.ini")
+    src = str(Path(phcf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = [sys.executable, "-m", "phcf", "simulate", "--scenario", str(tmp_path / "ulp.ini"),
+            "--out", str(tmp_path / "o")]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "observables.csv", "observables.svg", "run_manifest.txt", "trajectory.csv", "trajectory.svg"]
+    speeds = [float(row[1]) for row in read_csv(tmp_path / "o" / "observables.csv")[1]]
+    assert max(speeds) - min(speeds) == np.spacing(9e7)
+
+
 # ---------------------------------------------------------------------------
 # stability map command
 

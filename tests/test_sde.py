@@ -384,8 +384,8 @@ def test_ensemble_blowup_not_fatal():
     assert batch.blowup_step.tolist() == [1908, 1927, 2017]
     assert batch.n_valid.tolist() == [191, 193, 202]
     # every run blew up, so the loop ended early: the samples it never
-    # reached are zeros, like those the dead rows recorded
-    assert not batch.q[0, 191:].any() and not batch.p[2, 202:].any()
+    # reached are NaN, like those the dead rows recorded
+    assert np.isnan(batch.q[0, 191:]).all() and np.isnan(batch.p[2, 202:]).all()
 
 
 def batch_cases():
@@ -406,7 +406,8 @@ def batch_cases():
 def test_batch_rows_equal_single_runs(case):
     """Row r of an ensemble, its mask fields and its row of every
     per-sample observable equal the single run under derive_run_seed(seed,
-    r), bit for bit; the samples past n_valid[r] are zeros."""
+    r), bit for bit; past n_valid[r] the samples, every observable and
+    the deviations are NaN, and the gap closure error skips them."""
     (params, config), n_runs = case
     batch = run_ensemble(params, config, n_runs)
     obs = observables(batch)
@@ -423,11 +424,13 @@ def test_batch_rows_equal_single_runs(case):
         assert np.array_equal(batch.q[r, :v], single.q) and np.array_equal(batch.p[r, :v], single.p)
         assert batch.blowup_step[r] == step
         assert batch.overtake_flag[r] == single.overtake_flag
-        assert not batch.q[r, v:].any() and not batch.p[r, v:].any()
+        assert np.isnan(batch.q[r, v:]).all() and np.isnan(batch.p[r, v:]).all()
         alone = observables(single)
         for field in ("mean_speed", "speed_variance", "single_vehicle_speed", "hamiltonian"):
             assert np.array_equal(getattr(obs, field)[r, :v], getattr(alone, field)), field
+            assert np.isnan(getattr(obs, field)[r, v:]).all(), field
         assert np.array_equal(deviations[r, :v], deviation_process(single))
+        assert np.isnan(deviations[r, v:]).all()
         assert closure[r] == max_gap_closure_error(single)
 
 
@@ -501,7 +504,7 @@ def test_blowups_land_where_the_per_step_rule_puts_them(case):
         v = len(q)
         assert (batch.blowup_step[r], batch.n_valid[r], batch.overtake_flag[r]) == (step, v, overtake)
         assert np.array_equal(batch.q[r, :v], q) and np.array_equal(batch.p[r, :v], p)
-        assert not batch.q[r, v:].any() and not batch.p[r, v:].any()
+        assert np.isnan(batch.q[r, v:]).all() and np.isnan(batch.p[r, v:]).all()
     q, p, overtake, step = reference_run(params, config, config.seed)
     try:
         single, single_step = simulate(params, config), 0

@@ -107,14 +107,15 @@ FIELDS = ("mean_speed", "speed_variance", "single_vehicle_speed", "hamiltonian")
 
 
 def test_batch_observables_are_nan_past_n_valid():
-    """A blown run's observables are NaN past its n_valid samples, so a
-    cross-run mean there is NaN, not a mean over zeroed states; before
-    n_valid they equal the observables of the run's own valid samples, bit
-    for bit."""
+    """A blown run's observables and deviations are NaN past its n_valid
+    samples, as its states are, so a cross-run mean there is NaN, not a
+    mean over zero states; before n_valid they equal the observables of
+    the run's own valid samples, bit for bit."""
     batch = run_ensemble(BLOWING, SimConfig(0.001, 5.0, 10, 3), 3)
     obs = observables(batch)
     assert batch.n_valid.tolist() == [191, 193, 202]
     assert np.isnan(obs.mean_speed[:, 300].mean())
+    assert np.isnan(deviation_process(batch)[:, 300]).all()
     for r, v in enumerate(batch.n_valid):
         alone = observables(TimeSeries(batch.times[:v], batch.q[r, :v], batch.p[r, :v], BLOWING,
                                        batch.config, False))
