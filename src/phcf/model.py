@@ -15,6 +15,7 @@ CustomDerivative.  With the quadratic potential the drift is linear: in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Union
 
@@ -33,6 +34,12 @@ def _require_finite(obj, *names):
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
+def _require_integer(name, value):
+    """Reject a count that is not an integer; numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 # Each regime carries what differs between them: ``controlled`` (whether
@@ -141,6 +148,7 @@ class ModelParams:
     potential: Optional[CustomDerivative] = None
 
     def __post_init__(self):
+        _require_integer("n_vehicles", self.n_vehicles)
         if self.n_vehicles < 2:
             raise InvalidInputError(f"need at least 2 vehicles, got {self.n_vehicles}")
         _require_finite(self, "ring_length", "alpha", "beta", "gamma", "sigma")

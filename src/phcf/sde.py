@@ -6,7 +6,9 @@ implicit in the coupling), which keeps the mean-speed recursion exact
 under discretization.  The state is the array pair (q, p): initial_state
 builds it, and a TimeSeries records it as (samples, N) arrays, or as
 (runs, samples, N) arrays for an ensemble, NaN past each run's valid
-samples.
+samples.  The integrator keeps one per-run array while it runs, the step
+that ended each run; a run's valid sample count and its overtake flag are
+read from it, and from each sample's minimum gap, after the loop.
 
 Noise comes from counter-based Philox streams read in fixed blocks, so
 the increment at a given step is a pure function of (seed, step, vehicle):
@@ -57,7 +59,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError, NumericalBlowupError
-from .model import ModelParams, _DriftWork, _require_finite, acceleration_array, gaps_array
+from .model import ModelParams, _DriftWork, _require_finite, _require_integer, acceleration_array, gaps_array
 
 # Steps per Philox counter block; the block index is the stream counter.
 NOISE_BLOCK = 256
@@ -106,6 +108,8 @@ class SimConfig:
 
     def __post_init__(self):
         _require_finite(self, "dt", "t_end")
+        _require_integer("sample_stride", self.sample_stride)
+        _require_integer("seed", self.seed)
         if not self.dt > 0:
             raise InvalidInputError(f"dt must be positive, got {self.dt}")
         if not self.t_end >= self.dt:
@@ -122,18 +126,21 @@ class TimeSeries:
 
     q and p are positions and speeds, one sample per entry of times:
     (samples, N) for one run, (runs, samples, N) for a batch, read-only
-    when the integrator made them.  overtake_flag records whether a
-    recorded sample had a non-positive gap (permitted by the quadratic
-    potential, flagged as a diagnostic); blowup_step is the step after
-    which a speed exceeded BLOWUP_LIMIT in magnitude or the state was not
-    finite, the step that ended the run.
+    when the integrator made them.  blowup_step is the step after which a
+    speed exceeded BLOWUP_LIMIT in magnitude or the state was not finite,
+    the step that ended the run; overtake_flag records whether a valid
+    sample's smallest gap was non-positive (permitted by the quadratic
+    potential, flagged as a diagnostic).
 
     One run ends at its last valid sample; its overtake_flag is a bool
     and its blowup_step None or an int.  In a batch both are per-run
     arrays, and blowup_step is 0 for a run that did not blow up (steps
     count from 1).  Run r has n_valid[r] valid samples, NaN after them,
     and the seed derive_run_seed(config.seed, r): a reduction over the
-    vehicles is NaN past n_valid[r] without a mask of its own.
+    vehicles is NaN past n_valid[r] without a mask of its own.  The
+    integrator derives n_valid from blowup_step (a run that blew up after
+    step b holds the samples of steps 0..b-1) and overtake_flag from each
+    valid sample's minimum gap.
     """
 
     times: np.ndarray
@@ -246,6 +253,10 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     sample counts and floating-point warnings or errors of testing every
     step.  The fast pass may evaluate the drift, a CustomDerivative too,
     on a diverged state up to the end of its block before that replay.
+
+    blow_step, 0 while a run is alive, is the only per-run state, so a
+    replayed block restores q and p alone; n_valid, the NaN tail and
+    overtake_flag (from each sample's minimum gap) follow after the loop.
     """
     n = params.n_vehicles
     length = params.ring_length
@@ -260,6 +271,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         # one block of draws for all runs, refilled in place at each block
         # start; each step overwrites the row it used with dt*p
         noise = np.empty((NOISE_BLOCK, runs, n))
+        min_gap = np.empty((runs, n_samples))
     except ValueError as exc:  # numpy's refusal of a size past the address space
         raise MemoryError(str(exc)) from exc
     q0, p0 = initial_state(params, config.initial)
@@ -271,17 +283,13 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     noise_rows = list(noise)
     q_finite = np.empty(q.shape, dtype=bool)
     seeds = [run_seed(r) for r in range(runs)]
-    overtake = np.zeros(runs, dtype=bool)
     blow_step = np.zeros(runs, dtype=np.int64)
-    valid = np.zeros(runs, dtype=np.int64)
-    active = np.ones(runs, dtype=bool)
 
     sig_sqdt = params.sigma * math.sqrt(dt)
     # fl(dt*BLOWUP_LIMIT), the bound on the dt*p of an accepted block
     dtp_limit = dt * BLOWUP_LIMIT
-    # what a block restores before its replay, and its copy at block start
-    block_state = (q, p, overtake, valid)
-    block_start = [np.empty_like(x) for x in block_state]
+    # q and p at block start, which a replayed block restores
+    q_start, p_start = np.empty_like(q), np.empty_like(p)
     errors = []
     fast_errstate = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
 
@@ -294,12 +302,10 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         np.multiply(noise, sig_sqdt, noise)
 
     def record(s):
-        # sample s // stride, and the flags of the runs still alive
         k = s // stride
         q_samples[:, k] = q
         p_samples[:, k] = p
-        overtake[active & (gaps_array(q, length).min(axis=1) <= 0)] = True
-        valid[active] = k + 1
+        gaps_array(q, length).min(axis=1, out=min_gap[:, k])
 
     def advance(block, exact):
         """Run the steps of one noise block.  With exact, test every step
@@ -319,25 +325,19 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
             if exact and not (
                 p.max() <= BLOWUP_LIMIT and p.min() >= -BLOWUP_LIMIT and np.isfinite(q, out=q_finite).all()
             ):
-                bad = active & (
-                    ~np.isfinite(p).all(axis=1)
-                    | ~np.isfinite(q).all(axis=1)
-                    | (np.abs(p).max(axis=1) > BLOWUP_LIMIT)
-                )
-                blow_step[bad] = s + 1
-                active[bad] = False
-                if not active.any():
+                bad = ~(np.isfinite(q).all(axis=1) & (np.abs(p).max(axis=1) <= BLOWUP_LIMIT))
+                blow_step[bad & (blow_step == 0)] = s + 1
+                if blow_step.all():
                     return False
                 # freeze dead rows at finite zeros; their samples become NaN
-                # after the loop
-                q[~active] = 0.0
-                p[~active] = 0.0
+                dead = blow_step > 0
+                q[dead] = p[dead] = 0.0
         return True
 
     for block in range(-(-n_steps // NOISE_BLOCK)):
         draw_noise(block)
-        for x, saved in zip(block_state, block_start):
-            saved[...] = x
+        q_start[...] = q
+        p_start[...] = p
         errors.clear()
         with np.errstate(call=record_error, **fast_errstate):
             advance(block, exact=False)
@@ -349,8 +349,8 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
                 and np.isfinite(q, out=q_finite).all()
             )
         if not accepted:
-            for x, saved in zip(block_state, block_start):
-                x[...] = saved
+            q[...] = q_start
+            p[...] = p_start
             draw_noise(block)
             if not advance(block, exact=True):
                 break
@@ -358,12 +358,16 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         if n_steps % stride == 0:
             record(n_steps)
 
+    # a run that blew up after step b recorded the samples of steps 0..b-1;
     # NaN what no valid sample wrote: rows left empty by the early break
-    # and the zeros dead rows recorded after they blew up.
+    # and the zeros dead rows recorded after they blew up
+    valid = np.where(blow_step > 0, (blow_step - 1) // stride + 1, n_samples)
     tail = np.arange(n_samples) >= valid[:, None]
-    q_samples[tail] = p_samples[tail] = np.nan
+    q_samples[tail] = p_samples[tail] = min_gap[tail] = np.nan
     q_samples.setflags(write=False)
     p_samples.setflags(write=False)
+    # a NaN gap compares false, so only valid samples flag an overtake
+    overtake = (min_gap <= 0).any(axis=1)
     times = np.arange(n_samples) * (stride * dt)
     return TimeSeries(times, q_samples, p_samples, params, config, overtake, blow_step, n_valid=valid)
 
@@ -395,6 +399,7 @@ def run_ensemble(params: ModelParams, config: SimConfig, n_runs: int) -> TimeSer
     A run that blows up ends at its n_valid samples with its blowup_step
     set; it does not abort the ensemble.
     """
+    _require_integer("n_runs", n_runs)
     if n_runs < 1:
         raise InvalidInputError(f"n_runs must be >= 1, got {n_runs}")
     return _integrate(params, config, n_runs, lambda r: derive_run_seed(config.seed, r))

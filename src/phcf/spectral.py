@@ -153,11 +153,14 @@ def check_dense_size(dim: int) -> None:
 
 def dense_eigen_oracle(b: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square matrix by LAPACK's Hessenberg + shifted-QR
-    path, independent of the per-mode closed forms."""
+    path, independent of the per-mode closed forms.  A non-finite entry
+    is InvalidInputError; EigenSolverError means LAPACK itself failed."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InvalidInputError(f"need a square matrix, got shape {b.shape}")
     check_dense_size(b.shape[0])
+    if not np.isfinite(b).all():
+        raise InvalidInputError("the matrix has a non-finite (nan or infinite) entry")
     try:
         return np.linalg.eigvals(b)
     except np.linalg.LinAlgError as exc:

@@ -358,6 +358,13 @@ def test_params_reject_non_finite(field, bad):
         replace(VALID_PARAMS, **{field: bad})
 
 
+@pytest.mark.parametrize("bad", [20.0, 2.5, "20", None])
+def test_params_reject_non_integer_vehicle_count(bad):
+    with pytest.raises(InvalidInputError, match="n_vehicles must be an integer"):
+        replace(VALID_PARAMS, n_vehicles=bad)
+    assert replace(VALID_PARAMS, n_vehicles=np.int64(5)).n_vehicles == 5
+
+
 def test_params_reject_negative_sigma():
     with pytest.raises(InvalidInputError, match="sigma"):
         replace(VALID_PARAMS, sigma=-0.1)

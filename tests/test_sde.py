@@ -88,6 +88,21 @@ def test_config_rejects_non_finite_times(bad):
         SimConfig(dt=0.1, t_end=bad)
 
 
+@pytest.mark.parametrize("field", ["sample_stride", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+def test_config_rejects_non_integer_counts(field, bad):
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+        SimConfig(0.01, 0.5, **{field: bad})
+    assert getattr(SimConfig(0.01, 0.5, **{field: np.uint64(2)}), field) == 2
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+def test_ensemble_rejects_non_integer_run_count(bad):
+    with pytest.raises(InvalidInputError, match="n_runs must be an integer"):
+        run_ensemble(fig_params("fig1"), SimConfig(0.01, 0.02), bad)
+    assert run_ensemble(fig_params("fig1"), SimConfig(0.01, 0.02), np.int32(2)).q.shape == (2, 3, 20)
+
+
 # ---------------------------------------------------------------------------
 # single step
 
@@ -173,12 +188,18 @@ def test_zero_noise_equilibria_are_fixed_points():
         assert gaps_err <= 1e-9
 
 
-def test_hamiltonian_dissipates_without_noise():
+@pytest.mark.parametrize(
+    "potential",
+    [None, CustomDerivative(lambda x: np.tanh(x - 3.0), value=lambda x: np.log(np.cosh(x - 3.0)))],
+    ids=["quadratic", "log_cosh"],
+)
+def test_hamiltonian_dissipates_without_noise(potential):
     """sigma=0, uncontrolled, beta>0: energy is non-increasing along the
-    trajectory; halving dt must not break the per-step tolerance."""
+    trajectory, under the quadratic potential and under a convex custom
+    one; halving dt must not break the per-step tolerance."""
     rng = np.random.default_rng(8)
     n = 10
-    params = ModelParams(n, 30.0, 1.0, 0.8, 0.0, 0.0, Uncontrolled())
+    params = ModelParams(n, 30.0, 1.0, 0.8, 0.0, 0.0, Uncontrolled(), potential)
     q0 = np.sort(rng.uniform(0, 30.0, n))
     q0[0] = 0.0
     p0 = rng.normal(0, 1.0, n)

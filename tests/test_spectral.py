@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from phcf import (
     ClosedLoop,
     CustomDerivative,
+    EigenSolverError,
     InvalidInputError,
     ModelParams,
     OpenLoop,
@@ -182,6 +183,23 @@ def test_oracle_companion_matrix():
 def test_oracle_rejects_nonsquare():
     with pytest.raises(InvalidInputError):
         dense_eigen_oracle(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_oracle_refuses_non_finite_matrix(bad):
+    b = np.eye(4)
+    b[2, 1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        dense_eigen_oracle(b)
+
+
+def test_oracle_reports_solver_failure(monkeypatch):
+    def fail(b):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(EigenSolverError, match="did not converge"):
+        dense_eigen_oracle(np.eye(4))
 
 
 def test_oracle_refuses_oversized_inputs():
