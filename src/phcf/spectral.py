@@ -16,32 +16,24 @@ Stability of the gap-feedback regime follows from the Hurwitz test for
 quadratics with complex coefficients, evaluated mode by mode; a parameter-
 only sufficient condition is gamma*T + 2*(alpha*T)^2 > 2.
 
-Nothing here builds the 2N x 2N drift matrix.  The modes are evaluated as
-numpy arrays over j, O(N) in time and memory: the tables cos, sin of
-2*pi*j/N come from math.cos/math.sin element by element and every array
-operation repeats the scalar formula's operations in the same order, so
-each root and Hurwitz coefficient equals the one-mode-at-a-time result bit
-for bit.
+Nothing here builds the 2N x 2N drift matrix.  The modes are numpy arrays
+over j, O(N) in time and memory, with cos, sin of 2*pi*j/N from math.cos
+and math.sin, the scalar formulas' operations in their order, and every
+square from :func:`_square` (Python's x ** 2 per element): each root and
+Hurwitz coefficient equals the one-mode-at-a-time result bit for bit.
 
-:func:`stability_report` also broadcasts over its parameters: arrays that
-broadcast to a grid shape S give per-mode arrays of shape S + (N-1,) and
-verdicts of shape S, cells on the leading axes and modes on the last, and
-each cell equals its scalar call bit for bit (a scalar call is the 0-d
-grid and returns Python bools and floats).  The grid costs O(cells * N)
-memory, so a large map is best evaluated one row at a time.  Powers keep
-Python's float semantics per element: alpha**2, (alpha*T)**2 and rho**2
-are taken with the float power, because pow(x, 2) is not always x*x
-rounded and numpy's array power differs from both.  Quotients, sums and
-products are the same IEEE operations in numpy and in Python.
+The stability report, the sufficient condition and the drift norm
+broadcast: parameters of grid shape S give per-mode arrays of shape
+S + (N-1,) and verdicts of shape S, each cell its scalar call bit for
+bit (a scalar call is the 0-d grid and gives Python floats and bools).
+A grid costs O(cells * N) memory; evaluate a large map one row at a time.
 
-The zero-detection scale is the drift matrix's Frobenius norm in
-closed form,
+The zero-detection scale is the drift matrix's Frobenius norm, in closed form
 
     ||B||_F^2 = 2N + N*((alpha^2 + g)^2 + alpha^4) + N*((2*beta + d)^2 + 2*beta^2)
 
-with g = gamma/t_gap under gap feedback (else 0) and d = gamma when
-gamma > 0 (else 0); at N = 2 the two neighbours coincide and 2*beta^2
-becomes 4*beta^2.
+with g = gamma/t_gap under gap feedback (else 0), d = gamma when gamma > 0
+(else 0), and 4*beta^2 for 2*beta^2 at N = 2, where the neighbours coincide.
 
 Everything here is cross-checkable against a generic dense eigensolver,
 exposed as :func:`dense_eigen_oracle`; it and :func:`match_distances`
@@ -51,7 +43,9 @@ when :func:`match_distances` runs.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,6 +113,16 @@ def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
     return roots.reshape(lin.shape[:-1] + (2 * n,))
 
 
+def _square(x):
+    """x ** 2 per element with Python's float power: np.float_power gives
+    its bits, and OverflowError where a finite base has an infinite square."""
+    with np.errstate(over="ignore"):
+        square = np.float_power(x, 2.0)
+    if (np.isinf(square) & np.isfinite(x)).any():
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return square
+
+
 def eigenvalues(params: ModelParams) -> np.ndarray:
     """Closed-form spectrum for whichever regime params carries: a
     read-only complex array, entry 2j + k is mode j, branch k.
@@ -132,7 +136,7 @@ def eigenvalues(params: ModelParams) -> np.ndarray:
     """
     n, alpha, beta, gamma, t_gap = _linear_scalars(params)
     cos, _ = _mode_tables(n)
-    values = _mode_roots(cos, alpha**2, beta, gamma, None if t_gap is None else gamma / t_gap)
+    values = _mode_roots(cos, _square(alpha), beta, gamma, None if t_gap is None else gamma / t_gap)
     values.setflags(write=False)
     return values
 
@@ -191,15 +195,17 @@ def match_distances(values_a: Sequence[complex], values_b: Sequence[complex]) ->
     return cost[rows, cols]
 
 
-def drift_matrix_norm(n, alpha, beta, gamma, t_gap=None) -> float:
-    """Frobenius norm of the drift matrix (N >= 2); the scale for zero
-    detection.  Closed form, see the module docstring: the damping block
-    counts when gamma > 0, the feedback block when t_gap is given."""
+@np.errstate(all="ignore")
+def drift_matrix_norm(n, alpha, beta, gamma, t_gap=None):
+    """Frobenius norm of the drift matrix (N >= 2), the scale for zero
+    detection, in closed form: the damping block counts when gamma > 0, the
+    feedback block when t_gap is given.  Broadcasts (module docstring)."""
     a2 = alpha * alpha
     g = 0.0 if t_gap is None else gamma / t_gap
-    damping = gamma if gamma > 0 else 0.0
+    damping = np.where(gamma > 0, gamma, 0.0)
     neighbours = (4.0 if n == 2 else 2.0) * beta * beta
-    return math.sqrt(n * (2.0 + (a2 + g) ** 2 + a2 * a2 + (2.0 * beta + damping) ** 2 + neighbours))
+    total = 2.0 + _square(a2 + g) + a2 * a2 + _square(2.0 * beta + damping) + neighbours
+    return _unwrap(np.sqrt(n * total))
 
 
 def near_zero_count(values, scale: float) -> int:
@@ -267,11 +273,12 @@ class StabilityReport:
         return abs(self.spectral_abscissa_nonzero) < MARGINAL_ABSCISSA
 
 
+@np.errstate(all="ignore")
 def sufficient_condition(alpha, gamma, t_gap):
     """(lhs, verdict) of the parameter-only condition
-    gamma*T + 2*(alpha*T)^2 > 2 (with gamma > 0)."""
-    lhs = gamma * t_gap + 2.0 * (alpha * t_gap) ** 2
-    return lhs, bool(gamma > 0 and lhs > 2.0)
+    gamma*T + 2*(alpha*T)^2 > 2 (with gamma > 0); broadcasts."""
+    lhs = gamma * t_gap + 2.0 * _square(alpha * t_gap)
+    return _unwrap(lhs), _unwrap((gamma > 0) & (lhs > 2.0))
 
 
 def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
@@ -282,34 +289,26 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
     kappa_j = 2*beta*(1-c_j) + gamma, eta_j = 0,
     nu_j = (1-c_j)*(gamma/T + 2*alpha^2), rho_j = -(gamma/T)*s_j;
     a cell is exactly stable iff gamma > 0 and every mode passes the
-    Hurwitz test.  Raises InvalidInputError if any cell has only
-    structural-zero eigenvalues, or eigenvalues or a scale past the float
-    range.
+    Hurwitz test.  Raises OverflowError where the square of a finite value
+    overflows, and InvalidInputError if a cell has only structural-zero
+    eigenvalues, or eigenvalues or a scale past the float range.
     """
     # Cells on the leading axes, a length-1 axis for the modes.
-    alpha, beta, gamma, t_gap = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float)[..., None] for x in (alpha, beta, gamma, t_gap))
-    )
-    shape = alpha.shape[:-1]
-    cells = list(zip(*(x.ravel().tolist() for x in (alpha, beta, gamma, t_gap))))
-    # Powers per cell with Python's float power, as the one-cell formulas.
-    a2 = np.array([a**2 for a in alpha.ravel().tolist()]).reshape(alpha.shape)
-    sufficient = [sufficient_condition(a, gm, t) for a, _, gm, t in cells]
-    scale = np.array([drift_matrix_norm(n, *cell) for cell in cells]).reshape(shape)
+    grid = np.broadcast_arrays(alpha, beta, gamma, t_gap)
+    alpha, beta, gamma, t_gap = np.asarray(grid, dtype=float)[..., None]
+    a2 = _square(alpha)
+    lhs, sufficient = sufficient_condition(alpha[..., 0], gamma[..., 0], t_gap[..., 0])
+    scale = drift_matrix_norm(n, alpha[..., 0], beta[..., 0], gamma[..., 0], t_gap[..., 0])
 
     cos, sin = _mode_tables(n)
     c, s = cos[1:], sin[1:]
-    # Parameters near the float range give non-finite terms, computed
-    # without numpy warnings; spectral_abscissa_nonzero refuses them.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Non-finite terms pass without warnings; spectral_abscissa_nonzero refuses them.
+    with np.errstate(all="ignore"):
         g = gamma / t_gap
         kappa = 2.0 * beta * (1.0 - c) + gamma
         nu = (1.0 - c) * (g + 2.0 * a2)
         rho = -g * s
-        # Python's float power, as the scalar formula: pow(x, 2) is not always
-        # x*x rounded, and numpy's array power is neither.
-        rho_sq = np.array([r**2 for r in rho.ravel().tolist()]).reshape(rho.shape)
-        det = kappa * (nu * kappa) - rho_sq
+        det = kappa * (nu * kappa) - _square(rho)
         stable = (kappa > 0) & (det > 0)
     values = _mode_roots(cos, a2, beta, gamma, g)
     return StabilityReport(
@@ -319,8 +318,8 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
         hurwitz_det=det,
         mode_stable=stable,
         exact_stable=_unwrap((gamma[..., 0] > 0) & stable.all(axis=-1)),
-        sufficient_lhs=_unwrap(np.array([lhs for lhs, _ in sufficient]).reshape(shape)),
-        sufficient_stable=_unwrap(np.array([ok for _, ok in sufficient]).reshape(shape)),
+        sufficient_lhs=lhs,
+        sufficient_stable=sufficient,
         spectral_abscissa_nonzero=spectral_abscissa_nonzero(values, scale),
     )
 

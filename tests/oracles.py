@@ -3,7 +3,8 @@
 Each is the plain, one-object-at-a-time form of something the package
 computes in a faster or batched way: one Euler-Maruyama step, a run of
 such steps that tests every step for blowup, the noise of one step, the
-scalar mode factor, the scalar Hurwitz test, the dense
+scalar mode factor, the scalar Hurwitz test, the sufficient condition and
+the drift-matrix norm of one parameter cell in Python floats, the dense
 mean-removal projector, and the port-Hamiltonian matrices J, R and Q.
 """
 
@@ -70,6 +71,22 @@ def complex_hurwitz_stable(kappa, eta, nu, rho):
     """Both roots of x^2 + (kappa + i*eta)*x + (nu + i*rho) have negative
     real part iff kappa > 0 and kappa*(nu*kappa + rho*eta) - rho^2 > 0."""
     return kappa > 0 and kappa * (nu * kappa + rho * eta) - rho**2 > 0
+
+
+def reference_sufficient_condition(alpha, gamma, t_gap):
+    """(lhs, verdict) of gamma*T + 2*(alpha*T)^2 > 2 (with gamma > 0) for
+    one cell; Python's float power raises OverflowError on overflow."""
+    lhs = gamma * t_gap + 2.0 * (alpha * t_gap) ** 2
+    return lhs, bool(gamma > 0 and lhs > 2.0)
+
+
+def reference_drift_matrix_norm(n, alpha, beta, gamma, t_gap=None):
+    """Closed-form Frobenius norm of the drift matrix for one cell."""
+    a2 = alpha * alpha
+    g = 0.0 if t_gap is None else gamma / t_gap
+    damping = gamma if gamma > 0 else 0.0
+    neighbours = (4.0 if n == 2 else 2.0) * beta * beta
+    return math.sqrt(n * (2.0 + (a2 + g) ** 2 + a2 * a2 + (2.0 * beta + damping) ** 2 + neighbours))
 
 
 def deviation_matrix(n):

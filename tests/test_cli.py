@@ -773,6 +773,7 @@ def test_main_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch, command
     ("spectrum", "alpha = 1e154", []),
     ("stability-map", "alpha = 0.5", ["--vary", "alpha=0:1e200:3", "--vary", "gamma=0.1:1:2"]),
     ("stability-map", "alpha = 0.5", ["--vary", "gamma=0.1:1e160:3", "--vary", "alpha=0.1:1:2"]),
+    ("stability-map", "alpha = 0.5", ["--vary", "alpha=0.5:1e100:2", "--vary", "gamma=0.1:1:2"]),
     ("simulate", "beta = 1e308", []),
     ("ensemble", "beta = 1e308", ["--runs", "2"]),
     ("spectrum", "beta = 1e308", []),
@@ -780,14 +781,16 @@ def test_main_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch, command
     ("simulate", "t_gap = 5e-324", []),
     ("ensemble", "t_gap = 5e-324", ["--runs", "2"]),
 ], ids=["simulate", "simulate-norm", "ensemble-norm", "spectrum", "spectrum-norm",
-        "spectrum-oracle", "stability-map-alpha", "stability-map-gamma", "simulate-beta",
-        "ensemble-beta", "spectrum-beta", "stability-map-beta", "simulate-t_gap", "ensemble-t_gap"])
+        "spectrum-oracle", "stability-map-alpha", "stability-map-gamma", "stability-map-norm",
+        "simulate-beta", "ensemble-beta", "spectrum-beta", "stability-map-beta", "simulate-t_gap",
+        "ensemble-t_gap"])
 def test_main_maps_overflow_to_exit_2(tmp_path, capsys, command, edit, extra):
     """A parameter whose float square overflows exits 2 with a message
     and, like any failed command, leaves no output directory: alpha =
-    1e200 in alpha**2, gamma = 1e160 in the Hurwitz term rho**2, and
-    alpha = 1e100 in the squared alpha**2 of the drift-matrix norm that
-    every manifest's stability fields need, and alpha = 1e154, whose
+    1e200 in alpha**2, gamma = 1e160 in (gamma/T)**2 (the norm's, before
+    the Hurwitz term rho**2), and alpha = 1e100 in the squared alpha**2
+    of the drift-matrix norm that every manifest's stability fields and
+    every map row need, and alpha = 1e154, whose
     finite alpha**2 still gives eigenvalues that are not finite.  beta =
     1e308 overflows the numpy terms of the spectrum and the Hurwitz test
     without a warning, and the spectral fields refuse the result.  The

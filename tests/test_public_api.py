@@ -43,6 +43,25 @@ def test_demo_imports_resolve(path):
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
+def test_spectra_and_stability_map_demos_run(tmp_path):
+    """The two demos that call the broadcast stability report and
+    near_zero_count run to their stated results.  They run as copies in
+    tmp_path, so their SVGs go to tmp_path/output, not demos/output."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = {}
+    for name in ("spectra.py", "stability_map.py"):
+        copy = tmp_path / name
+        copy.write_text((ROOT / "demos" / name).read_text(encoding="utf-8"), encoding="utf-8")
+        proc = subprocess.run([sys.executable, str(copy)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        out[name] = proc.stdout
+    assert "structural zeros: 2" in out["spectra.py"]
+    assert "all inside the exact region: True" in out["stability_map.py"]
+    assert "stability flips at gamma = [0.1, 1.55]" in out["stability_map.py"]
+    assert (tmp_path / "output" / "stability_map.svg").exists()
+
+
 def test_tracer_bindings_resolve_to_callables():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

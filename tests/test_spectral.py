@@ -29,12 +29,19 @@ from phcf.model import assemble_drift_matrix
 from phcf.spectral import (
     DENSE_ORACLE_MAX_DIM,
     ZERO_EIGENVALUE_RTOL,
+    _square,
     check_dense_size,
     drift_matrix_norm,
     near_zero_count,
     sufficient_condition,
 )
-from oracles import complex_hurwitz_stable, deviation_matrix, mu
+from oracles import (
+    complex_hurwitz_stable,
+    deviation_matrix,
+    mu,
+    reference_drift_matrix_norm,
+    reference_sufficient_condition,
+)
 
 
 def make_params(n, alpha, beta, gamma=0.0, regime=None):
@@ -474,6 +481,77 @@ def test_closed_form_norm_equals_dense_norm(case):
     assert drift_matrix_norm(n, alpha, beta, gamma, t_gap) == pytest.approx(dense, rel=1e-13, abs=0)
 
 
+def python_square(x):
+    """Python's x ** 2, or the OverflowError it raises."""
+    try:
+        return x**2
+    except OverflowError as exc:
+        return exc
+
+
+def same_float(a, b):
+    """The same float bits, any nan taken as nan."""
+    return (math.isnan(a) and math.isnan(b)) or bits(a) == bits(b)
+
+
+# The largest double whose square is finite, and the next one up.
+SQUARE_EDGE = (1.3407807929942596e154, 1.3407807929942597e154)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=8))
+@example([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-160])
+@example([*SQUARE_EDGE, -SQUARE_EDGE[1], 1e200])
+@example([2.6967998943009652])  # pow(x, 2) here is not x*x rounded
+def test_square_is_pythons_float_power(xs):
+    """_square is Python's x ** 2 per element: the same bits (any nan as
+    nan), and OverflowError, with Python's message, exactly where Python
+    raises it; an array gives the elements' results."""
+    expected = [python_square(x) for x in xs]
+    for x, want in zip(xs, expected):
+        if isinstance(want, OverflowError):
+            with pytest.raises(OverflowError) as info:
+                _square(x)
+            assert str(info.value) == str(want)
+        else:
+            assert same_float(_square(x), want), x
+    if any(isinstance(want, OverflowError) for want in expected):
+        with pytest.raises(OverflowError):
+            _square(np.array(xs))
+    else:
+        got = _square(np.array(xs))
+        assert got.shape == (len(xs),)
+        assert all(same_float(g, want) for g, want in zip(got.tolist(), expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.lists(st.tuples(st.floats(), st.floats(), st.floats(),
+                                              st.floats(min_value=5e-324)), min_size=1, max_size=6),
+       st.booleans())
+@example(2, [(1.0, 1.0, 0.0, 1.0)], False)
+@example(2, [(0.5, 2.0, 1.0, 1.0), (1.0, 0.0, 0.0, 2.0)], True)
+@example(20, [(0.5, 1.0, 1.0, 1.0), (1e100, 1.0, 1.0, 1.0)], True)  # (alpha**2)**2 overflows
+def test_drift_matrix_norm_broadcasts_the_scalar_reference(n, cells, feedback):
+    """On arrays the norm equals the Python-float reference cell by cell
+    (any nan as nan), and raises OverflowError iff some cell does; with
+    gamma = 0, at n = 2, and without feedback (t_gap=None) too."""
+    alpha, beta, gamma, t_gap = (np.array(column) for column in zip(*cells))
+    t_gap = t_gap if feedback else None
+    expected = []
+    for a, b, g, t in cells:
+        try:
+            expected.append(reference_drift_matrix_norm(n, a, b, g, t if feedback else None))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                drift_matrix_norm(n, alpha, beta, gamma, t_gap)
+            return
+    got = drift_matrix_norm(n, alpha, beta, gamma, t_gap)
+    assert got.shape == (len(cells),)
+    assert all(same_float(g, want) for g, want in zip(got.tolist(), expected))
+    one = drift_matrix_norm(n, *cells[0][:3], cells[0][3] if feedback else None)
+    assert type(one) is float and same_float(one, expected[0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(regime_scalars())
 @example((2, 0.0, 1.0, 0.0, None))
@@ -540,20 +618,30 @@ def report_grids(draw):
 
 def assert_report_cells_equal_scalar_reports(n, params):
     """The broadcast report equals one scalar report per cell bit for bit,
-    and raises iff some cell does."""
+    its sufficient condition equals the Python-float reference, and it
+    raises iff some cell does: OverflowError if some cell does (every
+    square comes before the abscissa is checked), else InvalidInputError."""
     shape = np.broadcast_shapes(*(np.shape(p) for p in params))
-    cells = {}
-    try:
-        for idx in np.ndindex(shape):
-            cells[idx] = stability_report(n, *(float(np.broadcast_to(p, shape)[idx]) for p in params))
-    except InvalidInputError:
-        with pytest.raises(InvalidInputError):
+    cells, errors = {}, set()
+    for idx in np.ndindex(shape):
+        cell = [float(np.broadcast_to(p, shape)[idx]) for p in params]
+        try:
+            cells[idx] = cell, stability_report(n, *cell)
+        except (InvalidInputError, OverflowError) as exc:
+            errors.add(type(exc))
+    if errors:
+        with pytest.raises((InvalidInputError, OverflowError)) as info:
             stability_report(n, *params)
+        assert info.type is (OverflowError if OverflowError in errors else InvalidInputError)
         return
     grid = stability_report(n, *params)
     assert grid.kappa.shape == shape + (n - 1,)
     assert np.shape(grid.exact_stable) == shape
-    for idx, one in cells.items():
+    for idx, (cell, one) in cells.items():
+        alpha, _, gamma, t_gap = cell
+        lhs, ok = reference_sufficient_condition(alpha, gamma, t_gap)
+        assert bits(grid.sufficient_lhs[idx]) == bits(lhs) and grid.sufficient_stable[idx] == ok
+        assert bits(one.sufficient_lhs) == bits(lhs) and one.sufficient_stable is ok
         for field in ("kappa", "nu", "rho", "hurwitz_det", "mode_stable"):
             assert bits(getattr(grid, field)[idx]) == bits(getattr(one, field)), (idx, field)
         assert type(one.exact_stable) is bool and type(one.sufficient_stable) is bool
@@ -567,6 +655,10 @@ def assert_report_cells_equal_scalar_reports(n, params):
 
 @settings(max_examples=150, deadline=None)
 @given(report_grids())
+@example((20, [np.array([[0.5], [1e200]]), 1.0, np.array([[0.1, 1.0]]), 1.0]))  # alpha**2
+@example((20, [0.5, 1.0, np.array([[1.0, 1e160]]), np.array([[1.0], [2.0]])]))  # (gamma/T)**2, rho**2
+@example((20, [np.array([[0.5], [1e100]]), 1.0, np.array([[0.1, 1.0]]), 1.0]))  # the norm's (alpha**2)**2
+@example((2, [np.array([[0.0], [1e200]]), 0.0, 0.0, 1.0]))  # a zero-only cell and an overflow
 def test_broadcast_stability_report_equals_cell_reports_bitwise(case):
     assert_report_cells_equal_scalar_reports(*case)
 
@@ -630,6 +722,14 @@ def test_broadcast_stability_report_rejects_all_zero_cell():
     assert stability_report(2, 1.0, 0.0, 0.0, 1.0).marginal
     with pytest.raises(InvalidInputError):
         stability_report(2, np.array([1.0, 0.0]), 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, np.array([0.0, 1.0])])
+def test_stability_report_refuses_zero_t_gap(gamma):
+    """t_gap = 0 (outside ClosedLoop's domain) makes gamma/t_gap and the
+    scale non-finite: InvalidInputError, without a numpy warning."""
+    with pytest.raises(InvalidInputError):
+        stability_report(20, 0.5, 1.0, gamma, 0.0)
 
 
 def test_spectrum_values_array_and_entries_view():
