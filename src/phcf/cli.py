@@ -3,12 +3,16 @@
 Every output is deterministic: CSV floats use shortest round-trip
 formatting, the manifest records every parameter a run consumed, and a
 manifest replayed as a scenario reproduces the run byte for byte.
+
+A CSV line is its fields joined by commas.  No field ever needs quoting:
+each is a float ``repr`` (digits, sign, ".", "e", "inf" or "nan"), an int
+string or a fixed header name, and none holds a comma, a quote or a line
+break.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -55,7 +59,8 @@ def _write_outputs(out_dir, scenario: Scenario, command: str, files: dict, field
 
     files maps a file name to SVG text or to a CSV's (header, rows).  A
     command computes every output before it calls this, so a command that
-    fails leaves no directory.
+    fails leaves no directory; rows may be a generator that only formats
+    finished arrays, which cannot fail.
     """
     info = {"tool_version": __version__, "command": command, **fields}
     files = {**files, "run_manifest.txt": format_manifest(scenario, info)}
@@ -68,9 +73,8 @@ def _write_outputs(out_dir, scenario: Scenario, command: str, files: dict, field
                 fh.write(content)
             else:
                 header, rows = content
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
+                fh.write(",".join(header) + "\n")
+                fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _trajectory_rows(ts: TimeSeries, wrap: bool):
@@ -251,6 +255,18 @@ def parse_vary(spec: str):
     return name, values
 
 
+def _map_rows(values1, values2, exact, suff, abscissa):
+    """CSV rows of a stability map, made one grid row at a time as they
+    are written: each axis value is formatted once, and a cell adds one
+    repr, its abscissa's."""
+    column2 = [repr(v) for v in values2.tolist()]
+    bits = ("0", "1")
+    for v1, e_row, s_row, x_row in zip(values1.tolist(), exact, suff, abscissa):
+        v1 = repr(v1)
+        for v2, e, s, x in zip(column2, e_row.tolist(), s_row.tolist(), x_row.tolist()):
+            yield [v1, v2, bits[e], bits[s], repr(x)]
+
+
 def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     """Evaluate exact and sufficient stability over a 2-parameter grid.
 
@@ -268,21 +284,18 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
         raise InvalidInputError("the two sweep axes must differ")
 
     point = dict(alpha=alpha, beta=beta, gamma=gamma, t_gap=t_gap)
-    rows = []
     exact = np.zeros((len(values1), len(values2)), dtype=bool)
     suff = np.zeros_like(exact)
+    abscissa = np.zeros(exact.shape)
     violations = []
     for i, v1 in enumerate(values1):
         # One report per row, the second axis as an array: memory stays
-        # O(len(values2) * N) whatever the grid size.
+        # O(len(values2) * N) per report and the grid is three arrays.
         report = stability_report(n, **{**point, name1: float(v1), name2: values2})
         exact[i] = report.exact_stable
         suff[i] = report.sufficient_stable
+        abscissa[i] = report.spectral_abscissa_nonzero
         violations.extend((v1, values2[j]) for j in np.flatnonzero(suff[i] & ~exact[i]))
-        rows.extend(
-            [_num(v1), _num(v2), str(int(e)), str(int(s)), _num(x)]
-            for v2, e, s, x in zip(values2, exact[i], suff[i], report.spectral_abscissa_nonzero)
-        )
     if violations:
         print(
             f"containment violated: sufficient-but-not-exact at {len(violations)} cells, "
@@ -292,7 +305,7 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
         return 4
 
     header = ["param1", "param2", "exact_stable", "sufficient_stable", "spectral_abscissa"]
-    files = {"stability.csv": (header, rows)}
+    files = {"stability.csv": (header, _map_rows(values1, values2, exact, suff, abscissa))}
     if scenario.output.svg:
         files["stability_map.svg"] = stability_map_svg(values1, values2, exact, suff, name1, name2)
     fields = {

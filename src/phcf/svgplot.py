@@ -108,39 +108,39 @@ class _Panel:
                 f'transform="rotate(-90 {_f(x)} {_f(y)})">{ylabel}</text>'
             )
 
-    def polyline(self, xs, ys, color, width=1.0):
-        """One polyline per run of at least two points between NaN ys.
+    def polyline(self, xs, ys, colors, width=1.0):
+        """One polyline per trace and run of at least two points between
+        NaN ys.  ys holds one trace per column (a 1-D ys is one trace);
+        trace k is drawn in colors[k % len(colors)].
 
         px and py map whole arrays with the scalar arithmetic, element
         by element, so each point is the same double as mapped alone.
+        The x strings are formatted once for all traces.
         """
         ys = np.asarray(ys, dtype=float)
-        xp = self.px(np.asarray(xs, dtype=float)).tolist()
-        yp = self.py(ys).tolist()
-        start = 0
-        for stop in np.flatnonzero(np.isnan(ys)).tolist() + [len(yp)]:
-            if stop - start > 1:
-                self._emit_polyline(zip(xp[start:stop], yp[start:stop]), color, width)
-            start = stop + 1
-
-    def _emit_polyline(self, pts, color, width):
-        coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in pts)
-        self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{_f(width)}"/>'
-        )
+        ys = ys.reshape(len(ys), -1)
+        xp = [_f(x) for x in self.px(np.asarray(xs, dtype=float)).tolist()]
+        # each trace's NaN rows, ascending (nonzero goes row by row)
+        breaks = [[] for _ in range(ys.shape[1])]
+        for i, k in zip(*(a.tolist() for a in np.nonzero(np.isnan(ys)))):
+            breaks[k].append(i)
+        for k, (yp, stops) in enumerate(zip(self.py(ys).T.tolist(), breaks)):
+            color = colors[k % len(colors)]
+            start = 0
+            for stop in stops + [len(yp)]:
+                if stop - start > 1:
+                    # "%.2f" formats as _f does; xp holds no "%"
+                    points = " ".join([x + ",%.2f" for x in xp[start:stop]]) % tuple(yp[start:stop])
+                    self.parts.append(
+                        f'<polyline points="{points}" fill="none" stroke="{color}" '
+                        f'stroke-width="{_f(width)}"/>'
+                    )
+                start = stop + 1
 
     def circle(self, x, y, r, color):
         self.parts.append(
             f'<circle cx="{_f(self.px(x))}" cy="{_f(self.py(y))}" r="{_f(r)}" '
             f'fill="{color}" fill-opacity="0.7"/>'
-        )
-
-    def rect(self, x, y, dx, dy, color):
-        xp, yp = self.px(x), self.py(y + dy)
-        self.parts.append(
-            f'<rect x="{_f(xp)}" y="{_f(yp)}" width="{_f(self.px(x + dx) - xp)}" '
-            f'height="{_f(self.py(y) - yp)}" fill="{color}"/>'
         )
 
     def hline(self, y, color, dash="4,3"):
@@ -186,12 +186,11 @@ def trajectory_svg(times, positions, ring_length, wrap=True) -> str:
     panel = _Panel(60, 24, 620, 300, (float(times[0]), float(times[-1])), ylim,
                    title="vehicle trajectories")
     panel.axes(xlabel="t", ylabel="position mod L" if wrap else "position")
-    for i in range(pos.shape[1]):
-        y = pos[:, i].copy()
-        if wrap:
-            jumps = np.abs(np.diff(y)) > 0.5 * ring_length
-            y[1:][jumps] = np.nan
-        panel.polyline(times, y, _PALETTE[i % len(_PALETTE)], 0.8)
+    if wrap:
+        # a trace breaks where it crosses the seam
+        jumps = np.abs(np.diff(pos, axis=0)) > 0.5 * ring_length
+        pos[1:][jumps] = np.nan
+    panel.polyline(times, pos, _PALETTE, 0.8)
     return _document(740, 380, [panel])
 
 
@@ -208,7 +207,7 @@ def observables_svg(times, mean_speed, speed_variance, single_vehicle_speed) -> 
     for i, (title, series, color) in enumerate(specs):
         panel = _Panel(60 + i * 250, 24, 200, 180, tlim, _span(series), title=title)
         panel.axes(xlabel="t")
-        panel.polyline(times, np.asarray(series, dtype=float), color, 1.0)
+        panel.polyline(times, series, [color], 1.0)
         panels.append(panel)
     return _document(820, 250, panels)
 
@@ -251,14 +250,22 @@ def stability_map_svg(x_values, y_values, exact, sufficient, xlabel, ylabel) -> 
     xlim, dx = _cells(xs)
     ylim, dy = _cells(ys)
     panel = _Panel(60, 24, 440, 440, xlim, ylim, title="stability map")
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if exact[i, j] and sufficient[i, j]:
-                color = "#1b7837"
-            elif exact[i, j]:
-                color = "#a6dba0"
-            else:
-                color = "#d6604d"
-            panel.rect(x - dx / 2, y - dy / 2, dx, dy, color)
+    # A cell's x and width depend on its column only, its y and height on
+    # its row only; each is the scalar arithmetic of the cell's corners.
+    x_lo = xs - dx / 2
+    x_px = panel.px(x_lo)
+    x_attr = [f'x="{_f(x)}" ' for x in x_px.tolist()]
+    w_attr = [f'width="{_f(w)}" ' for w in (panel.px(x_lo + dx) - x_px).tolist()]
+    y_lo = ys - dy / 2
+    y_px = panel.py(y_lo + dy)
+    y_attr = [f'y="{_f(y)}" ' for y in y_px.tolist()]
+    h_attr = [f'height="{_f(h)}" ' for h in (panel.py(y_lo) - y_px).tolist()]
+    # 0 unstable, 1 exact only, 2 exact and sufficient
+    verdict = exact.astype(int) + (exact & sufficient)
+    colors = ('fill="#d6604d"/>', 'fill="#a6dba0"/>', 'fill="#1b7837"/>')
+    for x, w, row in zip(x_attr, w_attr, verdict.tolist()):
+        panel.parts.extend(
+            ["<rect " + x + y + w + h + colors[v] for y, h, v in zip(y_attr, h_attr, row)]
+        )
     panel.axes(xlabel=xlabel, ylabel=ylabel)
     return _document(560, 520, [panel])

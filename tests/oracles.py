@@ -5,9 +5,13 @@ computes in a faster or batched way: one Euler-Maruyama step, a run of
 such steps that tests every step for blowup, the noise of one step, the
 scalar mode factor, the scalar Hurwitz test, the sufficient condition and
 the drift-matrix norm of one parameter cell in Python floats, the dense
-mean-removal projector, and the port-Hamiltonian matrices J, R and Q.
+mean-removal projector, the port-Hamiltonian matrices J, R and Q, a CSV
+file as ``csv.writer`` writes it, and the SVG trajectory fan and
+stability map drawn one trace or one cell at a time.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -15,6 +19,7 @@ import numpy as np
 from phcf import InvalidInputError, initial_state
 from phcf.model import acceleration_array, gaps_array
 from phcf.sde import BLOWUP_LIMIT, NOISE_BLOCK, _step_count, noise_block
+from phcf.svgplot import _PALETTE, _Panel, _cells, _document, _f, _span
 
 
 def reference_step(q, p, params, dt, noise):
@@ -111,3 +116,77 @@ def phs_matrices(n, alpha, beta, gamma):
     r = np.block([[zero, zero], [zero, beta * (a.T @ a) + gamma * eye]])
     q = np.block([[alpha**2 * eye, zero], [zero, eye]])
     return j, r, q
+
+
+def reference_csv_text(header, rows):
+    """A CSV file's text as csv.writer writes it, with "\n" line ends."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def reference_polyline(panel, xs, ys, color, width=1.0):
+    """Append one trace's polylines to panel, point by point: one per run
+    of at least two points between NaN ys."""
+    ys = np.asarray(ys, dtype=float)
+    xp = panel.px(np.asarray(xs, dtype=float)).tolist()
+    yp = panel.py(ys).tolist()
+    start = 0
+    for stop in np.flatnonzero(np.isnan(ys)).tolist() + [len(yp)]:
+        if stop - start > 1:
+            coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(xp[start:stop], yp[start:stop]))
+            panel.parts.append(
+                f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                f'stroke-width="{_f(width)}"/>'
+            )
+        start = stop + 1
+
+
+def reference_trajectory_svg(times, positions, ring_length, wrap=True):
+    """The trajectory fan drawn one vehicle at a time, each wrapped trace
+    broken at its own seam crossings."""
+    times = np.asarray(times, dtype=float)
+    pos = np.asarray(positions, dtype=float)
+    if wrap:
+        pos = np.mod(pos, ring_length)
+        ylim = (0.0, ring_length)
+    else:
+        ylim = _span(pos)
+    panel = _Panel(60, 24, 620, 300, (float(times[0]), float(times[-1])), ylim,
+                   title="vehicle trajectories")
+    panel.axes(xlabel="t", ylabel="position mod L" if wrap else "position")
+    for i in range(pos.shape[1]):
+        y = pos[:, i].copy()
+        if wrap:
+            jumps = np.abs(np.diff(y)) > 0.5 * ring_length
+            y[1:][jumps] = np.nan
+        reference_polyline(panel, times, y, _PALETTE[i % len(_PALETTE)], 0.8)
+    return _document(740, 380, [panel])
+
+
+def reference_stability_map_svg(x_values, y_values, exact, sufficient, xlabel, ylabel):
+    """The stability map drawn one cell at a time, each cell's rectangle
+    mapped from its own corners."""
+    xs = np.asarray(x_values, dtype=float)
+    ys = np.asarray(y_values, dtype=float)
+    xlim, dx = _cells(xs)
+    ylim, dy = _cells(ys)
+    panel = _Panel(60, 24, 440, 440, xlim, ylim, title="stability map")
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if exact[i][j] and sufficient[i][j]:
+                color = "#1b7837"
+            elif exact[i][j]:
+                color = "#a6dba0"
+            else:
+                color = "#d6604d"
+            x0, y0 = x - dx / 2, y - dy / 2
+            xp, yp = panel.px(x0), panel.py(y0 + dy)
+            panel.parts.append(
+                f'<rect x="{_f(xp)}" y="{_f(yp)}" width="{_f(panel.px(x0 + dx) - xp)}" '
+                f'height="{_f(panel.py(y0) - yp)}" fill="{color}"/>'
+            )
+    panel.axes(xlabel=xlabel, ylabel=ylabel)
+    return _document(560, 520, [panel])

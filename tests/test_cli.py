@@ -379,7 +379,7 @@ def test_svg_polyline_breaks_at_nan():
 
     panel = _Panel(0, 0, 100, 100, (0.0, 10.0), (0.0, 10.0))
     del panel.parts[:]
-    panel.polyline(np.arange(9.0), [0, np.nan, 1, 2, np.nan, np.nan, 3, 4, 5], "red")
+    panel.polyline(np.arange(9.0), [0, np.nan, 1, 2, np.nan, np.nan, 3, 4, 5], ["red"])
     tail = '" fill="none" stroke="red" stroke-width="1.00"/>'
     assert panel.parts == [
         '<polyline points="20.00,90.00 30.00,80.00' + tail,
@@ -614,6 +614,25 @@ def test_cmd_stability_map_rows_equal_cell_reports(tmp_path):
             expected.append([repr(float(beta)), repr(float(t_gap)), str(int(r.exact_stable)),
                              str(int(r.sufficient_stable)), repr(r.spectral_abscissa_nonzero)])
     assert rows == expected
+
+
+def test_cmd_stability_map_memory_stays_small(tmp_path):
+    """A 400 x 400 map keeps three grid arrays and makes its CSV rows as
+    they are written: its traced peak stays under 10 MB, where 160k rows
+    of five Python strings held at once take several times that."""
+    import tracemalloc
+
+    sc = preset("fig3")
+    sc = replace(sc, output=replace(sc.output, svg=False))
+    vary = [parse_vary("alpha=0.05:3:400"), parse_vary("gamma=0.05:3:400")]
+    tracemalloc.start()
+    try:
+        assert cmd_stability_map(sc, vary, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert (tmp_path / "stability.csv").read_bytes().count(b"\n") == 1 + 400 * 400
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,150 @@
+"""The CSV and SVG emitters against their plain reference forms.
+
+CSV lines are fields joined by commas; they must equal what csv.writer
+writes.  The SVG trajectory fan, its polylines and the stability map
+format each axis once for all traces and cells; they must equal the
+references in oracles.py, which draw one trace or one cell at a time.
+"""
+
+import csv
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from oracles import (
+    reference_csv_text,
+    reference_polyline,
+    reference_stability_map_svg,
+    reference_trajectory_svg,
+)
+from phcf import InvalidInputError, preset, write_scenario
+from phcf.cli import _write_outputs, main
+from phcf.svgplot import _PALETTE, _Panel, stability_map_svg, trajectory_svg
+
+# The header names of every command's CSV files.
+HEADER_NAMES = [
+    "t", "q1", "q20", "p1", "p20", "mean_speed", "speed_variance", "hamiltonian",
+    "mean_of_mean_speed", "var_of_mean_speed", "mean_speed_variance",
+    "j", "k", "re_lambda", "im_lambda", "oracle_abs_diff",
+    "param1", "param2", "exact_stable", "sufficient_stable", "spectral_abscissa",
+]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308 / 3, 1e308, -1e308, 1.7976931348623157e308]
+
+fields = st.one_of(st.floats().map(repr), st.integers().map(str), st.sampled_from(HEADER_NAMES))
+
+
+def written_csv(header, rows) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_outputs(tmp, preset("fig3"), "test", {"t.csv": (header, rows)}, {})
+        with open(Path(tmp) / "t.csv", encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.lists(fields, min_size=1, max_size=6),
+       st.lists(st.lists(fields, min_size=1, max_size=6), max_size=5))
+@example(["t", "mean_speed"], [])
+@example(HEADER_NAMES, [[repr(x) for x in SPECIAL_FLOATS]])
+@example(["j", "k"], [["0", "1"], ["-7", str(10**30)]])
+def test_csv_lines_equal_csv_writer(header, rows):
+    assert written_csv(header, rows) == reference_csv_text(header, rows)
+
+
+@pytest.mark.parametrize("argv, wrap", [
+    (["simulate"], True),
+    (["simulate"], False),
+    (["ensemble", "--runs", "2"], True),
+    (["spectrum"], True),
+    (["stability-map", "--vary", "alpha=3:0.1:4", "--vary", "gamma=0:2:3"], True),
+])
+def test_every_command_writes_csv_writer_text(tmp_path, argv, wrap):
+    """Every CSV file of every command, read back with csv.reader, is
+    what csv.writer writes for its fields: no field needed quoting."""
+    sc = preset("fig3")
+    sc = replace(sc, config=replace(sc.config, t_end=1.0, sample_stride=50),
+                 output=replace(sc.output, wrap_positions=wrap))
+    path = tmp_path / "s.ini"
+    write_scenario(sc, path)
+    assert main(argv[:1] + ["--scenario", str(path), "--out", str(tmp_path / "o")] + argv[1:]) == 0
+    tables = sorted((tmp_path / "o").glob("*.csv"))
+    assert tables
+    for table in tables:
+        with open(table, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        header, *rows = csv.reader(text.splitlines())
+        assert text == reference_csv_text(header, rows), table.name
+
+
+def outcome(build, *args):
+    """The SVG text, or the type of the error that stopped it."""
+    try:
+        return build(*args)
+    except (InvalidInputError, ArithmeticError, RuntimeWarning) as exc:
+        return type(exc)
+
+
+def with_nans(shape, elements):
+    return arrays(float, shape, elements=st.one_of(elements, st.just(math.nan)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_polyline_equals_per_trace_loop(data):
+    """Traces with NaN gaps, one-point pieces and NaN ends draw the same
+    elements as each trace drawn alone."""
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, 13))
+    ys = data.draw(with_nans((n, k), st.floats(-50, 50)))
+    xs = np.linspace(-1.0, 11.0, n)
+    colors = _PALETTE[:3]
+    panel = _Panel(0, 0, 100, 100, (-1.0, 11.0), (-50.0, 50.0))
+    reference = _Panel(0, 0, 100, 100, (-1.0, 11.0), (-50.0, 50.0))
+    panel.polyline(xs, ys, colors, 0.8)
+    for i in range(k):
+        reference_polyline(reference, xs, ys[:, i], colors[i % len(colors)], 0.8)
+    assert panel.parts == reference.parts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data(), st.booleans())
+def test_trajectory_svg_equals_per_vehicle_loop(data, wrap):
+    """Positions over several laps cross the seam; NaN positions break
+    wrapped traces too.  Unwrapped traces are finite: their span sets
+    the axis."""
+    ring_length = data.draw(st.sampled_from([1.0, 7.05, 141.0]))
+    n = data.draw(st.integers(2, 10))
+    k = data.draw(st.integers(1, 12))
+    laps = st.floats(-3 * ring_length, 3 * ring_length)
+    positions = data.draw(with_nans((n, k), laps) if wrap else arrays(float, (n, k), elements=laps))
+    times = np.cumsum(data.draw(arrays(float, n, elements=st.floats(0.01, 2.0))))
+    expected = outcome(reference_trajectory_svg, times, positions, ring_length, wrap)
+    before = positions.copy()
+    assert outcome(trajectory_svg, times, positions, ring_length, wrap) == expected
+    assert np.array_equal(positions, before, equal_nan=True)
+
+
+# sweep axes: ascending, descending or one value; one value repeated
+axes = st.builds(np.linspace, st.floats(0, 1e4), st.floats(0, 1e4), st.integers(1, 7)) | st.builds(
+    np.full, st.integers(2, 7), st.floats(0, 1e4))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(axes, axes, st.integers(0, 2**32 - 1))
+@example(np.linspace(3.0, 1.0, 5), np.linspace(0.5, 1.0, 2), 0)
+@example(np.full(3, 1.0), np.array([0.25]), 1)
+def test_stability_map_svg_equals_per_cell_loop(xs, ys, seed):
+    """Random verdict masks over any pair of axes draw the same rectangles
+    as one cell at a time."""
+    rng = np.random.default_rng(seed)
+    exact = rng.random((len(xs), len(ys))) < 0.6
+    sufficient = rng.random(exact.shape) < 0.5
+    args = (xs, ys, exact, sufficient, "alpha", "gamma")
+    assert outcome(stability_map_svg, *args) == outcome(reference_stability_map_svg, *args)

@@ -2,9 +2,11 @@
 
 The commands run in-process on the three presets shortened to t_end = 2:
 ``simulate`` from both start conditions, ``ensemble --runs 3`` and
-``spectrum``, each also replayed from its own manifest, plus one
-alpha x gamma and one beta x t_gap stability map.  Every file written is
-hashed and compared with ``golden_sha256.json``.
+``spectrum``, each also replayed from its own manifest, and ``simulate``
+of fig3 with unwrapped positions.  Four stability maps follow: alpha x
+gamma, beta x t_gap, one with a descending axis and one with a one-value
+axis.  Every file written is hashed and compared with
+``golden_sha256.json``.
 
 The table changes only with a deliberate output change, which also bumps
 ``SCHEMA_VERSION``: regenerate it by writing ``golden_hashes(directory)``
@@ -32,6 +34,8 @@ COMMANDS = (
 MAPS = (
     ("map_alpha_gamma", ["--vary", "alpha=0.1:2.0:6", "--vary", "gamma=0.1:2.0:7"]),
     ("map_beta_t_gap", ["--vary", "beta=0.2:2.0:5", "--vary", "t_gap=0.5:3.0:6"]),
+    ("map_alpha_descending", ["--vary", "alpha=2.0:0.1:6", "--vary", "gamma=0.1:2.0:7"]),
+    ("map_t_gap_one_value", ["--vary", "t_gap=1.5:1.5:1", "--vary", "beta=0.2:2.0:5"]),
 )
 
 
@@ -50,6 +54,12 @@ def _scenario_files(root: Path):
             path = root / f"{name}_{start}.ini"
             write_scenario(replace(sc, config=config), path)
             files[f"{name}_{start}"] = path
+    # simulate only: a label not ending in _zero runs COMMANDS[:1]
+    sc = preset("fig3")
+    unwrapped = replace(sc, config=replace(sc.config, t_end=2.0, sample_stride=20),
+                        output=replace(sc.output, wrap_positions=False))
+    files["fig3_unwrapped"] = root / "fig3_unwrapped.ini"
+    write_scenario(unwrapped, files["fig3_unwrapped"])
     return files
 
 
