@@ -24,20 +24,20 @@ arrays updated in place.  Every update is elementwise, in the order
 p + dt*drift + sigma*sqrt(dt)*noise and then q + dt*p, so each row is
 bit-identical to a run made alone.  A run is aborted at the first step
 after which a speed exceeds BLOWUP_LIMIT in magnitude or the state is not
-finite.  Steps run one noise block at a time, first without that test;
-one test at the end of the block accepts it exactly when no step would
-have failed, and a block that fails is replayed from its start with the
-test at every step (see _integrate), so the result is that of testing
-every step, to the bit.  The ensemble comes back as that one batch;
-simulate slices its only run out.
+finite.  Steps run one noise block at a time, first in a fast pass
+without that test; a block that fails the one test at its end, or whose
+fast pass raises, is replayed from its start with the test at every step
+(see _integrate), so the result is that of testing every step, to the
+bit.  The ensemble comes back as that one batch; simulate slices its only
+run out.
 
 At N = 20 a step costs numpy call overhead, not arithmetic, so the loop
 allocates nothing per step and makes as few numpy calls as it can.  Each
 integration builds one drift workspace (model._DriftWork) for its
 C-contiguous (runs, N) arrays, with every buffer and view made once, and
 calls acceleration_array(q, p, params, work) through this module's
-binding once per step, and once more per step of the fast pass of a block
-that is replayed: bench/tracer.py counts run-steps from the calls to
+binding once per step, and once more per step that the fast pass of a
+replayed block ran: bench/tracer.py counts run-steps from the calls to
 phcf.sde.acceleration_array.  Each ring difference of the drift is one
 1-D ufunc over the flattened buffer of all runs plus one over the (runs,
 1) wrap column that overwrites the entries crossing from one run into the
@@ -45,8 +45,7 @@ next, so its cost hardly grows with the number of runs.  Past the drift,
 a step is five in-place ufuncs, none of them for the blowup test: dt*p
 goes into the noise row the step has just added to p, where the
 block-end test finds the dt*p of every step of the block.  The noise
-rows, the block-start copy of the state and the finiteness test's buffer
-are made once per call too.
+rows and the block-start copy of the state are made once per call too.
 """
 
 from __future__ import annotations
@@ -86,8 +85,8 @@ class UniformZeroSpeed:
 
 @dataclass(frozen=True)
 class Explicit:
-    """Caller-supplied positions and speeds; positions must be strictly
-    increasing within [0, ring_length)."""
+    """Caller-supplied finite positions and speeds; positions must be
+    strictly increasing within [0, ring_length)."""
 
     q: np.ndarray
     p: np.ndarray
@@ -170,6 +169,9 @@ def initial_state(params: ModelParams, initial: InitialCondition):
         p = np.array(initial.p, dtype=float)
         if q.shape != (n,) or p.shape != (n,):
             raise InvalidInputError(f"explicit initial state must have {n} entries")
+        for name, values in (("q", q), ("p", p)):
+            if not np.isfinite(values).all():
+                raise InvalidInputError(f"explicit initial {name} must be finite")
         if not (q[0] >= 0 and q[-1] < length and np.all(np.diff(q) > 0)):
             raise InvalidInputError("positions must be strictly increasing within [0, ring_length)")
         return q, p
@@ -241,18 +243,19 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
 
     Each noise block runs first in a fast pass without the per-step
     blowup test, under the caller's np.errstate with every kind it does
-    not ignore set to "call", which records the error instead of acting
-    on it.  The block is accepted when no error was recorded, every dt*p
-    it computed is strictly inside +-fl(dt*BLOWUP_LIMIT) and q is finite
-    at its end: rounding is monotone, so |p| > BLOWUP_LIMIT implies
-    |fl(dt*p)| >= fl(dt*BLOWUP_LIMIT), and a non-finite entry of q stays
-    non-finite under q += dt*p.  An accepted block is therefore one in
-    which the per-step test never fires.  Any other block is restored to
-    its start, its noise drawn again, and replayed under the caller's
+    not ignore set to "raise".  The block is accepted when the fast pass
+    raised nothing, every dt*p it computed is strictly inside
+    +-fl(dt*BLOWUP_LIMIT) and q is finite at its end: rounding is
+    monotone, so |p| > BLOWUP_LIMIT implies |fl(dt*p)| >=
+    fl(dt*BLOWUP_LIMIT), and a non-finite entry of q stays non-finite
+    under q += dt*p.  In an accepted block the per-step test never fires
+    and no step raises or warns.  Any other block is restored to its
+    start, its noise drawn again, and replayed under the caller's
     settings with the per-step test, which gives the bits, blowup steps,
-    sample counts and floating-point warnings or errors of testing every
-    step.  The fast pass may evaluate the drift, a CustomDerivative too,
-    on a diverged state up to the end of its block before that replay.
+    sample counts, warnings and exceptions of testing every step.  A fast
+    pass stops at its first exception, but it may still call the drift, a
+    CustomDerivative too, on a diverged state: whatever that raises is
+    discarded with the block.
 
     blow_step, 0 while a run is alive, is the only per-run state, so a
     replayed block restores q and p alone; n_valid, the NaN tail and
@@ -281,7 +284,6 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     # every per-step buffer and view is made once, before the loop
     work = _DriftWork(q, p, params)
     noise_rows = list(noise)
-    q_finite = np.empty(q.shape, dtype=bool)
     seeds = [run_seed(r) for r in range(runs)]
     blow_step = np.zeros(runs, dtype=np.int64)
 
@@ -290,11 +292,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     dtp_limit = dt * BLOWUP_LIMIT
     # q and p at block start, which a replayed block restores
     q_start, p_start = np.empty_like(q), np.empty_like(p)
-    errors = []
-    fast_errstate = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
-
-    def record_error(kind, flag):
-        errors.append(kind)
+    fast_errstate = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
 
     def draw_noise(block):
         for r, seed in enumerate(seeds):
@@ -322,9 +320,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
             np.multiply(p, dt, row)
             np.add(q, row, q)
             # NaN fails the comparison too; per-row masks only when this fires
-            if exact and not (
-                p.max() <= BLOWUP_LIMIT and p.min() >= -BLOWUP_LIMIT and np.isfinite(q, out=q_finite).all()
-            ):
+            if exact and not (p.max() <= BLOWUP_LIMIT and p.min() >= -BLOWUP_LIMIT and np.isfinite(q).all()):
                 bad = ~(np.isfinite(q).all(axis=1) & (np.abs(p).max(axis=1) <= BLOWUP_LIMIT))
                 blow_step[bad & (blow_step == 0)] = s + 1
                 if blow_step.all():
@@ -338,16 +334,13 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         draw_noise(block)
         q_start[...] = q
         p_start[...] = p
-        errors.clear()
-        with np.errstate(call=record_error, **fast_errstate):
-            advance(block, exact=False)
-            dtp = noise[: n_steps - block * NOISE_BLOCK]
-            accepted = (
-                not errors
-                and dtp.max() < dtp_limit
-                and dtp.min() > -dtp_limit
-                and np.isfinite(q, out=q_finite).all()
-            )
+        try:
+            with np.errstate(**fast_errstate):
+                advance(block, exact=False)
+                dtp = noise[: n_steps - block * NOISE_BLOCK]
+                accepted = dtp.max() < dtp_limit and dtp.min() > -dtp_limit and np.isfinite(q).all()
+        except Exception:
+            accepted = False
         if not accepted:
             q[...] = q_start
             p[...] = p_start

@@ -89,8 +89,11 @@ class MomentLaw:
 def mean_speed_law(params: ModelParams, initial_mean_speed: float = 0.0) -> MomentLaw:
     """Closed-form moments of the mean speed in every regime and for any
     potential (see the module docstring)."""
+    pbar0 = float(initial_mean_speed)
+    if not np.isfinite(pbar0):
+        raise InvalidInputError(f"initial_mean_speed must be finite, got {pbar0}")
     x = float(params.regime.target_speed(params.ring_length / params.n_vehicles))
-    return MomentLaw(x, params.gamma, params.sigma**2 / params.n_vehicles, float(initial_mean_speed))
+    return MomentLaw(x, params.gamma, params.sigma**2 / params.n_vehicles, pbar0)
 
 
 def deviation_process(ts: TimeSeries) -> np.ndarray:

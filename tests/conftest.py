@@ -18,6 +18,15 @@ def ensemble_observables(params, config, n_runs):
                            n_runs=n_runs)
 
 
+@pytest.fixture(autouse=True)
+def numpy_error_state_is_restored():
+    """Every test leaves numpy's floating-point error handling, its modes
+    and its callback, as it found it."""
+    before = (np.geterr(), np.geterrcall())
+    yield
+    assert (np.geterr(), np.geterrcall()) == before
+
+
 @pytest.fixture(scope="session")
 def fig1_ensemble():
     """500 uncontrolled runs of the fig1 parameters.

@@ -31,6 +31,7 @@ from phcf import (
     simulate,
 )
 import phcf.sde
+from phcf.model import gaps_array
 from phcf.sde import NOISE_BLOCK, noise_block
 from oracles import reference_run, reference_step, step_noise
 
@@ -67,6 +68,13 @@ def test_explicit_initial_validation():
         initial_state(params, Explicit(q=q[:5], p=np.zeros(5)))
     _, p = initial_state(params, Explicit(q=q, p=np.ones(20)))
     assert p.sum() == 20.0
+    # a non-finite entry is refused by name, in q before the ordering test
+    first = np.arange(20) == 0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="explicit initial q must be finite"):
+            initial_state(params, Explicit(q=np.where(first, bad, q), p=np.zeros(20)))
+        with pytest.raises(InvalidInputError, match="explicit initial p must be finite"):
+            initial_state(params, Explicit(q=q, p=np.where(first, bad, 0.0)))
 
 
 def test_config_validation():
@@ -551,7 +559,10 @@ def test_kick_lands_on_its_step():
 
 
 def simulate_outcome(params, config):
-    """What simulate did, and the warnings it emitted in order."""
+    """What simulate did, and the warnings it emitted in order.  Whatever
+    it did, it left numpy's floating-point modes and callback as it found
+    them."""
+    state = (np.geterr(), np.geterrcall())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -561,6 +572,7 @@ def simulate_outcome(params, config):
             result = ("blowup", exc.step, len(exc.partial.times))
         except FloatingPointError as exc:
             result = ("raised", str(exc))
+    assert (np.geterr(), np.geterrcall()) == state
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -611,6 +623,10 @@ FP_CASES = {
 }
 # the step whose update raises under np.errstate(all="raise")
 RAISED_AT = {"one_step": 1, "mid_run": 300, "underflow": 300, "position": 81}
+# what a callback under np.errstate(all="call") receives, in order, as
+# it does from reference_run
+CALLED = {"blowing": [], "one_step": ["overflow"] * 2, "mid_run": ["overflow"] * 2,
+          "underflow": ["underflow"] * 2, "position": ["overflow"]}
 
 
 @pytest.mark.parametrize("errstate, case, expected", [
@@ -629,18 +645,26 @@ RAISED_AT = {"one_step": 1, "mid_run": 300, "underflow": 300, "position": 81}
     ("default", "position", (("blowup", 81, 81), [(RuntimeWarning, "overflow encountered in add")])),
     ("raise", "position", (("raised", "overflow encountered in add"), [])),
     ("ignore", "position", (("blowup", 81, 81), [])),
+    ("call", "blowing", (("blowup", 1987, 199), [])),
+    ("call", "one_step", (("blowup", 1, 1), [])),
+    ("call", "mid_run", (("blowup", 300, 300), [])),
+    ("call", "underflow", (("finished",), [])),
+    ("call", "position", (("blowup", 81, 81), [])),
 ])
 def test_floating_point_errors_reach_the_caller(errstate, case, expected, monkeypatch):
-    """The warnings, exceptions and blowup steps under the caller's
-    np.errstate are those of testing every step, also when the error
-    falls in a later noise block or is an underflow that changes nothing
-    the block-end test looks at."""
+    """The warnings, exceptions, callback calls and blowup steps under the
+    caller's np.errstate are those of testing every step, also when the
+    error falls in a later noise block or is an underflow that changes
+    nothing the block-end test looks at."""
     params, config = FP_CASES[case]()
-    seen = []
+    seen, called = [], []
     drift = phcf.sde.acceleration_array
     monkeypatch.setattr(phcf.sde, "acceleration_array", lambda q, *args: seen.append(q.copy()) or drift(q, *args))
-    with np.errstate(**{"default": {}, "raise": {"all": "raise"}, "ignore": {"all": "ignore"}}[errstate]):
+    modes = {"default": {}, "raise": {"all": "raise"}, "ignore": {"all": "ignore"},
+             "call": {"all": "call", "call": lambda kind, flag: called.append(kind)}}
+    with np.errstate(**modes[errstate]):
         assert simulate_outcome(params, config) == expected
+    assert called == (CALLED[case] if errstate == "call" else [])
     if errstate == "raise" and case in RAISED_AT:
         # the last drift evaluated the state the raising step started from
         with np.errstate(all="ignore"):
@@ -648,10 +672,90 @@ def test_floating_point_errors_reach_the_caller(errstate, case, expected, monkey
         assert np.array_equal(seen[-1][0], q[RAISED_AT[case] - 1])
 
 
+def bounded_blowing(limit):
+    """BLOWING under a potential that, like its own (alpha = 0), exerts no
+    force, but whose derivative raises ValueError on a gap beyond limit,
+    as one defined on a bounded domain does."""
+
+    def derivative(g):
+        if np.abs(g).max() > limit:
+            raise ValueError("gap outside the potential's domain")
+        return 0.0 * g
+
+    return replace(BLOWING, potential=CustomDerivative(derivative))
+
+
+def last_drift_state(run):
+    """What run() returned or raised, and the q of its last drift call."""
+    seen = []
+    drift = phcf.sde.acceleration_array
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phcf.sde, "acceleration_array", lambda q, *args: seen.append(q.copy()) or drift(q, *args))
+        try:
+            return run(), seen[-1]
+        except (ValueError, NumericalBlowupError) as exc:
+            return exc, seen[-1]
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1), st.floats(0.5, 10.0), st.integers(1, 3))
+@example(3, 1.5, 3)
+@example(3, 0.9, 1)
+def test_drift_exceptions_are_those_of_testing_every_step(seed, scale, n_runs):
+    """A CustomDerivative that raises beyond a domain limit of scale times
+    the largest gap of the seed's valid BLOWING states gives what testing
+    every step gives: the blowup step and samples of reference_run when
+    no valid state passes the limit, else the same ValueError, raised
+    from the drift of the first valid state that does.  A batch raises
+    when one of its runs alone does, from the first such state of any
+    run, and otherwise equals its single runs row by row."""
+    config = SimConfig(0.001, 5.0, 10, seed)
+    every_step = replace(config, sample_stride=1)
+    seeds = [seed] + [derive_run_seed(seed, r) for r in range(n_runs)]
+    # each run's valid states, from the reference loop with no domain limit
+    states = {s: reference_run(bounded_blowing(np.inf), every_step, s)[0] for s in seeds}
+    widest = {s: np.abs(gaps_array(q, BLOWING.ring_length)).max(axis=1) for s, q in states.items()}
+    limit = scale * widest[seed].max()
+    params = bounded_blowing(limit)
+    # the first valid state whose drift raises, or None
+    raising = {s: np.argmax(w > limit) if (w > limit).any() else None for s, w in widest.items()}
+    outcomes = {}
+    for s in seeds:
+        outcome, last = last_drift_state(lambda: simulate(params, replace(config, seed=s)))
+        if raising[s] is None:
+            q, p, overtake, step = reference_run(params, config, s)
+            assert not isinstance(outcome, ValueError), outcome
+            single = getattr(outcome, "partial", outcome)
+            assert (single.blowup_step or 0, single.overtake_flag) == (step, overtake)
+            assert np.array_equal(single.q, q) and np.array_equal(single.p, p)
+            outcomes[s] = single
+        else:
+            with pytest.raises(ValueError) as expected:
+                reference_run(params, config, s)
+            assert type(outcome) is ValueError and str(outcome) == str(expected.value)
+            assert np.array_equal(last[0], states[s][raising[s]])
+    outcome, last = last_drift_state(lambda: run_ensemble(params, config, n_runs))
+    first = [(raising[s], r) for r, s in enumerate(seeds[1:]) if raising[s] is not None]
+    if first:
+        step, r = min(first)
+        assert type(outcome) is ValueError
+        assert np.array_equal(last[r], states[seeds[r + 1]][step])
+        return
+    assert not isinstance(outcome, ValueError), outcome
+    for r, s in enumerate(seeds[1:]):
+        single, v = outcomes[s], outcome.n_valid[r]
+        assert (v, outcome.blowup_step[r], outcome.overtake_flag[r]) == (
+            len(single.times), single.blowup_step or 0, single.overtake_flag)
+        assert np.array_equal(outcome.q[r, :v], single.q) and np.array_equal(outcome.p[r, :v], single.p)
+
+
 def test_drift_runs_once_per_step(monkeypatch):
     """bench/tracer.py counts run-steps from the calls to
     phcf.sde.acceleration_array: one per step without a blowup, and a
-    block that blows up adds the calls of its fast pass."""
+    block that blows up adds the calls of its fast pass.  A fast pass
+    that raises stops at once, so a block that raises adds only the
+    calls up to the raise, which shrinks the tracer's over-count of
+    run-steps for such blocks."""
     drift, draw = phcf.sde.acceleration_array, phcf.sde.noise_block
     drifts, draws = [], []
     monkeypatch.setattr(phcf.sde, "acceleration_array", lambda *args: drifts.append(1) or drift(*args))
@@ -668,6 +772,12 @@ def test_drift_runs_once_per_step(monkeypatch):
     # runs to the blowup
     assert info.value.step // NOISE_BLOCK == 7
     assert (len(drifts), len(draws)) == (info.value.step + NOISE_BLOCK, 8 + 1)
+    drifts.clear()
+    draws.clear()
+    # the fast pass overflows in its first drift and stops there; the
+    # replay draws the noise again and blows up at step 1
+    assert simulate_outcome(*one_step_overflow()) == (("blowup", 1, 1), OVERFLOW)
+    assert (len(drifts), len(draws)) == (2, 2)
 
 
 def test_overtake_flag_set_on_crossing():

@@ -161,6 +161,12 @@ def test_law_uncontrolled_shape():
     assert law.stationary_variance is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_law_rejects_non_finite_initial_mean_speed(bad):
+    with pytest.raises(InvalidInputError, match="initial_mean_speed must be finite"):
+        mean_speed_law(preset("fig1").params, initial_mean_speed=bad)
+
+
 def test_law_open_loop_deterministic():
     params = ModelParams(10, 50.0, 0.5, 1.0, 0.2, 0.0, OpenLoop(x=3.0))
     law = mean_speed_law(params, initial_mean_speed=0.0)
