@@ -287,7 +287,6 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     exact = np.zeros((len(values1), len(values2)), dtype=bool)
     suff = np.zeros_like(exact)
     abscissa = np.zeros(exact.shape)
-    violations = []
     for i, v1 in enumerate(values1):
         # One report per row, the second axis as an array: memory stays
         # O(len(values2) * N) per report and the grid is three arrays.
@@ -295,11 +294,13 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
         exact[i] = report.exact_stable
         suff[i] = report.sufficient_stable
         abscissa[i] = report.spectral_abscissa_nonzero
-        violations.extend((v1, values2[j]) for j in np.flatnonzero(suff[i] & ~exact[i]))
-    if violations:
+    # row-major, so the first entry is the first violating cell of the sweep
+    violations = np.argwhere(suff & ~exact)
+    if len(violations):
+        i, j = violations[0]
         print(
             f"containment violated: sufficient-but-not-exact at {len(violations)} cells, "
-            f"first at {name1}={violations[0][0]:g}, {name2}={violations[0][1]:g}",
+            f"first at {name1}={values1[i]:g}, {name2}={values2[j]:g}",
             file=sys.stderr,
         )
         return 4

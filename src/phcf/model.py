@@ -92,12 +92,8 @@ class ClosedLoop:
             raise InvalidInputError(f"ell must be nonnegative, got {self.ell}")
 
     def target_speed(self, gap, out=None):
-        """(gap - ell)/t_gap; with out, the same two ufuncs write into out
-        and return it."""
-        if out is None:
-            return (gap - self.ell) / self.t_gap
-        np.subtract(gap, self.ell, out)
-        return np.divide(out, self.t_gap, out)
+        """(gap - ell)/t_gap by two ufuncs, written into out when given."""
+        return np.divide(np.subtract(gap, self.ell, out), self.t_gap, out)
 
 
 ControlRegime = Union[Uncontrolled, OpenLoop, ClosedLoop]

@@ -24,12 +24,12 @@ arrays updated in place.  Every update is elementwise, in the order
 p + dt*drift + sigma*sqrt(dt)*noise and then q + dt*p, so each row is
 bit-identical to a run made alone.  A run is aborted at the first step
 after which a speed exceeds BLOWUP_LIMIT in magnitude or the state is not
-finite.  Steps run one noise block at a time, first in a fast pass
-without that test; a block that fails the one test at its end, or whose
-fast pass raises, is replayed from its start with the test at every step
-(see _integrate), so the result is that of testing every step, to the
-bit.  The ensemble comes back as that one batch; simulate slices its only
-run out.
+finite; its row restarts from the start state, so the batch holds only
+states a run alone can hold.  Steps run one noise block at a time, first
+in a fast pass without that test; a block that fails the one test at its
+end, or whose fast pass raises, is replayed from its start with the test
+at every step (see _integrate), so the result is that of testing every
+step, to the bit.  simulate slices the one run out of its batch.
 
 At N = 20 a step costs numpy call overhead, not arithmetic, so the loop
 allocates nothing per step and makes as few numpy calls as it can.  Each
@@ -257,9 +257,11 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     CustomDerivative too, on a diverged state: whatever that raises is
     discarded with the block.
 
-    blow_step, 0 while a run is alive, is the only per-run state, so a
-    replayed block restores q and p alone; n_valid, the NaN tail and
-    overtake_flag (from each sample's minimum gap) follow after the loop.
+    A row that fails the per-step test restarts from the start state, so
+    the batch holds only states a run alone can hold.  blow_step, 0 while
+    a run is alive, is the only per-run state, so a replayed block
+    restores q and p alone; n_valid, the NaN tail and overtake_flag (from
+    each sample's minimum gap) follow after the loop.
     """
     n = params.n_vehicles
     length = params.ring_length
@@ -325,9 +327,9 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
                 blow_step[bad & (blow_step == 0)] = s + 1
                 if blow_step.all():
                     return False
-                # freeze dead rows at finite zeros; their samples become NaN
-                dead = blow_step > 0
-                q[dead] = p[dead] = 0.0
+                # failed rows restart from the start state; their samples become NaN
+                q[bad] = q0
+                p[bad] = p0
         return True
 
     for block in range(-(-n_steps // NOISE_BLOCK)):
@@ -353,7 +355,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
 
     # a run that blew up after step b recorded the samples of steps 0..b-1;
     # NaN what no valid sample wrote: rows left empty by the early break
-    # and the zeros dead rows recorded after they blew up
+    # and the restarted states dead rows recorded after they blew up
     valid = np.where(blow_step > 0, (blow_step - 1) // stride + 1, n_samples)
     tail = np.arange(n_samples) >= valid[:, None]
     q_samples[tail] = p_samples[tail] = min_gap[tail] = np.nan

@@ -18,23 +18,25 @@ _PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 ]
+_N_TICKS = 5
+_DASH = 'stroke-dasharray="4,3"'
 
 
 def _f(x) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
     # Tick steps are normal floats: below that 10**k loses digits and
     # then underflows to 0.
-    if not sys.float_info.min <= span / n < math.inf:
+    if not sys.float_info.min <= span / _N_TICKS < math.inf:
         raise InvalidInputError(f"cannot draw ticks on an axis from {lo!r} to {hi!r}")
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / _N_TICKS))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= _N_TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -55,16 +57,12 @@ class _Panel:
     def __init__(self, x0, y0, width, height, xlim, ylim, title=""):
         self.x0, self.y0, self.w, self.h = x0, y0, width, height
         self.xlim, self.ylim = xlim, ylim
-        self.parts = []
-        self.parts.append(
+        self.parts = [
             f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(width)}" height="{_f(height)}" '
             'fill="white" stroke="#333" stroke-width="1"/>'
-        )
+        ]
         if title:
-            self.parts.append(
-                f'<text x="{_f(x0 + width / 2)}" y="{_f(y0 - 6)}" {_FONT} '
-                f'text-anchor="middle">{title}</text>'
-            )
+            self.text(x0 + width / 2, y0 - 6, title)
 
     def px(self, x):
         lo, hi = self.xlim
@@ -74,39 +72,30 @@ class _Panel:
         lo, hi = self.ylim
         return self.y0 + self.h - (y - lo) / (hi - lo) * self.h
 
+    def text(self, x, y, body, anchor="middle", extra=""):
+        """One text element at pixel (x, y); extra holds more attributes, each after a space."""
+        self.parts.append(f'<text x="{_f(x)}" y="{_f(y)}" {_FONT} text-anchor="{anchor}"{extra}>{body}</text>')
+
+    def line(self, x1, y1, x2, y2, style='stroke="#333"'):
+        """One line element between pixel points (x1, y1) and (x2, y2)."""
+        self.parts.append(f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" {style}/>')
+
     def axes(self, xlabel="", ylabel=""):
+        bottom = self.y0 + self.h
         for t in _ticks(*self.xlim):
             x = self.px(t)
-            self.parts.append(
-                f'<line x1="{_f(x)}" y1="{_f(self.y0 + self.h)}" x2="{_f(x)}" '
-                f'y2="{_f(self.y0 + self.h + 4)}" stroke="#333"/>'
-            )
-            self.parts.append(
-                f'<text x="{_f(x)}" y="{_f(self.y0 + self.h + 16)}" {_FONT} '
-                f'text-anchor="middle">{t:g}</text>'
-            )
+            self.line(x, bottom, x, bottom + 4)
+            self.text(x, bottom + 16, f"{t:g}")
         for t in _ticks(*self.ylim):
             y = self.py(t)
-            self.parts.append(
-                f'<line x1="{_f(self.x0 - 4)}" y1="{_f(y)}" x2="{_f(self.x0)}" '
-                f'y2="{_f(y)}" stroke="#333"/>'
-            )
-            self.parts.append(
-                f'<text x="{_f(self.x0 - 6)}" y="{_f(y + 4)}" {_FONT} '
-                f'text-anchor="end">{t:g}</text>'
-            )
+            self.line(self.x0 - 4, y, self.x0, y)
+            self.text(self.x0 - 6, y + 4, f"{t:g}", anchor="end")
         if xlabel:
-            self.parts.append(
-                f'<text x="{_f(self.x0 + self.w / 2)}" y="{_f(self.y0 + self.h + 32)}" '
-                f'{_FONT} text-anchor="middle">{xlabel}</text>'
-            )
+            self.text(self.x0 + self.w / 2, bottom + 32, xlabel)
         if ylabel:
             x = self.x0 - 38
             y = self.y0 + self.h / 2
-            self.parts.append(
-                f'<text x="{_f(x)}" y="{_f(y)}" {_FONT} text-anchor="middle" '
-                f'transform="rotate(-90 {_f(x)} {_f(y)})">{ylabel}</text>'
-            )
+            self.text(x, y, ylabel, extra=f' transform="rotate(-90 {_f(x)} {_f(y)})"')
 
     def polyline(self, xs, ys, colors, width=1.0):
         """One polyline per trace and run of at least two points between
@@ -143,17 +132,11 @@ class _Panel:
             f'fill="{color}" fill-opacity="0.7"/>'
         )
 
-    def hline(self, y, color, dash="4,3"):
-        self.parts.append(
-            f'<line x1="{_f(self.x0)}" y1="{_f(self.py(y))}" x2="{_f(self.x0 + self.w)}" '
-            f'y2="{_f(self.py(y))}" stroke="{color}" stroke-dasharray="{dash}"/>'
-        )
+    def hline(self, y, color):
+        self.line(self.x0, self.py(y), self.x0 + self.w, self.py(y), f'stroke="{color}" {_DASH}')
 
-    def vline(self, x, color, dash="4,3"):
-        self.parts.append(
-            f'<line x1="{_f(self.px(x))}" y1="{_f(self.y0)}" x2="{_f(self.px(x))}" '
-            f'y2="{_f(self.y0 + self.h)}" stroke="{color}" stroke-dasharray="{dash}"/>'
-        )
+    def vline(self, x, color):
+        self.line(self.px(x), self.y0, self.px(x), self.y0 + self.h, f'stroke="{color}" {_DASH}')
 
 
 def _document(width, height, panels) -> str:

@@ -6,8 +6,9 @@ such steps that tests every step for blowup, the noise of one step, the
 scalar mode factor, the scalar Hurwitz test, the sufficient condition and
 the drift-matrix norm of one parameter cell in Python floats, the dense
 mean-removal projector, the port-Hamiltonian matrices J, R and Q, a CSV
-file as ``csv.writer`` writes it, and the SVG trajectory fan and
-stability map drawn one trace or one cell at a time.
+file as ``csv.writer`` writes it, the SVG trajectory fan and stability
+map drawn one trace or one cell at a time, and a panel's title, axes and
+dashed lines with each element spelled out in place.
 """
 
 import csv
@@ -19,7 +20,7 @@ import numpy as np
 from phcf import InvalidInputError, initial_state
 from phcf.model import acceleration_array, gaps_array
 from phcf.sde import BLOWUP_LIMIT, NOISE_BLOCK, _step_count, noise_block
-from phcf.svgplot import _PALETTE, _Panel, _cells, _document, _f, _span
+from phcf.svgplot import _FONT, _PALETTE, _Panel, _cells, _document, _f, _span, _ticks
 
 
 def reference_step(q, p, params, dt, noise):
@@ -142,6 +143,67 @@ def reference_polyline(panel, xs, ys, color, width=1.0):
                 f'stroke-width="{_f(width)}"/>'
             )
         start = stop + 1
+
+
+def reference_title(panel, title):
+    """Append the title element a _Panel built with this title holds."""
+    if title:
+        panel.parts.append(
+            f'<text x="{_f(panel.x0 + panel.w / 2)}" y="{_f(panel.y0 - 6)}" {_FONT} '
+            f'text-anchor="middle">{title}</text>'
+        )
+
+
+def reference_axes(panel, xlabel="", ylabel=""):
+    """Append the tick marks, tick labels and axis labels of panel.axes."""
+    for t in _ticks(*panel.xlim):
+        x = panel.px(t)
+        panel.parts.append(
+            f'<line x1="{_f(x)}" y1="{_f(panel.y0 + panel.h)}" x2="{_f(x)}" '
+            f'y2="{_f(panel.y0 + panel.h + 4)}" stroke="#333"/>'
+        )
+        panel.parts.append(
+            f'<text x="{_f(x)}" y="{_f(panel.y0 + panel.h + 16)}" {_FONT} '
+            f'text-anchor="middle">{t:g}</text>'
+        )
+    for t in _ticks(*panel.ylim):
+        y = panel.py(t)
+        panel.parts.append(
+            f'<line x1="{_f(panel.x0 - 4)}" y1="{_f(y)}" x2="{_f(panel.x0)}" '
+            f'y2="{_f(y)}" stroke="#333"/>'
+        )
+        panel.parts.append(
+            f'<text x="{_f(panel.x0 - 6)}" y="{_f(y + 4)}" {_FONT} '
+            f'text-anchor="end">{t:g}</text>'
+        )
+    if xlabel:
+        panel.parts.append(
+            f'<text x="{_f(panel.x0 + panel.w / 2)}" y="{_f(panel.y0 + panel.h + 32)}" '
+            f'{_FONT} text-anchor="middle">{xlabel}</text>'
+        )
+    if ylabel:
+        x = panel.x0 - 38
+        y = panel.y0 + panel.h / 2
+        panel.parts.append(
+            f'<text x="{_f(x)}" y="{_f(y)}" {_FONT} text-anchor="middle" '
+            f'transform="rotate(-90 {_f(x)} {_f(y)})">{ylabel}</text>'
+        )
+
+
+def reference_hline(panel, y, color):
+    """Append the dashed line of panel.hline across the panel at data y."""
+    panel.parts.append(
+        f'<line x1="{_f(panel.x0)}" y1="{_f(panel.py(y))}" x2="{_f(panel.x0 + panel.w)}" '
+        f'y2="{_f(panel.py(y))}" stroke="{color}" stroke-dasharray="4,3"/>'
+    )
+
+
+def reference_vline(panel, x, color):
+    """Append the dashed line of panel.vline down the panel at data x."""
+    panel.parts.append(
+        f'<line x1="{_f(panel.px(x))}" y1="{_f(panel.y0)}" x2="{_f(panel.px(x))}" '
+        f'y2="{_f(panel.y0 + panel.h)}" stroke="{color}" stroke-dasharray="4,3"/>'
+    )
 
 
 def reference_trajectory_svg(times, positions, ring_length, wrap=True):

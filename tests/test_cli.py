@@ -560,25 +560,28 @@ def test_cmd_stability_map_rejects_duplicate_axes(tmp_path):
 
 def test_cmd_stability_map_aborts_on_containment_violation(tmp_path, monkeypatch, capsys):
     """The containment guard is unreachable with correct conditions, so a
-    fake report exercises the abort path."""
+    fake report exercises the abort path.  It violates containment at
+    two cells off the first, (alpha, gamma) = (2, 2) and (3, 1); the
+    message counts both and names the first in sweep order."""
     import phcf.cli as cli_mod
 
     real = cli_mod.stability_report
+    violating = {2.0: [1], 3.0: [0]}  # alpha -> indices of gamma
 
     def broken(n, alpha, beta, gamma, t_gap):
         report = real(n, alpha, beta, gamma, t_gap)
         from dataclasses import replace as drep
 
-        return drep(
-            report,
-            sufficient_stable=np.ones_like(report.sufficient_stable),
-            exact_stable=np.zeros_like(report.exact_stable),
-        )
+        flip = np.zeros(report.exact_stable.shape, dtype=bool)
+        flip[violating.get(alpha, [])] = True
+        return drep(report, sufficient_stable=flip, exact_stable=~flip)
 
     monkeypatch.setattr(cli_mod, "stability_report", broken)
-    vary = [parse_vary("alpha=1:2:2"), parse_vary("gamma=1:2:2")]
+    vary = [parse_vary("alpha=1:3:3"), parse_vary("gamma=1:3:3")]
     assert cmd_stability_map(preset("fig3"), vary, tmp_path / "x") == 4
-    assert "containment violated" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "containment violated: sufficient-but-not-exact at 2 cells, first at alpha=2, gamma=2\n"
+    )
     assert not (tmp_path / "x" / "stability.csv").exists()
 
 

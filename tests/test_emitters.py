@@ -4,6 +4,8 @@ CSV lines are fields joined by commas; they must equal what csv.writer
 writes.  The SVG trajectory fan, its polylines and the stability map
 format each axis once for all traces and cells; they must equal the
 references in oracles.py, which draw one trace or one cell at a time.
+A panel's title, axes and dashed lines go through one text and one line
+writer; they must equal the references that spell each element out.
 """
 
 import csv
@@ -19,10 +21,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    reference_axes,
     reference_csv_text,
+    reference_hline,
     reference_polyline,
     reference_stability_map_svg,
+    reference_title,
     reference_trajectory_svg,
+    reference_vline,
 )
 from phcf import InvalidInputError, preset, write_scenario
 from phcf.cli import _write_outputs, main
@@ -148,3 +154,47 @@ def test_stability_map_svg_equals_per_cell_loop(xs, ys, seed):
     sufficient = rng.random(exact.shape) < 0.5
     args = (xs, ys, exact, sufficient, "alpha", "gamma")
     assert outcome(stability_map_svg, *args) == outcome(reference_stability_map_svg, *args)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# any order and any span up to the whole float range, ordinary spans, and
+# spans of a few ulps (where the ticks run out of digits)
+limits = st.one_of(
+    st.tuples(finite, finite),
+    st.builds(lambda lo, span: (lo, lo + span), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    st.builds(lambda lo, k: (lo, lo + k * math.ulp(lo)), st.floats(-1e300, 1e300), st.integers(1, 64)),
+)
+
+
+def drawn(panel, *calls):
+    """panel.parts after the calls, with the error (type and message) or
+    None of each call; the calls run in order, whatever an earlier one
+    raised."""
+    errors = []
+    for call in calls:
+        try:
+            errors.append(call())
+        except (InvalidInputError, ArithmeticError) as exc:
+            errors.append((type(exc), str(exc)))
+    return panel.parts, errors
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(limits, limits, st.text(max_size=8), st.text(max_size=8), st.text(max_size=8), finite, finite,
+       st.sampled_from(_PALETTE))
+@example((0.0, 10.0), (-1.0, 1.0), "t", "x", "", 0.0, 0.0, "#999")
+@example((0.0, 10.0), (-1.0, 1.0), "", "", "y", 5.0, -0.5, "#999")
+@example((1.0, 1.0), (2.0, -2.0), "flat", "", "", 1.0, 0.0, "#999")
+@example((0.0, 5e-324), (1e308, -1e308), "", "x", "y", 0.0, 0.0, "#999")
+def test_panel_elements_equal_inline_elements(xlim, ylim, title, xlabel, ylabel, x, y, color):
+    """Title, axes with and without each label, hline and vline append
+    the elements that the references spell out, and raise where they do:
+    _ticks refuses an axis whose tick step is not a normal float, and a
+    zero span divides by zero."""
+    panel = _Panel(60, 24, 420, 300, xlim, ylim, title=title)
+    reference = _Panel(60, 24, 420, 300, xlim, ylim)
+    reference_title(reference, title)
+    assert drawn(panel, lambda: panel.axes(xlabel, ylabel), lambda: panel.hline(y, color),
+                 lambda: panel.vline(x, color)) == drawn(
+        reference, lambda: reference_axes(reference, xlabel, ylabel),
+        lambda: reference_hline(reference, y, color), lambda: reference_vline(reference, x, color))

@@ -581,5 +581,8 @@ def test_closed_loop_target_speed_writes_out():
     assert regime.target_speed(gap, out=buf) is buf
     assert same_bits(buf, (gap - 1.3) / 0.7)
     assert same_bits(regime.target_speed(gap), buf)
+    # a scalar gap, as initial_state and mean_speed_law pass
+    scalar = 10.0 / 7.0
+    assert same_bits(np.float64(regime.target_speed(scalar)), np.float64((scalar - 1.3) / 0.7))
     for scalar_regime, value in ((Uncontrolled(), 0.0), (OpenLoop(x=2.5), 2.5)):
         assert scalar_regime.target_speed(gap, out=buf) == value

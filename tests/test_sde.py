@@ -417,21 +417,37 @@ def test_ensemble_blowup_not_fatal():
     assert np.isnan(batch.q[0, 191:]).all() and np.isnan(batch.p[2, 202:]).all()
 
 
+def no_zero_gap(g):
+    """No force, like BLOWING's own potential, but a zero gap raises."""
+    if (g == 0).any():
+        raise ValueError("a zero gap")
+    return 0.0 * g
+
+
+# BLOWING under a potential that no state of a single run makes raise
+ZERO_GAP_BLOWING = replace(BLOWING, potential=CustomDerivative(no_zero_gap, value=lambda g: 0.0 * g))
+
+
 def batch_cases():
     """(params, config, n_runs): the blowing ring around its blowup times,
-    where some runs blow up and others do not, or a short gap-feedback run
-    across a noise-block boundary."""
+    where some runs blow up and others do not, under its own potential or
+    one that raises on a zero gap, or a short gap-feedback run across a
+    noise-block boundary."""
     seeds = st.integers(0, 2**64 - 1)
-    blowing = st.builds(lambda t, stride, seed: (BLOWING, SimConfig(0.001, t, stride, seed)),
-                        st.floats(1.85, 2.1), st.integers(1, 12), seeds)
+
+    def blowing(params):
+        return st.builds(lambda t, stride, seed: (params, SimConfig(0.001, t, stride, seed)),
+                         st.floats(1.85, 2.1), st.integers(1, 12), seeds)
+
     fig3 = st.builds(lambda t, stride, seed: (replace(fig_params("fig3"), n_vehicles=6),
                                              SimConfig(0.01, t, stride, seed)),
                      st.floats(0.01, 3.0), st.integers(1, 12), seeds)
-    return st.tuples(st.one_of(blowing, fig3), st.integers(1, 4))
+    return st.tuples(st.one_of(blowing(BLOWING), blowing(ZERO_GAP_BLOWING), fig3), st.integers(1, 4))
 
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(batch_cases())
+@example(((ZERO_GAP_BLOWING, SimConfig(0.001, 5.0, 10, 3)), 3))
 def test_batch_rows_equal_single_runs(case):
     """Row r of an ensemble, its mask fields and its row of every
     per-sample observable equal the single run under derive_run_seed(seed,
