@@ -29,8 +29,6 @@ from .scenario import (
     load_scenario,
     preset,
     format_scenario,
-    with_seed,
-    with_svg,
     write_scenario,
 )
 from .sde import TimeSeries, run_ensemble, simulate
@@ -167,10 +165,14 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     return 0 if blowup is None else 3
 
 
-def cmd_ensemble(scenario: Scenario, out_dir, n_runs: int) -> int:
+def cmd_ensemble(scenario: Scenario, out_dir, n_runs=None) -> int:
     """Run an ensemble; write per-run observables CSVs, a cross-run
     summary (time, moments of the mean speed, mean variance) and the
-    manifest.  Returns 0, or 3 if any member blew up."""
+    manifest.  n_runs=None reads the scenario's n_runs.  Returns 0, or 3
+    if any member blew up."""
+    n_runs = scenario.n_runs if n_runs is None else n_runs
+    if n_runs is None:
+        raise InvalidInputError("--runs is required (no n_runs recorded in the scenario)")
     stability = _stability_info(scenario)
     with np.errstate(**_RUN_ERRSTATE):
         runs = run_ensemble(scenario.params, scenario.config, n_runs=n_runs)
@@ -333,10 +335,13 @@ def cmd_preset(name: str, out_path=None) -> int:
 
 
 def _load(args) -> Scenario:
+    """The scenario file with the --seed and --svg overrides applied."""
     scenario = load_scenario(args.scenario)
-    scenario = with_seed(scenario, args.seed)
-    svg = None if args.svg is None else args.svg == "on"
-    return with_svg(scenario, svg)
+    if args.seed is not None:
+        scenario = replace(scenario, config=replace(scenario.config, seed=args.seed))
+    if args.svg is not None:
+        scenario = replace(scenario, output=replace(scenario.output, svg=args.svg == "on"))
+    return scenario
 
 
 def _add_common(sub):
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="integrate independent runs and export summaries")
     _add_common(p)
     p.add_argument("--runs", type=int, default=None, help="number of runs (defaults to the manifest's)")
-    p.set_defaults(func=_run_ensemble_args)
+    p.set_defaults(func=lambda a: cmd_ensemble(_load(a), a.out, a.runs))
 
     p = sub.add_parser("spectrum", help="closed-form eigenvalues with dense-oracle deviations")
     _add_common(p)
@@ -383,14 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(func=lambda a: cmd_preset(a.name, a.out))
     return parser
-
-
-def _run_ensemble_args(args) -> int:
-    scenario = _load(args)
-    n_runs = args.runs if args.runs is not None else scenario.n_runs
-    if n_runs is None:
-        raise InvalidInputError("--runs is required (no n_runs recorded in the scenario)")
-    return cmd_ensemble(scenario, args.out, n_runs)
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from types import MappingProxyType
 from typing import Optional, get_type_hints
@@ -277,16 +277,3 @@ def load_scenario(path) -> Scenario:
 def write_scenario(scenario: Scenario, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_scenario(scenario))
-
-
-def with_seed(scenario: Scenario, seed: Optional[int]) -> Scenario:
-    """Scenario with the seed overridden (None leaves it unchanged)."""
-    if seed is None:
-        return scenario
-    return replace(scenario, config=replace(scenario.config, seed=seed))
-
-
-def with_svg(scenario: Scenario, svg: Optional[bool]) -> Scenario:
-    if svg is None:
-        return scenario
-    return replace(scenario, output=replace(scenario.output, svg=svg))

@@ -27,8 +27,6 @@ def _f(x) -> str:
 
 
 def _ticks(lo, hi):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     # Tick steps are normal floats: below that 10**k loses digits and
     # then underflows to 0.
@@ -52,11 +50,13 @@ def _ticks(lo, hi):
 
 class _Panel:
     """Maps a data rectangle onto a pixel rectangle and accumulates
-    SVG elements."""
+    SVG elements.  Both axes are checked, and their ticks made, when the
+    panel is built, so px and py never divide by zero."""
 
     def __init__(self, x0, y0, width, height, xlim, ylim, title=""):
         self.x0, self.y0, self.w, self.h = x0, y0, width, height
         self.xlim, self.ylim = xlim, ylim
+        self.xticks, self.yticks = _ticks(*xlim), _ticks(*ylim)
         self.parts = [
             f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(width)}" height="{_f(height)}" '
             'fill="white" stroke="#333" stroke-width="1"/>'
@@ -82,11 +82,11 @@ class _Panel:
 
     def axes(self, xlabel="", ylabel=""):
         bottom = self.y0 + self.h
-        for t in _ticks(*self.xlim):
+        for t in self.xticks:
             x = self.px(t)
             self.line(x, bottom, x, bottom + 4)
             self.text(x, bottom + 16, f"{t:g}")
-        for t in _ticks(*self.ylim):
+        for t in self.yticks:
             y = self.py(t)
             self.line(self.x0 - 4, y, self.x0, y)
             self.text(self.x0 - 6, y + 4, f"{t:g}", anchor="end")

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 import phcf
 from phcf import CustomDerivative, InvalidInputError, load_scenario, preset, stability_report
 from phcf.cli import (
+    _load,
+    build_parser,
     cmd_ensemble,
     cmd_simulate,
     cmd_spectrum,
@@ -32,7 +34,7 @@ from phcf.scenario import (
     format_manifest,
     format_scenario,
     parse_scenario,
-    with_seed,
+    write_scenario,
 )
 
 
@@ -197,10 +199,23 @@ def test_format_scenario_rejects_custom_potential():
         format_scenario(sc)
 
 
-def test_seed_override():
-    sc = with_seed(preset("fig1"), 777)
-    assert sc.config.seed == 777
-    assert with_seed(sc, None).config.seed == 777
+def test_seed_override(tmp_path):
+    """The command line's --seed and --svg override the scenario file's
+    values; an option not given leaves the file's value."""
+    path = tmp_path / "s.ini"
+
+    def load(*options):
+        return _load(build_parser().parse_args(["simulate", "--scenario", str(path), *options]))
+
+    sc = preset("fig1")
+    for svg in (False, True):
+        write_scenario(replace(sc, output=replace(sc.output, svg=svg)), path)
+        assert load() == load_scenario(path)
+        assert load().config.seed == 42
+        assert load("--seed", "777").config.seed == 777
+        assert load().output.svg is svg
+        assert load("--svg", "off").output.svg is False
+        assert load("--svg", "on").output.svg is True
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +426,22 @@ def test_main_failing_svg_leaves_no_directory(tmp_path, capsys, monkeypatch, com
     assert not (tmp_path / "o").exists()
 
 
-def test_main_subnormal_sweep_step_leaves_no_directory(tmp_path, capsys):
-    """A sweep step of 1e-323 has no tick spacing the map's axes can
-    draw; the command fails before any file is written."""
+@pytest.mark.parametrize("alpha, gamma", [
+    ("0:1e-323:2", "1:2:2"),
+    ("1:2:2", "1e17:1e17:1"),
+    ("1:2:2", "9e15:9e15:1"),
+], ids=["subnormal_step", "constant_1e17", "constant_9e15"])
+def test_main_subnormal_sweep_step_leaves_no_directory(tmp_path, capsys, alpha, gamma):
+    """A sweep step of 1e-323, and a constant gamma whose one-wide cell
+    rounds back to a zero span (from about 2**52 on), give an axis the
+    map cannot draw; the command fails with one error line before any
+    file is written."""
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
     argv = ["stability-map", "--scenario", str(path), "--out", str(tmp_path / "o"),
-            "--vary", "alpha=0:1e-323:2", "--vary", "gamma=1:2:2"]
+            "--vary", f"alpha={alpha}", "--vary", f"gamma={gamma}"]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert re.fullmatch(r"error: cannot draw ticks on an axis from [^\n]*\n", capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 

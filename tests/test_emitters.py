@@ -32,7 +32,7 @@ from oracles import (
 )
 from phcf import InvalidInputError, preset, write_scenario
 from phcf.cli import _write_outputs, main
-from phcf.svgplot import _PALETTE, _Panel, stability_map_svg, trajectory_svg
+from phcf.svgplot import _PALETTE, _Panel, _ticks, observables_svg, stability_map_svg, trajectory_svg
 
 # The header names of every command's CSV files.
 HEADER_NAMES = [
@@ -179,6 +179,14 @@ def drawn(panel, *calls):
     return panel.parts, errors
 
 
+def refusal(lim):
+    """The error (type and message) _ticks raises on an axis, or None."""
+    try:
+        _ticks(*lim)
+    except (InvalidInputError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(limits, limits, st.text(max_size=8), st.text(max_size=8), st.text(max_size=8), finite, finite,
        st.sampled_from(_PALETTE))
@@ -188,9 +196,21 @@ def drawn(panel, *calls):
 @example((0.0, 5e-324), (1e308, -1e308), "", "x", "y", 0.0, 0.0, "#999")
 def test_panel_elements_equal_inline_elements(xlim, ylim, title, xlabel, ylabel, x, y, color):
     """Title, axes with and without each label, hline and vline append
-    the elements that the references spell out, and raise where they do:
-    _ticks refuses an axis whose tick step is not a normal float, and a
-    zero span divides by zero."""
+    the elements that the references spell out, and raise where they do.
+    A panel is refused when it is built if _ticks refuses one of its
+    axes: a flat or descending one, or one whose tick step is not a
+    normal float.  So a one-sample trajectory or observables figure,
+    whose time axis is flat, is refused at any time x."""
+    for figure in (lambda: trajectory_svg([x], [[y]], 1.0), lambda: observables_svg([x], [y], [y], [y])):
+        with pytest.raises(InvalidInputError) as info:
+            figure()
+        assert str(info.value) == f"cannot draw ticks on an axis from {x!r} to {x!r}"
+    expected = refusal(xlim) or refusal(ylim)
+    if expected is not None:
+        with pytest.raises(expected[0]) as info:
+            _Panel(60, 24, 420, 300, xlim, ylim, title=title)
+        assert (info.type, str(info.value)) == expected
+        return
     panel = _Panel(60, 24, 420, 300, xlim, ylim, title=title)
     reference = _Panel(60, 24, 420, 300, xlim, ylim)
     reference_title(reference, title)
