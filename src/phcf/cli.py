@@ -7,7 +7,8 @@ manifest replayed as a scenario reproduces the run byte for byte.
 A CSV line is its fields joined by commas.  No field ever needs quoting:
 each is a float ``repr`` (digits, sign, ".", "e", "inf" or "nan"), an int
 string or a fixed header name, and none holds a comma, a quote or a line
-break.
+break.  Every table but the stability map is written from arrays by
+``_rows``; the map's own generator formats each axis value once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .scenario import (
     format_scenario,
     write_scenario,
 )
-from .sde import TimeSeries, run_ensemble, simulate
+from .sde import run_ensemble, simulate
 from .spectral import (
     check_dense_size,
     dense_eigen_oracle,
@@ -45,10 +46,6 @@ from .stats import observables
 from .svgplot import observables_svg, spectrum_svg, stability_map_svg, trajectory_svg
 
 _SWEEPABLE = ("alpha", "beta", "gamma", "t_gap")
-
-
-def _num(x) -> str:
-    return repr(float(x))
 
 
 def _write_outputs(out_dir, scenario: Scenario, command: str, files: dict, fields: dict):
@@ -75,27 +72,21 @@ def _write_outputs(out_dir, scenario: Scenario, command: str, files: dict, field
                 fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _trajectory_rows(ts: TimeSeries, wrap: bool):
-    q = ts.positions()
-    if wrap:
-        q = np.mod(q, ts.params.ring_length)
-    p = ts.speeds()
-    # repr of a tolist() float is _num's string; one (N,) row at a time,
-    # so no (samples, N) array of Python floats is ever built
-    for i, t in enumerate(ts.times.tolist()):
-        yield [repr(t), *map(repr, q[i].tolist()), *map(repr, p[i].tolist())]
+def _rows(*columns):
+    """CSV rows of arrays that share their first axis: row i holds entry i
+    of each 1-D column and the entries of row i of each 2-D column, each
+    the repr of its Python float or int.  A 2-D column is converted one
+    row at a time, so no (samples, N) array of Python floats is built."""
+    parts = [c[:, None].tolist() if c.ndim == 1 else map(np.ndarray.tolist, c) for c in columns]
+    for row in zip(*parts):
+        yield [repr(v) for part in row for v in part]
 
 
 _OBSERVABLES_HEADER = ["t", "mean_speed", "speed_variance", "p1", "hamiltonian"]
 
 
-def _observable_rows(obs, run=..., n_valid=None):
-    """CSV rows of one run's observables: row run of an ensemble's, cut
-    at its n_valid samples."""
-    columns = (obs.mean_speed, obs.speed_variance, obs.single_vehicle_speed, obs.hamiltonian)
-    # one run's (samples,) columns as Python floats, formatted as _num does
-    for row in zip(obs.times[:n_valid].tolist(), *(c[run].tolist() for c in columns)):
-        yield list(map(repr, row))
+def _observable_columns(obs):
+    return obs.mean_speed, obs.speed_variance, obs.single_vehicle_speed, obs.hamiltonian
 
 
 def _stability_info(scenario: Scenario) -> dict:
@@ -149,10 +140,11 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     wrap = scenario.output.wrap_positions
     n = scenario.params.n_vehicles
     header = ["t"] + [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
+    q = np.mod(ts.positions(), scenario.params.ring_length) if wrap else ts.positions()
     obs = observables(ts)
     files = {
-        "trajectory.csv": (header, _trajectory_rows(ts, wrap)),
-        "observables.csv": (_OBSERVABLES_HEADER, _observable_rows(obs)),
+        "trajectory.csv": (header, _rows(ts.times, q, ts.speeds())),
+        "observables.csv": (_OBSERVABLES_HEADER, _rows(obs.times, *_observable_columns(obs))),
     }
     if scenario.output.svg and len(ts.times) > 1:
         files["trajectory.svg"] = trajectory_svg(
@@ -177,24 +169,20 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs=None) -> int:
     with np.errstate(**_RUN_ERRSTATE):
         runs = run_ensemble(scenario.params, scenario.config, n_runs=n_runs)
     obs = observables(runs)
+    columns = _observable_columns(obs)
     files = {
-        f"observables_run{r:03d}.csv": (_OBSERVABLES_HEADER, _observable_rows(obs, r, n_valid))
-        for r, n_valid in enumerate(runs.n_valid)
+        f"observables_run{r:03d}.csv": (_OBSERVABLES_HEADER, _rows(obs.times[:v], *(c[r, :v] for c in columns)))
+        for r, v in enumerate(runs.n_valid)
     }
-    # Samples that every run reached, reduced one column of runs at a time:
-    # a reduction along axis 0 sums in another order and changes the bytes.
-    rows = (
-        [
-            _num(obs.times[i]),
-            _num(obs.mean_speed[:, i].mean()),
-            _num(obs.mean_speed[:, i].var(ddof=1) if n_runs > 1 else 0.0),
-            _num(obs.speed_variance[:, i].mean()),
-        ]
-        for i in range(runs.n_valid.min())
-    )
+    # Samples that every run reached.  A contiguous (samples, runs) copy sums
+    # each sample's runs in the pairwise order of the column [:, i]; a sum
+    # along axis 0 adds them in another order and changes the bytes.
+    shared = runs.n_valid.min()
+    speed, variance = (np.ascontiguousarray(c[:, :shared].T) for c in (obs.mean_speed, obs.speed_variance))
+    spread = speed.var(axis=1, ddof=1) if n_runs > 1 else np.zeros(shared)
     files["ensemble_summary.csv"] = (
         ["t", "mean_of_mean_speed", "var_of_mean_speed", "mean_speed_variance"],
-        rows,
+        _rows(obs.times[:shared], speed.mean(axis=1), spread, variance.mean(axis=1)),
     )
     blown = np.flatnonzero(runs.blowup_step)
     fields = {"blowup": bool(blown.size)}
@@ -218,10 +206,8 @@ def cmd_spectrum(scenario: Scenario, out_dir) -> int:
     # The drift matrix is not kept once the oracle has it.
     oracle = dense_eigen_oracle(build_matrices(params))
     diffs = match_distances(spectrum, oracle)
-    rows = [
-        [str(i // 2), str(i % 2), _num(lam.real), _num(lam.imag), _num(diffs[i])]
-        for i, lam in enumerate(spectrum.tolist())
-    ]
+    i = np.arange(len(spectrum))
+    rows = _rows(i // 2, i % 2, spectrum.real, spectrum.imag, diffs)
     files = {"spectrum.csv": (["j", "k", "re_lambda", "im_lambda", "oracle_abs_diff"], rows)}
     if scenario.output.svg:
         files["spectrum.svg"] = spectrum_svg(spectrum)

@@ -29,16 +29,19 @@ from .errors import InvalidInputError, UnsupportedOperationError
 
 
 def _require_finite(obj, *names):
-    """Reject a non-finite (nan or infinite) value of each named field."""
+    """Reject a bool, any other non-real value, nan and infinities in each
+    named field; a bool would be written as true, which no number parses."""
     for name in names:
         value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidInputError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
 def _require_integer(name, value):
-    """Reject a count that is not an integer; numpy integers pass."""
-    if not isinstance(value, numbers.Integral):
+    """Reject a count that is a bool or not an integer; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
@@ -125,8 +128,9 @@ class ModelParams:
     stiffness (1/time), beta the speed-alignment rate (1/time), gamma the
     control relaxation rate (1/time) and sigma the noise volatility
     (length/time^(3/2)).  Every real field must be finite, and alpha,
-    beta, gamma and sigma nonnegative.  gamma must be exactly 0 for
-    Uncontrolled and strictly positive for the two controlled regimes.
+    beta, gamma and sigma nonnegative.  A bool is refused where a number
+    is expected.  gamma must be exactly 0 for Uncontrolled and strictly
+    positive for the two controlled regimes.
 
     potential None is the quadratic potential 0.5*(alpha*x)**2 with force
     alpha**2 * x, the only one the spectra, the scenario files and the CLI

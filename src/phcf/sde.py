@@ -97,7 +97,8 @@ InitialCondition = Union[UniformStationary, UniformZeroSpeed, Explicit]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration window, sampling, seed and start state."""
+    """Integration window, sampling, seed and start state; a bool is
+    refused where a number is expected."""
 
     dt: float
     t_end: float

@@ -1,9 +1,12 @@
 """The CSV and SVG emitters against their plain reference forms.
 
 CSV lines are fields joined by commas; they must equal what csv.writer
-writes.  The SVG trajectory fan, its polylines and the stability map
-format each axis once for all traces and cells; they must equal the
-references in oracles.py, which draw one trace or one cell at a time.
+writes.  The table generator writes each value of its array columns as
+the repr of its Python float or int, and the ensemble summary's
+reductions of contiguous copies must have the bits of a per-column loop.
+The SVG trajectory fan, its polylines and the stability map format each
+axis once for all traces and cells; they must equal the references in
+oracles.py, which draw one trace or one cell at a time.
 A panel's title, axes and dashed lines go through one text and one line
 writer; they must equal the references that spell each element out.
 """
@@ -31,7 +34,7 @@ from oracles import (
     reference_vline,
 )
 from phcf import InvalidInputError, preset, write_scenario
-from phcf.cli import _write_outputs, main
+from phcf.cli import _rows, _write_outputs, main
 from phcf.svgplot import _PALETTE, _Panel, _ticks, observables_svg, stability_map_svg, trajectory_svg
 
 # The header names of every command's CSV files.
@@ -68,6 +71,7 @@ def test_csv_lines_equal_csv_writer(header, rows):
     (["simulate"], True),
     (["simulate"], False),
     (["ensemble", "--runs", "2"], True),
+    (["ensemble", "--runs", "1"], True),
     (["spectrum"], True),
     (["stability-map", "--vary", "alpha=3:0.1:4", "--vary", "gamma=0:2:3"], True),
 ])
@@ -87,6 +91,72 @@ def test_every_command_writes_csv_writer_text(tmp_path, argv, wrap):
             text = fh.read()
         header, *rows = csv.reader(text.splitlines())
         assert text == reference_csv_text(header, rows), table.name
+
+
+@st.composite
+def table_columns(draw):
+    """One to four float64 or int64 columns of a few rows, each 1-D or
+    (rows, width)."""
+    rows = draw(st.integers(0, 6))
+    floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.none() | st.integers(1, 5))
+        shape = (rows,) if width is None else (rows, width)
+        columns.append(draw(arrays(np.int64, shape) | arrays(np.float64, shape, elements=floats)))
+    return columns
+
+
+def field(x) -> str:
+    """A numpy scalar as a CSV field: repr of its Python float, or its int."""
+    return repr(float(x)) if isinstance(x, np.floating) else str(int(x))
+
+
+SPECIAL = np.array(SPECIAL_FLOATS)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(table_columns())
+@example([np.arange(len(SPECIAL)), SPECIAL, np.stack([SPECIAL[::-1], -SPECIAL], axis=1)])
+def test_rows_write_each_value_as_repr_of_its_python_scalar(columns):
+    """Row i of 1-D and 2-D float64 and int64 columns holds entry i of
+    each 1-D column and row i of each 2-D one, in column order."""
+    expected = [[field(x) for c in columns for x in np.atleast_1d(c[i])] for i in range(len(columns[0]))]
+    assert list(_rows(*columns)) == expected
+    header = [f"c{i}" for i in range(len(expected[0]) if expected else 1)]
+    assert written_csv(header, _rows(*columns)) == reference_csv_text(header, expected)
+
+
+def same_bits(a, b) -> bool:
+    """The two float arrays hold the same bits, any NaN matching any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 600), st.integers(1, 60), st.integers(-320, 300), st.integers(0, 40),
+       st.integers(0, 2**32 - 1))
+@example(600, 60, 300, 8, 0)
+@example(2, 1, -320, 0, 1)
+def test_summary_reductions_equal_per_column_loop(runs, samples, exponent, spread, seed):
+    """mean and var(ddof=1) along axis 1 of a contiguous (samples, runs)
+    copy equal, bit for bit, the reductions of each strided column
+    c[:, i] over the samples that every run reached; a run's columns are
+    NaN past its n_valid samples.  It pins the installed numpy's pairwise
+    summation order, on which the ensemble summary relies to keep the
+    bytes of its former per-column loop; it passes without that change
+    too."""
+    rng = np.random.default_rng(seed)
+    # decades from subnormal to near the largest float; sums may overflow
+    decades = np.clip(rng.uniform(exponent - spread, exponent + spread, (runs, samples)), -323, 307)
+    c = rng.standard_normal((runs, samples)) * 10.0**decades
+    n_valid = rng.integers(1, samples + 1, runs)
+    c[np.arange(samples) >= n_valid[:, None]] = math.nan
+    v = n_valid.min()
+    copy = np.ascontiguousarray(c[:, :v].T)
+    with np.errstate(all="ignore"):
+        assert same_bits(copy.mean(axis=1), np.array([c[:, i].mean() for i in range(v)]))
+        assert same_bits(copy.var(axis=1, ddof=1), np.array([c[:, i].var(ddof=1) for i in range(v)]))
 
 
 def outcome(build, *args):

@@ -1,11 +1,12 @@
 """Byte-identity of every CLI output against a committed SHA-256 table.
 
 The commands run in-process on the three presets shortened to t_end = 2:
-``simulate`` from both start conditions, ``ensemble --runs 3`` and
-``spectrum``, each also replayed from its own manifest, and ``simulate``
-of fig3 with unwrapped positions.  Four stability maps follow: alpha x
-gamma, beta x t_gap, one with a descending axis and one with a one-value
-axis.  Every file written is hashed and compared with
+``simulate`` from both start conditions, ``ensemble --runs 3``,
+``ensemble --runs 1`` (whose summary writes ``var_of_mean_speed`` as
+0.0) and ``spectrum``, each also replayed from its own manifest, and
+``simulate`` of fig3 with unwrapped positions.  Four stability maps
+follow: alpha x gamma, beta x t_gap, one with a descending axis and one
+with a one-value axis.  Every file written is hashed and compared with
 ``golden_sha256.json``.
 
 The table changes only with a deliberate output change, which also bumps
@@ -29,6 +30,7 @@ TABLE = Path(__file__).resolve().parent / "golden_sha256.json"
 COMMANDS = (
     ("simulate", ["simulate"]),
     ("ensemble", ["ensemble", "--runs", "3"]),
+    ("ensemble_one", ["ensemble", "--runs", "1"]),
     ("spectrum", ["spectrum"]),
 )
 MAPS = (

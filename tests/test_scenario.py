@@ -1,4 +1,5 @@
-"""Scenario files: numpy scalars, round trips, one-key edits, field coverage."""
+"""Scenario files: numpy scalars, round trips, one-key edits, bools
+refused as numbers, field coverage."""
 
 import typing
 from dataclasses import dataclass, fields, replace
@@ -19,7 +20,8 @@ from phcf import (
     UniformZeroSpeed,
     preset,
 )
-from phcf import scenario
+from phcf import run_ensemble, scenario
+from phcf.cli import cmd_ensemble
 from phcf.scenario import OutputOptions, Scenario, format_manifest, format_scenario, parse_scenario
 
 
@@ -152,6 +154,49 @@ def test_manifest_preset_spanning_lines_is_refused():
     assert "preset = fig1\n" in text
     with pytest.raises(InvalidInputError, match="preset must be one line"):
         parse_scenario(text.replace("preset = fig1\n", "preset = fig1\n  extra\n"))
+
+
+# ---------------------------------------------------------------------------
+# bools and other non-numbers
+
+# bool is a numbers.Integral and math.isfinite(True) holds, but a bool
+# field is written as "true", which no int or float field parses; text and
+# None raised math.isfinite's TypeError
+NON_NUMBER_CALLS = {
+    "sample_stride": lambda out: SimConfig(0.01, 1.0, sample_stride=True),
+    "seed": lambda out: SimConfig(0.01, 1.0, seed=True),
+    "dt": lambda out: SimConfig(dt=True, t_end=1.0),
+    "dt_numpy": lambda out: SimConfig(dt=np.True_, t_end=1.0),
+    "alpha": lambda out: replace(preset("fig1").params, alpha=True),
+    "sigma_numpy": lambda out: replace(preset("fig1").params, sigma=np.True_),
+    "x": lambda out: OpenLoop(x=True),
+    "alpha_text": lambda out: replace(preset("fig1").params, alpha="1"),
+    "x_none": lambda out: OpenLoop(x=None),
+    "run_ensemble": lambda out: run_ensemble(preset("fig1").params, SimConfig(0.01, 0.1), True),
+    "cmd_ensemble": lambda out: cmd_ensemble(preset("fig1"), out, True),
+}
+
+
+@pytest.mark.parametrize("call", NON_NUMBER_CALLS.values(), ids=NON_NUMBER_CALLS.keys())
+def test_non_number_is_refused_where_a_number_is_expected(call, tmp_path):
+    with pytest.raises(InvalidInputError, match="must be"):
+        call(tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(scenarios(), st.data(), st.sampled_from([True, False, np.True_, np.False_]))
+def test_scenario_with_a_bool_number_is_refused(sc, data, flag):
+    """Any number of a writable scenario's model, regime or config set to
+    a bool is refused, so no scenario the dataclasses accept is written
+    with a bool where parse_scenario reads a number."""
+    params, config = sc.params, sc.config
+    obj = data.draw(st.sampled_from([params, params.regime, config]))
+    names = [f.name for f in fields(obj) if isinstance(getattr(obj, f.name), (int, float, np.number))]
+    if not names:  # Uncontrolled has no fields
+        return
+    with pytest.raises(InvalidInputError):
+        replace(obj, **{data.draw(st.sampled_from(names)): flag})
 
 
 # ---------------------------------------------------------------------------
