@@ -16,14 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from phcf import exact_stability, mean_speed_law, observables, preset, simulate
+from phcf import mean_speed_law, observables, preset, simulate, stability_report
 from phcf.svgplot import observables_svg, trajectory_svg
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 scenario = preset("fig3")
-report = exact_stability(scenario.params)
+report = stability_report(scenario.params)
 lhs, suff = report.sufficient_lhs, report.sufficient_stable
 print(f"sufficient condition: gamma*T + 2*(alpha*T)^2 = {lhs} > 2 ? {suff}")
 print(f"exact per-mode conditions hold: {report.exact_stable}")

@@ -11,19 +11,19 @@ from pathlib import Path
 
 import numpy as np
 
-from phcf import stability_report
+from phcf import preset, stability_report
 from phcf.svgplot import stability_map_svg
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-n, beta, t_gap = 20, 1.0, 1.0
+params = preset("fig3").params  # the base point: N = 20, beta = 1, t_gap = 1
 alphas = np.linspace(0.05, 3.0, 60)
 gammas = np.linspace(0.05, 3.0, 60)
-report = stability_report(n, alphas[:, None], beta, gammas[None, :], t_gap)
+report = stability_report(params, alpha=alphas[:, None], gamma=gammas[None, :])
 exact, sufficient = report.exact_stable, report.sufficient_stable
 
-print(f"grid 60x60 at beta={beta}, t_gap={t_gap}, N={n}")
+print(f"grid 60x60 at beta={params.beta}, t_gap={params.regime.t_gap}, N={params.n_vehicles}")
 print(f"exactly stable cells:     {int(exact.sum())}")
 print(f"sufficient-stable cells:  {int(sufficient.sum())} (all inside the exact region: "
       f"{bool(not (sufficient & ~exact).any())})")

@@ -42,7 +42,6 @@ from .spectral import (
     StabilityReport,
     dense_eigen_oracle,
     eigenvalues,
-    exact_stability,
     match_distances,
     spectral_abscissa_nonzero,
     stability_report,
@@ -76,7 +75,6 @@ __all__ = [
     "derive_run_seed",
     "deviation_process",
     "eigenvalues",
-    "exact_stability",
     "hamiltonian",
     "initial_state",
     "load_scenario",

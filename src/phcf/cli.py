@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EigenSolverError, InvalidInputError, NumericalBlowupError, UnsupportedOperationError
-from .model import _linear_scalars, build_matrices
+from .model import build_matrices
 from .scenario import (
     Scenario,
     format_manifest,
@@ -92,11 +92,11 @@ def _observable_columns(obs):
 def _stability_info(scenario: Scenario) -> dict:
     """Spectral metadata recorded in every manifest; the gap-feedback
     regime additionally gets a stability verdict.  O(N): no matrix."""
-    n, alpha, beta, gamma, t_gap = _linear_scalars(scenario.params)
-    if t_gap is None:
-        scale = drift_matrix_norm(n, alpha, beta, gamma)
-        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(scenario.params), scale)}
-    report = stability_report(n, alpha, beta, gamma, t_gap)
+    p = scenario.params
+    if p.regime.t_gap is None:
+        scale = drift_matrix_norm(p.n_vehicles, p.alpha, p.beta, p.gamma)
+        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(p), scale)}
+    report = stability_report(p)
     if report.marginal:
         verdict = "marginal"
     else:
@@ -262,23 +262,19 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     Any grid cell with sufficient_stable and not exact_stable aborts with
     diagnostics (the sufficient region must sit inside the exact one).
     """
-    n, alpha, beta, gamma, t_gap = _linear_scalars(scenario.params)
-    if t_gap is None:
-        raise InvalidInputError("stability maps need a closed_loop scenario")
     if len(vary) != 2:
         raise InvalidInputError("exactly two --vary axes are required")
     (name1, values1), (name2, values2) = vary
     if name1 == name2:
         raise InvalidInputError("the two sweep axes must differ")
 
-    point = dict(alpha=alpha, beta=beta, gamma=gamma, t_gap=t_gap)
     exact = np.zeros((len(values1), len(values2)), dtype=bool)
     suff = np.zeros_like(exact)
     abscissa = np.zeros(exact.shape)
     for i, v1 in enumerate(values1):
         # One report per row, the second axis as an array: memory stays
         # O(len(values2) * N) per report and the grid is three arrays.
-        report = stability_report(n, **{**point, name1: float(v1), name2: values2})
+        report = stability_report(scenario.params, **{name1: float(v1), name2: values2})
         exact[i] = report.exact_stable
         suff[i] = report.sufficient_stable
         abscissa[i] = report.spectral_abscissa_nonzero

@@ -29,14 +29,20 @@ from .errors import InvalidInputError, UnsupportedOperationError
 
 
 def _require_finite(obj, *names):
-    """Reject a bool, any other non-real value, nan and infinities in each
-    named field; a bool would be written as true, which no number parses."""
+    """Store each named field of obj as a float; reject a bool, any other
+    non-real, an int past the float range, nan and infinities.  A bool or
+    an int would be written as text that need not read back as itself."""
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InvalidInputError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # no str() of the int: Python refuses one past 4300 digits
+            raise InvalidInputError(f"{name} must be finite, got an int past the float range") from None
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value}")
+        object.__setattr__(obj, name, value)
 
 
 def _require_integer(name, value):

@@ -281,20 +281,26 @@ def sufficient_condition(alpha, gamma, t_gap):
     return _unwrap(lhs), _unwrap((gamma > 0) & (lhs > 2.0))
 
 
-def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
-    """Gap-feedback stability; alpha, beta, gamma and t_gap are floats or
-    arrays that broadcast to a grid of cells.
+def stability_report(params: ModelParams, *, alpha=None, beta=None, gamma=None, t_gap=None) -> StabilityReport:
+    """Gap-feedback stability of params.  Each keyword given replaces its
+    params value by a float or an array; all four broadcast to a grid of
+    cells and are not validated, so a sweep may hold gamma = 0.
 
-    Mode j (1 <= j < N) contributes the complex-coefficient quadratic with
-    kappa_j = 2*beta*(1-c_j) + gamma, eta_j = 0,
-    nu_j = (1-c_j)*(gamma/T + 2*alpha^2), rho_j = -(gamma/T)*s_j;
-    a cell is exactly stable iff gamma > 0 and every mode passes the
-    Hurwitz test.  Raises OverflowError where the square of a finite value
-    overflows, and InvalidInputError if a cell has only structural-zero
-    eigenvalues, or eigenvalues or a scale past the float range.
+    Mode j (1 <= j < N) contributes x^2 + kappa_j*x + (nu_j + i*rho_j) with
+    kappa_j = 2*beta*(1-c_j) + gamma, nu_j = (1-c_j)*(gamma/T + 2*alpha^2)
+    and rho_j = -(gamma/T)*s_j; a cell is exactly stable iff gamma > 0 and
+    every mode passes the Hurwitz test.  Raises UnsupportedOperationError
+    for a CustomDerivative potential, OverflowError where the square of a
+    finite value overflows, and InvalidInputError without gap feedback, or
+    where a cell has only structural zeros or leaves the float range.
     """
+    n, *base = _linear_scalars(params)
+    if params.regime.t_gap is None:
+        raise InvalidInputError(
+            f"stability needs gap feedback (kind = closed_loop), got {type(params.regime).__name__}"
+        )
     # Cells on the leading axes, a length-1 axis for the modes.
-    grid = np.broadcast_arrays(alpha, beta, gamma, t_gap)
+    grid = np.broadcast_arrays(*(b if v is None else v for b, v in zip(base, (alpha, beta, gamma, t_gap))))
     alpha, beta, gamma, t_gap = np.asarray(grid, dtype=float)[..., None]
     a2 = _square(alpha)
     lhs, sufficient = sufficient_condition(alpha[..., 0], gamma[..., 0], t_gap[..., 0])
@@ -322,13 +328,3 @@ def stability_report(n, alpha, beta, gamma, t_gap) -> StabilityReport:
         sufficient_stable=sufficient,
         spectral_abscissa_nonzero=spectral_abscissa_nonzero(values, scale),
     )
-
-
-def exact_stability(params: ModelParams) -> StabilityReport:
-    """Stability report of the gap-feedback regime in params (quadratic
-    potential only)."""
-    n, alpha, beta, gamma, t_gap = _linear_scalars(params)
-    if t_gap is None:
-        raise InvalidInputError(f"params.regime must be ClosedLoop, got {type(params.regime).__name__}")
-    return stability_report(n, alpha, beta, gamma, t_gap)
-

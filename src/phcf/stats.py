@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ModelParams, hamiltonian
+from .model import ModelParams, _require_finite, hamiltonian
 from .sde import TimeSeries
 
 
@@ -71,6 +71,9 @@ class MomentLaw:
     diffusion: float
     initial_mean_speed: float
 
+    def __post_init__(self):
+        _require_finite(self, "initial_mean_speed")
+
     def mean_of_mean_speed(self, t):
         return self.x + (self.initial_mean_speed - self.x) * np.exp(-self.gamma * np.asarray(t, dtype=float))
 
@@ -89,11 +92,8 @@ class MomentLaw:
 def mean_speed_law(params: ModelParams, initial_mean_speed: float = 0.0) -> MomentLaw:
     """Closed-form moments of the mean speed in every regime and for any
     potential (see the module docstring)."""
-    pbar0 = float(initial_mean_speed)
-    if not np.isfinite(pbar0):
-        raise InvalidInputError(f"initial_mean_speed must be finite, got {pbar0}")
     x = float(params.regime.target_speed(params.ring_length / params.n_vehicles))
-    return MomentLaw(x, params.gamma, params.sigma**2 / params.n_vehicles, pbar0)
+    return MomentLaw(x, params.gamma, params.sigma**2 / params.n_vehicles, initial_mean_speed)
 
 
 def deviation_process(ts: TimeSeries) -> np.ndarray:

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phcf import SimConfig, UniformZeroSpeed, observables, preset, run_ensemble, simulate, stability_report
+from phcf import SimConfig, UniformZeroSpeed, observables, preset, run_ensemble, simulate
+from oracles import report_at
 
 
 def ensemble_observables(params, config, n_runs):
@@ -70,5 +71,5 @@ def stability_grid():
     """Gap-feedback verdicts on the 60x60 (alpha, gamma) grid over (0, 3]
     at resolution 0.05, with beta=1, t_gap=1, N=20."""
     values = np.linspace(0.05, 3.0, 60)
-    report = stability_report(20, values[:, None], 1.0, values[None, :], 1.0)
+    report = report_at(20, values[:, None], 1.0, values[None, :], 1.0)
     return values, values, report.exact_stable, report.sufficient_stable, report.spectral_abscissa_nonzero

@@ -8,7 +8,8 @@ the drift-matrix norm of one parameter cell in Python floats, the dense
 mean-removal projector, the port-Hamiltonian matrices J, R and Q, a CSV
 file as ``csv.writer`` writes it, the SVG trajectory fan and stability
 map drawn one trace or one cell at a time, and a panel's title, axes and
-dashed lines with each element spelled out in place.
+dashed lines with each element spelled out in place.  ``report_at``
+calls the package's stability report with five scalars.
 """
 
 import csv
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from phcf import InvalidInputError, initial_state
+from phcf import ClosedLoop, InvalidInputError, ModelParams, initial_state, stability_report
 from phcf.model import acceleration_array, gaps_array
 from phcf.sde import BLOWUP_LIMIT, NOISE_BLOCK, _step_count, noise_block
 from phcf.svgplot import _FONT, _PALETTE, _Panel, _cells, _document, _f, _span, _ticks
@@ -77,6 +78,13 @@ def complex_hurwitz_stable(kappa, eta, nu, rho):
     """Both roots of x^2 + (kappa + i*eta)*x + (nu + i*rho) have negative
     real part iff kappa > 0 and kappa*(nu*kappa + rho*eta) - rho^2 > 0."""
     return kappa > 0 and kappa * (nu * kappa + rho * eta) - rho**2 > 0
+
+
+def report_at(n, alpha, beta, gamma, t_gap):
+    """stability_report at N vehicles with all four values given: floats
+    or arrays that broadcast to a grid, overriding a ClosedLoop base."""
+    base = ModelParams(n, 7.0 * n, 1.0, 1.0, 1.0, 1.0, ClosedLoop(ell=1.0, t_gap=1.0))
+    return stability_report(base, alpha=alpha, beta=beta, gamma=gamma, t_gap=t_gap)
 
 
 def reference_sufficient_condition(alpha, gamma, t_gap):

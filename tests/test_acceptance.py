@@ -20,12 +20,12 @@ from phcf import (
     build_matrices,
     dense_eigen_oracle,
     eigenvalues,
-    exact_stability,
     match_distances,
     max_gap_closure_error,
     preset,
     simulate,
     spectral_abscissa_nonzero,
+    stability_report,
 )
 from phcf.cli import cmd_ensemble, cmd_simulate, cmd_spectrum, cmd_stability_map, parse_vary
 from phcf.scenario import load_scenario
@@ -114,7 +114,7 @@ def test_criterion_4_exact_condition_equals_abscissa_sign(stability_grid):
 
 def test_criterion_5_reference_instability_point():
     params = preset("fig3").params
-    report = exact_stability(params)
+    report = stability_report(params)
     lhs, stable = report.sufficient_lhs, report.sufficient_stable
     assert not report.exact_stable
     assert lhs == 1.5 and not stable
@@ -177,7 +177,7 @@ def test_criterion_9_deviation_variance_dichotomy(fig1_ensemble):
 
 
 def test_criterion_10_growth_rate_and_wave_speed(fig3_ensemble, preset_series):
-    report = exact_stability(preset("fig3").params)
+    report = stability_report(preset("fig3").params)
     target = 2.0 * report.spectral_abscissa_nonzero
     mean_v = fig3_ensemble.speed_var.mean(axis=1)
     window = fig3_ensemble.times >= 150.0

@@ -36,6 +36,7 @@ from phcf.scenario import (
     parse_scenario,
     write_scenario,
 )
+from oracles import report_at
 
 
 def short_scenario(name="fig1", t_end=2.0, stride=10):
@@ -66,9 +67,7 @@ def test_preset_fig1_uncontrolled():
 
 
 def test_preset_fig3_sufficient_lhs():
-    from phcf import exact_stability
-
-    report = exact_stability(preset("fig3").params)
+    report = stability_report(preset("fig3").params)
     assert report.sufficient_lhs == 1.5 and not report.sufficient_stable
 
 
@@ -590,12 +589,12 @@ def test_cmd_stability_map_aborts_on_containment_violation(tmp_path, monkeypatch
     real = cli_mod.stability_report
     violating = {2.0: [1], 3.0: [0]}  # alpha -> indices of gamma
 
-    def broken(n, alpha, beta, gamma, t_gap):
-        report = real(n, alpha, beta, gamma, t_gap)
+    def broken(params, **cells):
+        report = real(params, **cells)
         from dataclasses import replace as drep
 
         flip = np.zeros(report.exact_stable.shape, dtype=bool)
-        flip[violating.get(alpha, [])] = True
+        flip[violating.get(cells["alpha"], [])] = True
         return drep(report, sufficient_stable=flip, exact_stable=~flip)
 
     monkeypatch.setattr(cli_mod, "stability_report", broken)
@@ -613,9 +612,9 @@ def test_cmd_stability_map_one_report_per_row(tmp_path, monkeypatch):
     calls = []
     real = cli_mod.stability_report
 
-    def counted(n, **point):
-        calls.append(point)
-        return real(n, **point)
+    def counted(params, **cells):
+        calls.append(cells)
+        return real(params, **cells)
 
     monkeypatch.setattr(cli_mod, "stability_report", counted)
     vary = [parse_vary("alpha=0.25:3:5"), parse_vary("gamma=0.25:3:7")]
@@ -635,7 +634,7 @@ def test_cmd_stability_map_rows_equal_cell_reports(tmp_path):
     expected = []
     for beta in vary[0][1]:
         for t_gap in vary[1][1]:
-            r = stability_report(20, sc.params.alpha, float(beta), sc.params.gamma, float(t_gap))
+            r = report_at(20, sc.params.alpha, float(beta), sc.params.gamma, float(t_gap))
             expected.append([repr(float(beta)), repr(float(t_gap)), str(int(r.exact_stable)),
                              str(int(r.sufficient_stable)), repr(r.spectral_abscissa_nonzero)])
     assert rows == expected

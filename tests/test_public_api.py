@@ -1,5 +1,6 @@
-"""The public surface: the names the package exports, and those the demos
-and the benchmark tracer use from it.
+"""The public surface: the names the package exports, those the demos
+and the benchmark tracer use from it, and the command layer's use of
+public names only.
 
 A demo takes seconds to run and the tracer runs only with the benchmark,
 so a removed or renamed name would otherwise surface late.
@@ -103,6 +104,20 @@ def test_tracer_counts_runs_and_run_steps(tmp_path, name, command, runs):
     assert (spans["spectral.stability_report"]["calls"] > 0) == (name == "fig3")
     assert spans["stats.observables"]["calls"] == 1
     assert spans["sde.stack"]["calls"] > 0
+
+
+def test_cli_imports_no_private_name():
+    """The command layer uses the package through public names only, so a
+    private helper stays free to change with the module that owns it."""
+    tree = ast.parse((ROOT / "src" / "phcf" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "phcf")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
 
 
 def test_all_names_resolve():

@@ -1,5 +1,5 @@
 """Scenario files: numpy scalars, round trips, one-key edits, bools
-refused as numbers, field coverage."""
+refused as numbers, ints in real-valued fields, field coverage."""
 
 import typing
 from dataclasses import dataclass, fields, replace
@@ -197,6 +197,46 @@ def test_scenario_with_a_bool_number_is_refused(sc, data, flag):
         return
     with pytest.raises(InvalidInputError):
         replace(obj, **{data.draw(st.sampled_from(names)): flag})
+
+
+# ---------------------------------------------------------------------------
+# ints in real-valued fields
+
+BIG_INT = 10**17 + 1  # no float equals it: float(BIG_INT) is 1e+17
+
+INT_EDITS = {
+    "alpha": lambda sc: replace(sc, params=replace(sc.params, alpha=BIG_INT)),
+    "x": lambda sc: replace(sc, params=replace(sc.params, gamma=1.0, regime=OpenLoop(x=BIG_INT))),
+    "ell": lambda sc: replace(sc, params=replace(sc.params, gamma=1.0, regime=ClosedLoop(ell=BIG_INT, t_gap=2))),
+    "t_end": lambda sc: replace(sc, config=replace(sc.config, t_end=BIG_INT)),
+}
+
+
+@pytest.mark.parametrize("edit", INT_EDITS.values(), ids=INT_EDITS.keys())
+def test_int_in_a_real_field_round_trips(edit):
+    """A real-valued field stores an int as a float.  Kept as an int,
+    BIG_INT was written as its digits and read back as 1e+17, so the
+    parsed scenario differed from the one written."""
+    sc = edit(preset("fig1"))
+    assert parse_scenario(format_manifest(sc, {})) == sc
+
+
+HUGE_INT_CALLS = {
+    "ModelParams": lambda v: replace(preset("fig1").params, alpha=v),
+    "OpenLoop": lambda v: OpenLoop(x=v),
+    "ClosedLoop": lambda v: ClosedLoop(ell=v, t_gap=1.0),
+    "SimConfig": lambda v: SimConfig(dt=0.01, t_end=v),
+}
+
+
+@pytest.mark.parametrize("exponent", [400, 5000])
+@pytest.mark.parametrize("call", HUGE_INT_CALLS.values(), ids=HUGE_INT_CALLS.keys())
+def test_int_past_the_float_range_is_refused(call, exponent):
+    """float() of such an int overflows, which was an untyped OverflowError;
+    10**5000 has more digits than Python writes as text, so the message
+    does not quote the int."""
+    with pytest.raises(InvalidInputError, match="must be finite, got an int past the float range"):
+        call(10**exponent)
 
 
 # ---------------------------------------------------------------------------

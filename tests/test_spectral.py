@@ -1,7 +1,7 @@
 """Closed-form spectra vs the dense oracle, and the stability conditions."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,16 +15,18 @@ from phcf import (
     InvalidInputError,
     ModelParams,
     OpenLoop,
+    StabilityReport,
     Uncontrolled,
     UnsupportedOperationError,
     build_matrices,
     dense_eigen_oracle,
     eigenvalues,
-    exact_stability,
     match_distances,
+    preset,
     spectral_abscissa_nonzero,
     stability_report,
 )
+from phcf.cli import main
 from phcf.model import assemble_drift_matrix
 from phcf.spectral import (
     DENSE_ORACLE_MAX_DIM,
@@ -41,6 +43,7 @@ from oracles import (
     mu,
     reference_drift_matrix_norm,
     reference_sufficient_condition,
+    report_at,
 )
 
 
@@ -145,12 +148,12 @@ def test_regime_mismatch_rejected():
     unc = make_params(5, 1.0, 1.0)
     ol = make_params(5, 1.0, 1.0, 0.5, OpenLoop(x=1.0))
     with pytest.raises(InvalidInputError):
-        exact_stability(ol)
+        stability_report(ol)
     with pytest.raises(InvalidInputError):
-        exact_stability(unc)
+        stability_report(unc)
 
 
-@pytest.mark.parametrize("operation", [eigenvalues, exact_stability, build_matrices])
+@pytest.mark.parametrize("operation", [eigenvalues, stability_report, build_matrices])
 def test_linear_structure_rejects_custom_potential(operation):
     """The spectra and the drift matrix exist for the quadratic potential
     only; params carrying a CustomDerivative are refused, not given the
@@ -306,7 +309,7 @@ def test_hurwitz_agrees_with_root_computation():
 
 def test_exact_stability_fig3_parameters():
     params = make_params(20, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0))
-    report = exact_stability(params)
+    report = stability_report(params)
     assert not report.exact_stable
     assert report.sufficient_lhs == 1.5
     assert not report.sufficient_stable
@@ -318,14 +321,14 @@ def test_exact_stability_fig3_parameters():
 
 
 def test_stability_gamma_zero_never_stable():
-    report = stability_report(10, 2.0, 1.0, 0.0, 1.0)
+    report = report_at(10, 2.0, 1.0, 0.0, 1.0)
     assert not report.exact_stable
     assert not report.sufficient_stable
 
 
 def test_exact_stability_stiff_potential_stable():
     params = make_params(20, 2.0, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0))
-    report = exact_stability(params)
+    report = stability_report(params)
     assert report.exact_stable
     assert report.sufficient_stable  # lhs = 1 + 8 = 9 > 2
     # dense-oracle abscissa agrees in sign
@@ -340,7 +343,7 @@ def test_sufficient_condition_values():
     lhs, stable = sufficient_condition(alpha=1.0, gamma=1.0, t_gap=1.0)
     assert lhs == 3.0 and stable
     params = make_params(20, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0))
-    report = exact_stability(params)
+    report = stability_report(params)
     assert (report.sufficient_lhs, report.sufficient_stable) == (1.5, False)
 
 
@@ -351,7 +354,7 @@ def test_sufficient_implies_exact_on_coarse_sweep():
             for gamma in values:
                 for t_gap in values:
                     for beta in (0.0, 1.0, 2.5):
-                        report = stability_report(n, alpha, beta, gamma, t_gap)
+                        report = report_at(n, alpha, beta, gamma, t_gap)
                         if report.sufficient_stable:
                             assert report.exact_stable
 
@@ -389,8 +392,8 @@ def test_gamma_destabilization_counterexample():
     condition grows faster than the stabilizing terms near c_j = 1.
     The dense oracle confirms the abscissa sign flip, so this is a
     property of the model, not of the closed form."""
-    assert stability_report(20, 0.3, 1.0, 0.05, 1.0).exact_stable
-    assert not stability_report(20, 0.3, 1.0, 0.10, 1.0).exact_stable
+    assert report_at(20, 0.3, 1.0, 0.05, 1.0).exact_stable
+    assert not report_at(20, 0.3, 1.0, 0.10, 1.0).exact_stable
     for gamma, stable in ((0.05, True), (0.10, False)):
         b = assemble_drift_matrix(20, 0.3, 1.0, gamma, t_gap=1.0)
         abscissa = spectral_abscissa_nonzero(dense_eigen_oracle(b), np.linalg.norm(b))
@@ -398,7 +401,7 @@ def test_gamma_destabilization_counterexample():
 
 
 def test_report_marginal_deadband():
-    report = stability_report(8, 1.5, 1.0, 1.0, 1.0)
+    report = report_at(8, 1.5, 1.0, 1.0, 1.0)
     assert not report.marginal  # clearly stable point
     assert report.exact_stable == (report.spectral_abscissa_nonzero < 0)
 
@@ -578,10 +581,10 @@ def test_stability_report_equals_loop_bitwise(n, alpha, beta, gamma, t_gap):
         expected = loop_stability_report(n, alpha, beta, gamma, t_gap)
     except InvalidInputError:
         with pytest.raises(InvalidInputError):
-            stability_report(n, alpha, beta, gamma, t_gap)
+            report_at(n, alpha, beta, gamma, t_gap)
         return
     kappa, nu, rho, det, stable, exact, abscissa = expected
-    report = stability_report(n, alpha, beta, gamma, t_gap)
+    report = report_at(n, alpha, beta, gamma, t_gap)
     assert bits(report.kappa) == bits(kappa)
     assert bits(report.nu) == bits(nu)
     assert bits(report.rho) == bits(rho)
@@ -589,6 +592,64 @@ def test_stability_report_equals_loop_bitwise(n, alpha, beta, gamma, t_gap):
     assert np.array_equal(report.mode_stable, stable)
     assert report.exact_stable == exact
     assert report.spectral_abscissa_nonzero == abscissa
+
+
+def assert_reports_equal_bitwise(report, other):
+    for field in fields(StabilityReport):
+        value, expected = getattr(report, field.name), getattr(other, field.name)
+        assert type(value) is type(expected) and bits(value) == bits(expected), field.name
+
+
+@st.composite
+def closed_loop_params(draw):
+    regime = ClosedLoop(ell=draw(st.floats(0.0, 3.0)), t_gap=draw(T_GAPS))
+    return make_params(draw(st.integers(2, 40)), draw(RATES), draw(RATES), draw(POSITIVE_RATES), regime)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_loop_params(), st.sampled_from(("alpha", "beta", "gamma", "t_gap")), POSITIVE_RATES)
+@example(make_params(20, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0)), "gamma", 0.1)
+def test_stability_report_reads_params_and_keyword_overrides(params, name, value):
+    """Without keywords the report is that of the params' own four values;
+    one keyword v > 0 gives the report of params with that value set to
+    v.  A default read from the wrong field fails here."""
+    own = dict(alpha=params.alpha, beta=params.beta, gamma=params.gamma, t_gap=params.regime.t_gap)
+    assert_reports_equal_bitwise(stability_report(params), stability_report(params, **own))
+    if name == "t_gap":
+        edited = replace(params, regime=replace(params.regime, t_gap=value))
+    else:
+        edited = replace(params, **{name: value})
+    assert_reports_equal_bitwise(stability_report(params, **{name: value}), stability_report(edited))
+
+
+def test_stability_report_takes_overrides_by_keyword_only():
+    with pytest.raises(TypeError):
+        stability_report(preset("fig3").params, 0.5)
+    with pytest.raises(TypeError):
+        stability_report(20, 0.5, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, kind", [("fig1", "Uncontrolled"), ("fig2", "OpenLoop")])
+def test_stability_report_refuses_regimes_without_gap_feedback(name, kind):
+    """A t_gap keyword does not turn gap feedback on."""
+    message = rf"^stability needs gap feedback \(kind = closed_loop\), got {kind}$"
+    for cells in ({}, {"t_gap": 1.0}):
+        with pytest.raises(InvalidInputError, match=message):
+            stability_report(preset(name).params, **cells)
+
+
+def test_stability_map_without_gap_feedback_exits_2(tmp_path, capsys):
+    """stability_report's refusal is the map's only regime check: one
+    error line, exit 2, and no output directory."""
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig1", "--out", str(path)]) == 0
+    argv = ["stability-map", "--scenario", str(path), "--out", str(tmp_path / "o"),
+            "--vary", "alpha=0.5:1:2", "--vary", "gamma=1:2:2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: stability needs gap feedback (kind = closed_loop), got Uncontrolled\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 99, 100, 101, 257, 2000])
@@ -626,15 +687,15 @@ def assert_report_cells_equal_scalar_reports(n, params):
     for idx in np.ndindex(shape):
         cell = [float(np.broadcast_to(p, shape)[idx]) for p in params]
         try:
-            cells[idx] = cell, stability_report(n, *cell)
+            cells[idx] = cell, report_at(n, *cell)
         except (InvalidInputError, OverflowError) as exc:
             errors.add(type(exc))
     if errors:
         with pytest.raises((InvalidInputError, OverflowError)) as info:
-            stability_report(n, *params)
+            report_at(n, *params)
         assert info.type is (OverflowError if OverflowError in errors else InvalidInputError)
         return
-    grid = stability_report(n, *params)
+    grid = report_at(n, *params)
     assert grid.kappa.shape == shape + (n - 1,)
     assert np.shape(grid.exact_stable) == shape
     for idx, (cell, one) in cells.items():
@@ -710,7 +771,7 @@ def test_abscissa_batch_equals_compacted_max_bitwise(rows):
 
 
 def test_broadcast_stability_report_marginal_cells():
-    report = stability_report(20, np.array([0.5, 1.0]), 0.0, 0.0, 1.0)
+    report = report_at(20, np.array([0.5, 1.0]), 0.0, 0.0, 1.0)
     assert report.marginal.all() and not report.exact_stable.any()
 
 
@@ -718,10 +779,10 @@ def test_broadcast_stability_report_rejects_all_zero_cell():
     """n = 2 with alpha = beta = gamma = 0 has only structural zeros; one
     such cell fails the whole grid, as its scalar call does."""
     with pytest.raises(InvalidInputError):
-        stability_report(2, 0.0, 0.0, 0.0, 1.0)
-    assert stability_report(2, 1.0, 0.0, 0.0, 1.0).marginal
+        report_at(2, 0.0, 0.0, 0.0, 1.0)
+    assert report_at(2, 1.0, 0.0, 0.0, 1.0).marginal
     with pytest.raises(InvalidInputError):
-        stability_report(2, np.array([1.0, 0.0]), 0.0, 0.0, 1.0)
+        report_at(2, np.array([1.0, 0.0]), 0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, np.array([0.0, 1.0])])
@@ -729,7 +790,7 @@ def test_stability_report_refuses_zero_t_gap(gamma):
     """t_gap = 0 (outside ClosedLoop's domain) makes gamma/t_gap and the
     scale non-finite: InvalidInputError, without a numpy warning."""
     with pytest.raises(InvalidInputError):
-        stability_report(20, 0.5, 1.0, gamma, 0.0)
+        report_at(20, 0.5, 1.0, gamma, 0.0)
 
 
 def test_spectrum_values_array_and_entries_view():
@@ -744,7 +805,7 @@ def test_spectrum_values_array_and_entries_view():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 200), POSITIVE_RATES, RATES, POSITIVE_RATES, T_GAPS)
 def test_sufficient_region_inside_exact_region(n, alpha, beta, gamma, t_gap):
-    report = stability_report(n, alpha, beta, gamma, t_gap)
+    report = report_at(n, alpha, beta, gamma, t_gap)
     assert report.exact_stable or not report.sufficient_stable
 
 
@@ -776,7 +837,7 @@ def test_spectral_layer_builds_no_dense_matrix(monkeypatch):
                          (model_mod, "build_matrices"), (cli_mod, "build_matrices")):
         monkeypatch.setattr(module, name, no_dense)
     n = 10**5
-    report = stability_report(n, 0.5, 1.0, 1.0, 1.0)
+    report = report_at(n, 0.5, 1.0, 1.0, 1.0)
     assert report.mode_stable.shape == (n - 1,)
     assert not report.exact_stable and report.spectral_abscissa_nonzero > 0
     for name in ("fig1", "fig2", "fig3"):

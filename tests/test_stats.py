@@ -167,6 +167,14 @@ def test_law_rejects_non_finite_initial_mean_speed(bad):
         mean_speed_law(preset("fig1").params, initial_mean_speed=bad)
 
 
+@pytest.mark.parametrize("bad", [True, "1.5", None])
+def test_law_rejects_a_non_number_initial_mean_speed(bad):
+    """True was taken as 1.0 and text as its float, and None raised an
+    untyped TypeError; MomentLaw refuses them as every dataclass does."""
+    with pytest.raises(InvalidInputError, match="initial_mean_speed must be a number"):
+        mean_speed_law(preset("fig2").params, initial_mean_speed=bad)
+
+
 def test_law_open_loop_deterministic():
     params = ModelParams(10, 50.0, 0.5, 1.0, 0.2, 0.0, OpenLoop(x=3.0))
     law = mean_speed_law(params, initial_mean_speed=0.0)
