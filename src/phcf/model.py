@@ -184,7 +184,9 @@ def _forward_views(x, d):
     x[0] - x[-1], runs after it and overwrites exactly those entries, so
     every entry that survives is the row's own difference.  The
     discarded entries can raise floating-point warnings (overflow,
-    invalid value) that no row alone would.
+    invalid value) that no row alone would.  A stacked (2, ..., N)
+    buffer is one more batch to these views: the seam between its two
+    halves is a row crossing like any other.
     """
     xf, df = x.reshape(-1), d.reshape(-1)
     return (xf[1:], xf[:-1], df[:-1]), (x[..., :1], x[..., -1:], d[..., -1:])
@@ -217,69 +219,83 @@ def gaps_array(q: np.ndarray, ring_length: float) -> np.ndarray:
     return dq
 
 
-class _DriftWork:
-    """Buffers and slice views for evaluating the drift of one (q, p)
-    pair again and again, as an integrator does after updating q and p
-    in place.
+def _scalar(value) -> np.ndarray:
+    """value as a 0-d float64 array, the drift workspace's scalar operand."""
+    return np.array(value, dtype=float)
 
-    Every buffer and every view of q, p and the buffers is made here,
-    once; evaluate() then runs the drift's ufunc sequence with out= into
-    them and allocates nothing, except what a CustomDerivative returns.
-    Each of the four ring differences (gap, speed difference,
-    acceleration, force difference) is one ufunc over the flattened
-    (..., N) buffers for all rows at once, then one over the wrap column,
-    which overwrites the row-crossing entries of the first (see
-    _forward_views).  q and p must therefore be C-contiguous: the flat
-    view of any other array is a copy, and evaluate() would read stale
-    data from it.  Anything else raises InvalidInputError.
+
+def _overwrite_with_derivative(derivative, gap):
+    """The force of a CustomDerivative, written over the gaps it is taken at."""
+    np.copyto(gap, derivative(gap))
+
+
+class _DriftWork:
+    """The state (q, p) and every buffer for evaluating its drift again
+    and again, as an integrator does after updating the state in place.
+
+    The workspace owns the state: it copies q and p, of any layout and
+    broadcast against each other, into one C-contiguous (2, ..., N) float
+    buffer qp, whose halves are self.q and self.p.  A caller moves the
+    state by writing into those halves.
+
+    Each ring difference pairs two arrays stacked the same way.  The
+    forward difference of [q; p] gives [gap; dp]; the gap then becomes
+    the force in place (after the commanded speed, which needs the gap,
+    is taken), and the backward difference of [force; dp] gives
+    [dforce; ddp].  Each pair is one ufunc over the flattened buffer and
+    one over the wrap column, which overwrites every entry that crosses
+    from one row into the next (see _forward_views).  Besides the rows of
+    a batch, the flat pass crosses two seams, q's last row into p's first
+    and the force's last row into dp's first, and the wrap pass
+    overwrites those entries too.
+
+    evaluate() runs a list of (ufunc, args) calls built here, once, for
+    the regime and potential of params, each in the operation order of
+    the single-row formula, so every entry keeps its bits.  Every scalar
+    operand (L, alpha**2, beta, gamma, ell, t_gap, x) is a 0-d float64
+    array: numpy takes one faster than a Python float, and the float64
+    arithmetic is the same.  evaluate() allocates nothing, except what a
+    CustomDerivative returns.
     """
 
-    def __init__(self, q: np.ndarray, p: np.ndarray, params: ModelParams):
-        for name, x in (("q", q), ("p", p)):
-            if not x.flags.c_contiguous:
-                raise InvalidInputError(f"the drift workspace needs a C-contiguous {name}")
-        self.q, self.p, self.params = q, p, params
-        self.gap = np.empty_like(q)
-        self.force = np.empty_like(q)
-        self.dforce = np.empty_like(q)
-        self.dp = np.empty_like(p)
-        self.acc = np.empty_like(p)
-        self.scratch = np.empty_like(p)
-        self._gap_diff = _forward_views(q, self.gap)
-        self._gap_wrap = self.gap[..., -1:]
-        self._dp_diff = _forward_views(p, self.dp)
-        self._acc_diff = _backward_views(self.dp, self.acc)
-        self._dforce_diff = _backward_views(self.force, self.dforce)
-        self._alpha2 = params.alpha**2
-        self._derivative = None if params.potential is None else params.potential.derivative
+    def __init__(self, q, p, params: ModelParams):
+        self.qp = np.array(np.broadcast_arrays(q, p), dtype=float)
+        self.q, self.p = self.qp
+        self.params = params
+        diff = np.empty_like(self.qp)  # [gap; dp], the gap then overwritten by the force
+        ddiff = np.empty_like(self.qp)  # [dforce; ddp]
+        gap, dp = diff
+        dforce, ddp = ddiff
+        acc = self.acc = np.empty_like(self.p)
+        scratch = np.empty_like(self.p)
+        regime = params.regime
+        sub, mul = np.subtract, np.multiply
+        calls = [(sub, views) for views in _forward_views(self.qp, diff)]
+        calls.append((np.add, (gap[..., -1:], _scalar(params.ring_length), gap[..., -1:])))
+        if regime.t_gap is not None:
+            # ClosedLoop.target_speed's (gap - ell)/t_gap, taken before the force overwrites the gap
+            calls.append((sub, (gap, _scalar(regime.ell), scratch)))
+            calls.append((np.divide, (scratch, _scalar(regime.t_gap), scratch)))
+        if params.potential is None:
+            calls.append((mul, (_scalar(params.alpha**2), gap, gap)))
+        else:
+            calls.append((_overwrite_with_derivative, (params.potential.derivative, gap)))
+        calls += [(sub, views) for views in _backward_views(diff, ddiff)]
+        calls.append((mul, (ddp, _scalar(params.beta), ddp)))
+        calls.append((np.add, (ddp, dforce, acc)))
+        if regime.controlled:
+            # without gap feedback the commanded speed is one constant
+            target = scratch if regime.t_gap is not None else _scalar(regime.target_speed(None))
+            calls.append((sub, (target, self.p, scratch)))
+            calls.append((mul, (_scalar(params.gamma), scratch, scratch)))
+            calls.append((np.add, (acc, scratch, acc)))
+        self._calls = calls
 
     def evaluate(self) -> np.ndarray:
         """The drift at the current q and p, in the buffer self.acc."""
-        sub = np.subtract
-        params = self.params
-        gap, force, acc = self.gap, self.force, self.acc
-        for views in self._gap_diff:
-            sub(*views)
-        np.add(self._gap_wrap, params.ring_length, self._gap_wrap)
-        if self._derivative is None:
-            np.multiply(self._alpha2, gap, force)
-        else:
-            np.copyto(force, self._derivative(gap))
-        for views in self._dp_diff:
-            sub(*views)
-        for views in self._acc_diff:
-            sub(*views)
-        np.multiply(acc, params.beta, acc)
-        for views in self._dforce_diff:
-            sub(*views)
-        np.add(acc, self.dforce, acc)
-        regime = params.regime
-        if regime.controlled:
-            scratch = self.scratch
-            sub(regime.target_speed(gap, scratch), self.p, scratch)
-            np.multiply(params.gamma, scratch, scratch)
-            np.add(acc, scratch, acc)
-        return acc
+        for ufunc, args in self._calls:
+            ufunc(*args)
+        return self.acc
 
 
 def acceleration_array(q, p, params: ModelParams, work: Optional[_DriftWork] = None):
@@ -290,16 +306,16 @@ def acceleration_array(q, p, params: ModelParams, work: Optional[_DriftWork] = N
     at n=1) and force the potential's derivative at each gap.  Rows of a
     batch never mix, so each equals that state evaluated alone.
 
-    Without work the result is a new array, computed from C-contiguous
-    copies of q and p where they are not C-contiguous already (same
-    values, same bits).  work is a _DriftWork built for these very q, p
-    and params (anything else raises InvalidInputError); the result is
+    Without work the result is a new array, the drift of a throwaway
+    workspace that copies q and p (any layout, same values, same bits).
+    work is a _DriftWork built for params, called with its own work.q
+    and work.p (anything else raises InvalidInputError); the result is
     then its buffer, which the next call with that work overwrites.
     Both paths run the same arithmetic, so their results are equal bit
     for bit.
     """
     if work is None:
-        return _DriftWork(np.ascontiguousarray(q), np.ascontiguousarray(p), params).evaluate()
+        return _DriftWork(q, p, params).evaluate()
     if not (work.q is q and work.p is p and work.params is params):
         raise InvalidInputError("the drift workspace was built for other arrays or params")
     return work.evaluate()

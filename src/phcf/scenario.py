@@ -26,7 +26,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ClosedLoop, ModelParams, OpenLoop, Uncontrolled
+from .model import ClosedLoop, ModelParams, OpenLoop, Uncontrolled, _require_integer
 from .sde import SimConfig, UniformStationary, UniformZeroSpeed
 
 SCHEMA_VERSION = 1
@@ -46,19 +46,50 @@ _INITIALS = (
 
 @dataclass(frozen=True)
 class OutputOptions:
+    """Which outputs a run writes; each field is a bool (numpy's too)."""
+
     svg: bool = True
     wrap_positions: bool = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise InvalidInputError(f"{f.name} must be a bool, got {value!r}")
+
+
+def _reads_back(text) -> bool:
+    """Whether text, as the value of a manifest line, reads back as
+    itself: a str of one line with no whitespace at either end and no ;
+    or # that starts an inline comment (first, or after whitespace)."""
+    return (isinstance(text, str) and "\n" not in text and text == text.strip()
+            and not any(c in ";#" and (i == 0 or text[i - 1].isspace()) for i, c in enumerate(text)))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a run needs: model, regime, integration, output."""
+    """Everything a run needs: model, regime, integration, output.
+
+    preset_name and n_runs, None or the preset a run started from and an
+    ensemble's run count, are written to a run manifest: preset_name must
+    be one line that reads back as itself and n_runs an integer >= 1, not
+    a bool.
+    """
 
     params: ModelParams
     config: SimConfig
     output: OutputOptions = OutputOptions()
     preset_name: Optional[str] = None
     n_runs: Optional[int] = None
+
+    def __post_init__(self):
+        if self.preset_name is not None and not _reads_back(self.preset_name):
+            raise InvalidInputError("preset must be one line of text without whitespace at its ends "
+                                    f"or a comment, got {self.preset_name!r}")
+        if self.n_runs is not None:
+            _require_integer("n_runs", self.n_runs)
+            if self.n_runs < 1:
+                raise InvalidInputError(f"n_runs must be >= 1, got {self.n_runs}")
 
 
 def preset(name: str) -> Scenario:
@@ -257,9 +288,6 @@ def parse_scenario(text: str) -> Scenario:
             raise InvalidInputError(f"manifest schema_version {version} is not {SCHEMA_VERSION}: "
                                     "its run cannot be replayed")
         preset_name = manifest.get("preset")
-        # one line, as format_manifest writes it back
-        if preset_name is not None and "\n" in preset_name:
-            raise InvalidInputError(f"preset must be one line, got {preset_name!r}")
         if "n_runs" in manifest:
             n_runs = _parse("n_runs", int, manifest["n_runs"])
     return Scenario(params=params, config=config, output=output, preset_name=preset_name, n_runs=n_runs)

@@ -32,20 +32,25 @@ at every step (see _integrate), so the result is that of testing every
 step, to the bit.  simulate slices the one run out of its batch.
 
 At N = 20 a step costs numpy call overhead, not arithmetic, so the loop
-allocates nothing per step and makes as few numpy calls as it can.  Each
-integration builds one drift workspace (model._DriftWork) for its
-C-contiguous (runs, N) arrays, with every buffer and view made once, and
-calls acceleration_array(q, p, params, work) through this module's
-binding once per step, and once more per step that the fast pass of a
-replayed block ran: bench/tracer.py counts run-steps from the calls to
-phcf.sde.acceleration_array.  Each ring difference of the drift is one
-1-D ufunc over the flattened buffer of all runs plus one over the (runs,
-1) wrap column that overwrites the entries crossing from one run into the
-next, so its cost hardly grows with the number of runs.  Past the drift,
-a step is five in-place ufuncs, none of them for the blowup test: dt*p
-goes into the noise row the step has just added to p, where the
-block-end test finds the dt*p of every step of the block.  The noise
-rows and the block-start copy of the state are made once per call too.
+allocates nothing per step and makes as few numpy calls as it can, each
+with array operands only (a 0-d array costs numpy less than a Python
+float, with the same bits).  Each integration builds one drift workspace
+(model._DriftWork), which owns the (runs, N) state as the two halves of
+one C-contiguous (2, runs, N) buffer and makes every buffer and view
+once, and calls acceleration_array(q, p, params, work) with those halves
+through this module's binding once per step, and once more per step that
+the fast pass of a replayed block ran: bench/tracer.py counts run-steps
+from the calls to phcf.sde.acceleration_array.  The drift runs a call
+list built with the workspace: each ring difference takes one 1-D ufunc
+over the flattened buffer of a stacked pair, [q; p] or [force; dp], for
+all runs at once, plus one over its (2, runs, 1) wrap column, which
+overwrites the entries crossing from one row into the next, so its cost
+hardly grows with the number of runs; with gap feedback that is 13
+ufuncs.  Past the drift, a step is five in-place ufuncs, none of them
+for the blowup test: dt*p goes into the noise row the step has just
+added to p, where the block-end test finds the dt*p of every step of the
+block.  The noise rows and the block-start copy of the state are made
+once per call too.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError, NumericalBlowupError
-from .model import ModelParams, _DriftWork, _require_finite, _require_integer, acceleration_array, gaps_array
+from .model import (ModelParams, _DriftWork, _require_finite, _require_integer, _scalar, acceleration_array,
+                    gaps_array)
 
 # Steps per Philox counter block; the block index is the stream counter.
 NOISE_BLOCK = 256
@@ -281,11 +287,10 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     except ValueError as exc:  # numpy's refusal of a size past the address space
         raise MemoryError(str(exc)) from exc
     q0, p0 = initial_state(params, config.initial)
-    # C-contiguous, as the drift workspace requires
-    q = np.tile(q0, (runs, 1))
-    p = np.tile(p0, (runs, 1))
-    # every per-step buffer and view is made once, before the loop
-    work = _DriftWork(q, p, params)
+    # the workspace owns the (runs, N) state, every per-step buffer and
+    # view, all made once, before the loop
+    work = _DriftWork(np.broadcast_to(q0, (runs, n)), np.broadcast_to(p0, (runs, n)), params)
+    q, p = work.q, work.p
     noise_rows = list(noise)
     seeds = [run_seed(r) for r in range(runs)]
     blow_step = np.zeros(runs, dtype=np.int64)
@@ -293,8 +298,9 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     sig_sqdt = params.sigma * math.sqrt(dt)
     # fl(dt*BLOWUP_LIMIT), the bound on the dt*p of an accepted block
     dtp_limit = dt * BLOWUP_LIMIT
-    # q and p at block start, which a replayed block restores
-    q_start, p_start = np.empty_like(q), np.empty_like(p)
+    dt_array = _scalar(dt)
+    # the state at block start, which a replayed block restores
+    qp_start = np.empty_like(work.qp)
     fast_errstate = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
 
     def draw_noise(block):
@@ -317,10 +323,10 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
                 record(s)
             # p + dt*acc + sigma*sqrt(dt)*noise, then q + dt*p, in that order
             acc = acceleration_array(q, p, params, work)
-            acc *= dt
+            np.multiply(acc, dt_array, acc)
             np.add(p, acc, p)
             np.add(p, row, p)
-            np.multiply(p, dt, row)
+            np.multiply(p, dt_array, row)
             np.add(q, row, q)
             # NaN fails the comparison too; per-row masks only when this fires
             if exact and not (p.max() <= BLOWUP_LIMIT and p.min() >= -BLOWUP_LIMIT and np.isfinite(q).all()):
@@ -335,8 +341,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
 
     for block in range(-(-n_steps // NOISE_BLOCK)):
         draw_noise(block)
-        q_start[...] = q
-        p_start[...] = p
+        qp_start[...] = work.qp
         try:
             with np.errstate(**fast_errstate):
                 advance(block, exact=False)
@@ -345,8 +350,7 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         except Exception:
             accepted = False
         if not accepted:
-            q[...] = q_start
-            p[...] = p_start
+            work.qp[...] = qp_start
             draw_noise(block)
             if not advance(block, exact=True):
                 break

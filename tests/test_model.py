@@ -485,9 +485,10 @@ def test_slice_kernels_equal_roll_formulas_bitwise(case):
     assert same_bits(acceleration_array(q, p, params), roll_acceleration(q, p, params))
     # a lone row (1-d arrays) sees the same arithmetic as inside the batch
     assert same_bits(acceleration_array(q[-1], p[-1], params), roll_acceleration(q, p, params)[-1])
-    # one workspace while q and p change in place, as in the integrator:
-    # a move, a reversal, and a dead row zeroed
+    # one workspace while its own q and p change in place, as in the
+    # integrator: a move, a reversal, and a dead row zeroed
     work = _DriftWork(q, p, params)
+    q, p = work.q, work.p
     for change in range(4):
         if change == 1:
             q += p
@@ -505,6 +506,7 @@ def test_drift_workspace_refuses_other_arrays():
     q, p = np.arange(4.0).reshape(1, 4), np.ones((1, 4))
     params = uncontrolled(n=4, length=8.0)
     work = _DriftWork(q, p, params)
+    q, p = work.q, work.p
     for args in [(q.copy(), p, params), (q, p.copy(), params), (q, p, replace(params, beta=2.0))]:
         with pytest.raises(InvalidInputError):
             acceleration_array(*args, work)
@@ -564,14 +566,49 @@ def test_non_contiguous_inputs_equal_contiguous_copy_bitwise(case):
         assert same_bits(gaps_array(q_in, params.ring_length), gaps_array(q_c, params.ring_length))
 
 
-def test_drift_workspace_refuses_non_contiguous_arrays():
-    q, p = np.arange(8.0).reshape(2, 4), np.ones((2, 4))
-    params = uncontrolled(n=4, length=8.0)
-    for x in _layouts(q):
-        with pytest.raises(InvalidInputError, match="C-contiguous q"):
-            _DriftWork(x, p, params)
-        with pytest.raises(InvalidInputError, match="C-contiguous p"):
-            _DriftWork(q, x, params)
+@settings(deadline=None, database=None)
+@given(kernel_cases(min_runs=2))
+def test_drift_workspace_copies_any_layout(case):
+    """q and p of any layout are copied into the workspace's own
+    C-contiguous (2, runs, N) buffer, whose halves are work.q and work.p,
+    so changing the caller's arrays afterwards does not change the drift."""
+    q, p, params = case
+    layouts = list(zip(_layouts(q), _layouts(p)))
+    expected = [acceleration_array(np.ascontiguousarray(q_in), np.ascontiguousarray(p_in), params)
+                for q_in, p_in in layouts]
+    works = [_DriftWork(q_in, p_in, params) for q_in, p_in in layouts]
+    for work, (q_in, p_in) in zip(works, layouts):
+        assert work.qp.flags.c_contiguous and work.qp.shape == (2,) + q.shape
+        assert work.q.base is work.qp and work.p.base is work.qp
+        assert not np.shares_memory(work.qp, q_in) and not np.shares_memory(work.qp, p_in)
+    # the read-only broadcast layouts view q and p, which change with the rest
+    for x in [q, p] + [x for pair in layouts for x in pair if x.flags.writeable]:
+        x[...] = np.nan
+    for work, acc in zip(works, expected):
+        assert same_bits(acceleration_array(work.q, work.p, params, work), acc)
+
+
+@settings(deadline=None, database=None)
+@given(kernel_cases(), st.sampled_from(["q", "p"]), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_stacked_seams_never_mix_rows(case, where, value):
+    """The workspace stacks [q; p] and [force; dp], so its flat passes
+    also cross from q's last row into p's first and from the force's last
+    row into dp's first.  With rows scaled apart and a nan or an infinity
+    at q[-1, -1] or p[0, 0], the entries on either side of those seams,
+    every row equals that row alone and the seam-free np.roll formula."""
+    q, p, params = case
+    scales = np.geomspace(1.0, 1e-6, len(q))[:, None]
+    q *= scales
+    p *= scales
+    if where == "q":
+        q[-1, -1] = value
+    else:
+        p[0, 0] = value
+    with np.errstate(all="ignore"):
+        acc = acceleration_array(q, p, params)
+        assert same_bits_but_nan(acc, roll_acceleration(q, p, params))
+        for r in range(len(q)):
+            assert same_bits_but_nan(acc[r], acceleration_array(q[r], p[r], params))
 
 
 def test_closed_loop_target_speed_writes_out():

@@ -102,6 +102,45 @@ def test_manifest_round_trip(sc):
     assert parse_scenario(format_manifest(sc, {})) == sc
 
 
+# any value for a field written to the manifest, refused or not
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([np.True_, np.False_]), st.integers(-3, 2**64),
+    st.integers(-3, 3).map(np.int64), st.floats(), st.text(), st.sampled_from(["fig1", "fig3", "yes"]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(scenarios(), ANY_VALUE, ANY_VALUE, ANY_VALUE, ANY_VALUE)
+def test_every_accepted_scenario_round_trips(sc, svg, wrap_positions, preset_name, n_runs):
+    """Scenario and OutputOptions refuse what format_manifest cannot write
+    back: every one they accept parses back unchanged."""
+    try:
+        sc = replace(sc, output=OutputOptions(svg, wrap_positions), preset_name=preset_name, n_runs=n_runs)
+    except InvalidInputError:
+        return
+    assert parse_scenario(format_manifest(sc, {})) == sc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda sc: replace(sc, output=OutputOptions(svg=None)),
+    lambda sc: replace(sc, output=OutputOptions(svg=2.5)),
+    lambda sc: replace(sc, output=OutputOptions(svg="yes")),
+    lambda sc: replace(sc, output=OutputOptions(wrap_positions=1)),
+    lambda sc: replace(sc, n_runs=True),
+    lambda sc: replace(sc, n_runs=1.5),
+    lambda sc: replace(sc, n_runs=0),
+    lambda sc: replace(sc, preset_name="a\nb"),
+    lambda sc: replace(sc, preset_name=" fig1"),
+    lambda sc: replace(sc, preset_name="fig1 ;x"),
+], ids=["svg_none", "svg_float", "svg_text", "wrap_int", "n_runs_bool", "n_runs_float", "n_runs_zero",
+        "preset_two_lines", "preset_leading_space", "preset_comment"])
+def test_unwritable_scenario_is_refused(edit):
+    """Each was accepted, and then written as text that parse_scenario
+    refused or read back as another scenario."""
+    with pytest.raises(InvalidInputError, match="must be"):
+        edit(preset("fig1"))
+
+
 # replacement values: finite extremes, subnormals, inf and nan, huge
 # integers, junk, and an integer past int()'s 4300-digit limit
 VALUES = st.one_of(
