@@ -25,6 +25,7 @@ from . import __version__
 from .errors import EigenSolverError, InvalidInputError, NumericalBlowupError, UnsupportedOperationError
 from .model import build_matrices
 from .scenario import (
+    PRESETS,
     Scenario,
     format_manifest,
     load_scenario,
@@ -157,17 +158,15 @@ def cmd_simulate(scenario: Scenario, out_dir) -> int:
     return 0 if blowup is None else 3
 
 
-def cmd_ensemble(scenario: Scenario, out_dir, n_runs=None) -> int:
-    """Run an ensemble; write per-run observables CSVs, a cross-run
-    summary (time, moments of the mean speed, mean variance) and the
-    manifest.  n_runs=None reads the scenario's n_runs.  Returns 0, or 3
-    if any member blew up."""
-    n_runs = scenario.n_runs if n_runs is None else n_runs
-    if n_runs is None:
+def cmd_ensemble(scenario: Scenario, out_dir) -> int:
+    """Run an ensemble of scenario.n_runs runs; write per-run observables
+    CSVs, a cross-run summary (time, moments of the mean speed, mean
+    variance) and the manifest.  Returns 0, or 3 if any member blew up."""
+    if scenario.n_runs is None:
         raise InvalidInputError("--runs is required (no n_runs recorded in the scenario)")
     stability = _stability_info(scenario)
     with np.errstate(**_RUN_ERRSTATE):
-        runs = run_ensemble(scenario.params, scenario.config, n_runs=n_runs)
+        runs = run_ensemble(scenario.params, scenario.config, n_runs=scenario.n_runs)
     obs = observables(runs)
     columns = _observable_columns(obs)
     files = {
@@ -179,7 +178,7 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs=None) -> int:
     # along axis 0 adds them in another order and changes the bytes.
     shared = runs.n_valid.min()
     speed, variance = (np.ascontiguousarray(c[:, :shared].T) for c in (obs.mean_speed, obs.speed_variance))
-    spread = speed.var(axis=1, ddof=1) if n_runs > 1 else np.zeros(shared)
+    spread = speed.var(axis=1, ddof=1) if scenario.n_runs > 1 else np.zeros(shared)
     files["ensemble_summary.csv"] = (
         ["t", "mean_of_mean_speed", "var_of_mean_speed", "mean_speed_variance"],
         _rows(obs.times[:shared], speed.mean(axis=1), spread, variance.mean(axis=1)),
@@ -189,7 +188,7 @@ def cmd_ensemble(scenario: Scenario, out_dir, n_runs=None) -> int:
     if blown.size:
         fields["blown_runs"] = ",".join(map(str, blown))
     fields.update(stability)
-    _write_outputs(out_dir, replace(scenario, n_runs=n_runs), "ensemble", files, fields)
+    _write_outputs(out_dir, scenario, "ensemble", files, fields)
     return 3 if blown.size else 0
 
 
@@ -317,8 +316,11 @@ def cmd_preset(name: str, out_path=None) -> int:
 
 
 def _load(args) -> Scenario:
-    """The scenario file with the --seed and --svg overrides applied."""
+    """The scenario file with the --seed, --svg and (ensemble only) --runs
+    overrides applied."""
     scenario = load_scenario(args.scenario)
+    if getattr(args, "runs", None) is not None:
+        scenario = replace(scenario, n_runs=args.runs)
     if args.seed is not None:
         scenario = replace(scenario, config=replace(scenario.config, seed=args.seed))
     if args.svg is not None:
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="integrate independent runs and export summaries")
     _add_common(p)
     p.add_argument("--runs", type=int, default=None, help="number of runs (defaults to the manifest's)")
-    p.set_defaults(func=lambda a: cmd_ensemble(_load(a), a.out, a.runs))
+    p.set_defaults(func=lambda a: cmd_ensemble(_load(a), a.out))
 
     p = sub.add_parser("spectrum", help="closed-form eigenvalues with dense-oracle deviations")
     _add_common(p)
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: cmd_stability_map(_load(a), [parse_vary(v) for v in a.vary], a.out))
 
     p = sub.add_parser("preset", help="emit a bundled scenario")
-    p.add_argument("name", choices=("fig1", "fig2", "fig3"))
+    p.add_argument("name", choices=PRESETS)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(func=lambda a: cmd_preset(a.name, a.out))
     return parser

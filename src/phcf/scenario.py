@@ -58,22 +58,27 @@ class OutputOptions:
                 raise InvalidInputError(f"{f.name} must be a bool, got {value!r}")
 
 
-def _reads_back(text) -> bool:
-    """Whether text, as the value of a manifest line, reads back as
-    itself: a str of one line with no whitespace at either end and no ;
-    or # that starts an inline comment (first, or after whitespace)."""
-    return (isinstance(text, str) and "\n" not in text and text == text.strip()
-            and not any(c in ";#" and (i == 0 or text[i - 1].isspace()) for i, c in enumerate(text)))
+# The bundled models, one per regime of the paper.  All share N=20,
+# L=141, beta=1 and sigma=1: fig1 is uncontrolled (alpha=1, gamma=0), fig2
+# holds the commanded speed x=2.05 weakly (gamma=0.1, alpha=0.5), fig3 uses
+# gap feedback with ell=5, t_gap=1 (gamma=1, alpha=0.5).
+PRESETS = MappingProxyType({
+    name: ModelParams(n_vehicles=20, ring_length=141.0, beta=1.0, sigma=1.0, **varying)
+    for name, varying in (
+        ("fig1", dict(alpha=1.0, gamma=0.0, regime=Uncontrolled())),
+        ("fig2", dict(alpha=0.5, gamma=0.1, regime=OpenLoop(x=2.05))),
+        ("fig3", dict(alpha=0.5, gamma=1.0, regime=ClosedLoop(ell=5.0, t_gap=1.0))),
+    )
+})
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Everything a run needs: model, regime, integration, output.
 
-    preset_name and n_runs, None or the preset a run started from and an
-    ensemble's run count, are written to a run manifest: preset_name must
-    be one line that reads back as itself and n_runs an integer >= 1, not
-    a bool.
+    preset_name and n_runs, None or the preset a run started from (a key
+    of PRESETS) and an ensemble's run count (an integer >= 1, not a bool),
+    are written to a run manifest.
     """
 
     params: ModelParams
@@ -83,9 +88,8 @@ class Scenario:
     n_runs: Optional[int] = None
 
     def __post_init__(self):
-        if self.preset_name is not None and not _reads_back(self.preset_name):
-            raise InvalidInputError("preset must be one line of text without whitespace at its ends "
-                                    f"or a comment, got {self.preset_name!r}")
+        if self.preset_name is not None and self.preset_name not in PRESETS:
+            raise InvalidInputError(f"preset must be one of {', '.join(PRESETS)}, got {self.preset_name!r}")
         if self.n_runs is not None:
             _require_integer("n_runs", self.n_runs)
             if self.n_runs < 1:
@@ -93,24 +97,11 @@ class Scenario:
 
 
 def preset(name: str) -> Scenario:
-    """The three bundled scenarios.
-
-    All share N=20, L=141, dt=0.001, t_end=250, sigma=1 and start evenly
-    spaced at rest: fig1 is uncontrolled (alpha=1, beta=1, gamma=0), fig2
-    holds the commanded speed x=2.05 weakly (gamma=0.1, alpha=0.5), fig3
-    uses gap feedback with ell=5, t_gap=1 (gamma=1, alpha=0.5).
-    """
-    common = dict(n_vehicles=20, ring_length=141.0, beta=1.0, sigma=1.0)
-    if name == "fig1":
-        params = ModelParams(**common, alpha=1.0, gamma=0.0, regime=Uncontrolled())
-    elif name == "fig2":
-        params = ModelParams(**common, alpha=0.5, gamma=0.1, regime=OpenLoop(x=2.05))
-    elif name == "fig3":
-        params = ModelParams(**common, alpha=0.5, gamma=1.0, regime=ClosedLoop(ell=5.0, t_gap=1.0))
-    else:
-        raise InvalidInputError(f"unknown preset {name!r}; expected fig1, fig2 or fig3")
+    """The bundled scenario of the model PRESETS[name]: dt=0.001,
+    t_end=250, a sample every 100 steps, seed 42, evenly spaced at rest.
+    Scenario refuses a name that is not a key of PRESETS."""
     config = SimConfig(dt=0.001, t_end=250.0, sample_stride=100, seed=42, initial=UniformZeroSpeed())
-    return Scenario(params=params, config=config, preset_name=name)
+    return Scenario(params=PRESETS.get(name), config=config, preset_name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +182,10 @@ def format_manifest(scenario: Scenario, info: dict) -> str:
 
 
 def _parse_bool(text):
-    value = text.strip().lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _parse_potential(text):

@@ -32,22 +32,13 @@ at every step (see _integrate), so the result is that of testing every
 step, to the bit.  simulate slices the one run out of its batch.
 
 At N = 20 a step costs numpy call overhead, not arithmetic, so the loop
-allocates nothing per step and makes as few numpy calls as it can, each
-with array operands only (a 0-d array costs numpy less than a Python
-float, with the same bits).  Each integration builds one drift workspace
-(model._DriftWork), which owns the (runs, N) state as the two halves of
-one C-contiguous (2, runs, N) buffer and makes every buffer and view
-once, and calls acceleration_array(q, p, params, work) with those halves
-through this module's binding once per step, and once more per step that
-the fast pass of a replayed block ran: bench/tracer.py counts run-steps
-from the calls to phcf.sde.acceleration_array.  The drift runs a call
-list built with the workspace: each ring difference takes one 1-D ufunc
-over the flattened buffer of a stacked pair, [q; p] or [force; dp], for
-all runs at once, plus one over its (2, runs, 1) wrap column, which
-overwrites the entries crossing from one row into the next, so its cost
-hardly grows with the number of runs; with gap feedback that is 13
-ufuncs.  Past the drift, a step is five in-place ufuncs, none of them
-for the blowup test: dt*p goes into the noise row the step has just
+allocates nothing per step.  Each integration builds one drift workspace
+(model._DriftWork), which owns the (runs, N) state and every buffer of
+the drift, and calls acceleration_array(q, p, params, work) with its q
+and p through this module's binding once per step, and once more per
+step that the fast pass of a replayed block ran: bench/tracer.py counts
+run-steps from the calls to phcf.sde.acceleration_array.  No update is
+spent on the blowup test: dt*p goes into the noise row the step has just
 added to p, where the block-end test finds the dt*p of every step of the
 block.  The noise rows and the block-start copy of the state are made
 once per call too.
@@ -235,6 +226,8 @@ def derive_run_seed(seed: int, run_index: int) -> int:
 def _step_count(dt: float, t_end: float) -> int:
     # ceil(t_end/dt), robust to dt dividing t_end up to rounding
     exact = t_end / dt
+    if exact == math.inf:
+        raise MemoryError(f"t_end/dt = {t_end!r}/{dt!r} steps is past the float range")
     return int(math.ceil(exact * (1.0 - 1e-12)))
 
 

@@ -227,9 +227,9 @@ def test_criterion_11_manifest_reruns_byte_identical(tmp_path):
         assert a == (tmp_path / "sim_b" / name).read_bytes(), name
     checked.append("simulate")
 
-    cmd_ensemble(sc, tmp_path / "ens_a", 2)
+    cmd_ensemble(replace(sc, n_runs=2), tmp_path / "ens_a")
     replay = load_scenario(tmp_path / "ens_a" / "run_manifest.txt")
-    cmd_ensemble(replay, tmp_path / "ens_b", replay.n_runs)
+    cmd_ensemble(replay, tmp_path / "ens_b")
     for name in ("observables_run000.csv", "ensemble_summary.csv", "run_manifest.txt"):
         assert (tmp_path / "ens_a" / name).read_bytes() == (tmp_path / "ens_b" / name).read_bytes()
     checked.append("ensemble")

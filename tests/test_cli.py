@@ -30,6 +30,7 @@ from phcf.cli import (
     parse_vary,
 )
 from phcf.scenario import (
+    PRESETS,
     Scenario,
     format_manifest,
     format_scenario,
@@ -71,9 +72,14 @@ def test_preset_fig3_sufficient_lhs():
     assert report.sufficient_lhs == 1.5 and not report.sufficient_stable
 
 
-def test_preset_unknown_name():
+def test_preset_unknown_name(capsys):
+    """preset() and the preset command know exactly the names of PRESETS."""
     with pytest.raises(InvalidInputError):
         preset("fig4")
+    with pytest.raises(SystemExit) as info:
+        main(["preset", "fig4"])
+    assert info.value.code == 2
+    assert "{" + ",".join(PRESETS) + "}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
@@ -665,7 +671,7 @@ def test_cmd_stability_map_memory_stays_small(tmp_path):
 
 def test_cmd_ensemble_outputs(tmp_path):
     sc = short_scenario("fig1", t_end=1.0)
-    assert cmd_ensemble(sc, tmp_path / "ens", 3) == 0
+    assert cmd_ensemble(replace(sc, n_runs=3), tmp_path / "ens") == 0
     out = tmp_path / "ens"
     for r in range(3):
         assert (out / f"observables_run{r:03d}.csv").exists()
@@ -677,13 +683,19 @@ def test_cmd_ensemble_outputs(tmp_path):
 
 
 def test_cmd_ensemble_rerun_from_manifest(tmp_path):
+    """A manifest replays its ensemble; --runs overrides its n_runs, and
+    the new manifest records the override."""
     sc = short_scenario("fig1", t_end=1.0)
-    cmd_ensemble(sc, tmp_path / "a", 2)
+    cmd_ensemble(replace(sc, n_runs=2), tmp_path / "a")
     replay = load_scenario(tmp_path / "a" / "run_manifest.txt")
     assert replay.n_runs == 2
-    cmd_ensemble(replay, tmp_path / "b", replay.n_runs)
+    cmd_ensemble(replay, tmp_path / "b")
     for name in ("observables_run000.csv", "observables_run001.csv", "ensemble_summary.csv", "run_manifest.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    manifest = str(tmp_path / "a" / "run_manifest.txt")
+    assert main(["ensemble", "--scenario", manifest, "--out", str(tmp_path / "c"), "--runs", "1"]) == 0
+    assert load_scenario(tmp_path / "c" / "run_manifest.txt") == replace(replay, n_runs=1)
+    assert sorted(p.name for p in (tmp_path / "c").glob("observables_run*.csv")) == ["observables_run000.csv"]
 
 
 # The blowing ring of tests/test_sde.py as a scenario: runs 0 and 1 blow
@@ -922,25 +934,26 @@ def test_main_contract_on_edited_presets(text, command):
             assert contents(tmp / "r") == contents(tmp / "o")
 
 
-@pytest.mark.parametrize("command, old, new, extra", [
-    ("simulate", "n_vehicles = 20", f"n_vehicles = {10**40}", []),
-    ("ensemble", "t_end = 250.0", "t_end = 1e300", ["--runs", "2"]),
-    ("stability-map", "n_vehicles = 20", f"n_vehicles = {10**40}", COMMANDS["stability-map"]),
-    ("simulate", "[model]", "", []),
-    ("stability-map", "", "", ["--vary", f"alpha=0:1:{10**20}", "--vary", "gamma=1:2:2"]),
+@pytest.mark.parametrize("command, old, new, extra, message", [
+    ("simulate", "n_vehicles = 20", f"n_vehicles = {10**40}", [], "not enough memory"),
+    ("ensemble", "t_end = 250.0", "t_end = 1e300", ["--runs", "2"], "not enough memory"),
+    ("stability-map", "n_vehicles = 20", f"n_vehicles = {10**40}", COMMANDS["stability-map"], "not enough memory"),
+    ("simulate", "[model]", "", [], "malformed scenario"),
+    ("stability-map", "", "", ["--vary", f"alpha=0:1:{10**20}", "--vary", "gamma=1:2:2"], "not enough memory"),
+    ("simulate", "dt = 0.001", "dt = 5e-324", [], "not enough memory"),
 ], ids=["simulate-address-space", "ensemble-address-space", "stability-map-address-space",
-        "no-section-header", "stability-map-sweep-count"])
-def test_main_exit_2_prints_one_line(tmp_path, capsys, command, old, new, extra):
+        "no-section-header", "stability-map-sweep-count", "simulate-step-count-past-float-range"])
+def test_main_exit_2_prints_one_line(tmp_path, capsys, command, old, new, extra, message):
     """Buffers past the address space (numpy refuses them with a
-    ValueError), a ring's or a sweep axis's, count as too large for
-    memory, and a parser message that quotes the input over several lines
-    is printed on one."""
+    ValueError), a ring's or a sweep axis's, and a step count t_end/dt
+    past the float range count as too large for memory, and a parser
+    message that quotes the input over several lines is printed on one."""
     path = tmp_path / "s.ini"
     assert main(["preset", "fig3", "--out", str(path)]) == 0
     path.write_text(path.read_text().replace(old, new))
     assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")] + extra) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -977,7 +990,7 @@ def test_main_run_past_float_range_blows_up_silently(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("runs", ["0", "100000000000"])
 def test_main_ensemble_impossible_run_count_exits_2(tmp_path, capsys, monkeypatch, runs):
-    """--runs 0 is refused by run_ensemble; 10^11 runs of the preset need
+    """--runs 0 is refused by Scenario in _load; 10^11 runs of the preset need
     petabytes, and the buffers are allocated before any per-run seed is
     derived, so the command fails at once instead of deriving 10^11
     seeds first."""

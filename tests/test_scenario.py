@@ -132,11 +132,15 @@ def test_every_accepted_scenario_round_trips(sc, svg, wrap_positions, preset_nam
     lambda sc: replace(sc, preset_name="a\nb"),
     lambda sc: replace(sc, preset_name=" fig1"),
     lambda sc: replace(sc, preset_name="fig1 ;x"),
+    lambda sc: replace(sc, preset_name="a\rb"),
+    lambda sc: replace(sc, preset_name="mine"),
 ], ids=["svg_none", "svg_float", "svg_text", "wrap_int", "n_runs_bool", "n_runs_float", "n_runs_zero",
-        "preset_two_lines", "preset_leading_space", "preset_comment"])
+        "preset_two_lines", "preset_leading_space", "preset_comment", "preset_carriage_return",
+        "preset_unknown"])
 def test_unwritable_scenario_is_refused(edit):
     """Each was accepted, and then written as text that parse_scenario
-    refused or read back as another scenario."""
+    refused or read back as another scenario; a preset name outside
+    PRESETS names no preset."""
     with pytest.raises(InvalidInputError, match="must be"):
         edit(preset("fig1"))
 
@@ -191,7 +195,7 @@ def test_manifest_preset_spanning_lines_is_refused():
     that value would be a bare line no parse accepts."""
     text = format_manifest(preset("fig1"), {})
     assert "preset = fig1\n" in text
-    with pytest.raises(InvalidInputError, match="preset must be one line"):
+    with pytest.raises(InvalidInputError, match="preset must be one of"):
         parse_scenario(text.replace("preset = fig1\n", "preset = fig1\n  extra\n"))
 
 
@@ -212,7 +216,7 @@ NON_NUMBER_CALLS = {
     "alpha_text": lambda out: replace(preset("fig1").params, alpha="1"),
     "x_none": lambda out: OpenLoop(x=None),
     "run_ensemble": lambda out: run_ensemble(preset("fig1").params, SimConfig(0.01, 0.1), True),
-    "cmd_ensemble": lambda out: cmd_ensemble(preset("fig1"), out, True),
+    "cmd_ensemble": lambda out: cmd_ensemble(replace(preset("fig1"), n_runs=True), out),
 }
 
 
