@@ -185,17 +185,26 @@ def _forward_views(x, d):
     invalid value) that no row alone would.  A stacked (2, ..., N)
     buffer is one more batch to these views: the seam between its two
     halves is a row crossing like any other.
+
+    The wrap triple is 1-D, strided by N over the flat buffers, not the
+    (..., 1) column views x[..., :1]: numpy runs a 1-D operand through
+    its fast trivial loop and a column view through its general
+    iterator.  At N = 20 the column subtraction took 0.87 us against
+    0.40 for one run, and 1.62 against 1.14 for 200 runs (2-core VM,
+    numpy 2.4.6).  The entries and the order of subtraction are the same.
     """
+    n = x.shape[-1]
     xf, df = x.reshape(-1), d.reshape(-1)
-    return (xf[1:], xf[:-1], df[:-1]), (x[..., :1], x[..., -1:], d[..., -1:])
+    return (xf[1:], xf[:-1], df[:-1]), (xf[::n], xf[n - 1::n], df[n - 1::n])
 
 
 def _backward_views(x, d):
     """The same for the backward difference x[i] - x[i-1]: the flat
     interior crosses rows at each row's first entry, which the wrap
-    x[0] - x[-1] then overwrites."""
+    x[0] - x[-1], again 1-D and strided by N, then overwrites."""
+    n = x.shape[-1]
     xf, df = x.reshape(-1), d.reshape(-1)
-    return (xf[1:], xf[:-1], df[1:]), (x[..., :1], x[..., -1:], d[..., :1])
+    return (xf[1:], xf[:-1], df[1:]), (xf[::n], xf[n - 1::n], df[::n])
 
 
 def _forward_diff(x: np.ndarray) -> np.ndarray:
@@ -227,6 +236,15 @@ def _overwrite_with_derivative(derivative, gap):
     np.copyto(gap, derivative(gap))
 
 
+def _scale_in_place(calls, ufunc, x, factor):
+    """Append the call x = ufunc(x, factor), unless factor is exactly 1.0:
+    for every float x, fl(x*1) = fl(x/1) = x, signed zeros, infinities
+    and nan included, with no floating-point flag, so the call would
+    change nothing."""
+    if factor != 1.0:
+        calls.append((ufunc, (x, _scalar(factor), x)))
+
+
 class _DriftWork:
     """The state (q, p) and every buffer for evaluating its drift again
     and again, as an integrator does after updating the state in place.
@@ -241,19 +259,30 @@ class _DriftWork:
     the force in place (after the commanded speed, which needs the gap,
     is taken), and the backward difference of [force; dp] gives
     [dforce; ddp].  Each pair is one ufunc over the flattened buffer and
-    one over the wrap column, which overwrites every entry that crosses
-    from one row into the next (see _forward_views).  Besides the rows of
-    a batch, the flat pass crosses two seams, q's last row into p's first
-    and the force's last row into dp's first, and the wrap pass
-    overwrites those entries too.
+    one over the wrap entries, 1-D and strided by N, which overwrites
+    every entry that crosses from one row into the next (see
+    _forward_views).  Besides the rows of a batch, the flat pass crosses
+    two seams, q's last row into p's first and the force's last row into
+    dp's first, and the wrap pass overwrites those entries too.
 
     evaluate() runs a list of (ufunc, args) calls built here, once, for
     the regime and potential of params, each in the operation order of
-    the single-row formula, so every entry keeps its bits.  Every scalar
-    operand (L, alpha**2, beta, gamma, ell, t_gap, x) is a 0-d float64
-    array: numpy takes one faster than a Python float, and the float64
-    arithmetic is the same.  evaluate() allocates nothing, except what a
-    CustomDerivative returns.
+    the single-row formula, so every entry keeps its bits.  Every call
+    stays on numpy's fast trivial loop: each operand is 1-D or
+    C-contiguous, and no in-place call has a single entry, on which numpy
+    2.4.6 takes its slow path (0.93 us against 0.39 for two entries; the
+    other calls of an N = 20 drift cost 0.38-0.41 us, 2-core VM).  So the
+    gap's + L is one in-place add over the whole stacked wrap column,
+    [gap wraps; dp wraps], with the operand [L, ..., L, -0.0, ..., -0.0]:
+    x + -0.0 is x for every float x, signed zeros, infinities and nan
+    included, with no flag, so the dp entries keep their bits.
+
+    A multiply or divide by an operand that is exactly 1.0 (alpha**2 for
+    the force, beta, gamma, t_gap) is left out, since it changes no bit
+    and raises no flag.  Every scalar operand that stays (ell, x and
+    those four) is a 0-d float64 array: numpy takes one faster than a
+    Python float, and the float64 arithmetic is the same.  evaluate()
+    allocates nothing, except what a CustomDerivative returns.
     """
 
     def __init__(self, q, p, params: ModelParams):
@@ -268,25 +297,28 @@ class _DriftWork:
         scratch = np.empty_like(self.p)
         regime = params.regime
         sub, mul = np.subtract, np.multiply
-        calls = [(sub, views) for views in _forward_views(self.qp, diff)]
-        calls.append((np.add, (gap[..., -1:], _scalar(params.ring_length), gap[..., -1:])))
+        interior, wrap = _forward_views(self.qp, diff)
+        calls = [(sub, interior), (sub, wrap)]
+        wrap_out = wrap[2]  # the gaps' wrap entries, then dp's
+        closing = np.repeat([params.ring_length, -0.0], wrap_out.size // 2)
+        calls.append((np.add, (wrap_out, closing, wrap_out)))
         if regime.t_gap is not None:
             # ClosedLoop.target_speed's (gap - ell)/t_gap, taken before the force overwrites the gap;
             # inline: a target_speed call here cost an N = 20 drift 0.9 us of its 4.2 (2-core VM)
             calls.append((sub, (gap, _scalar(regime.ell), scratch)))
-            calls.append((np.divide, (scratch, _scalar(regime.t_gap), scratch)))
+            _scale_in_place(calls, np.divide, scratch, regime.t_gap)
         if params.potential is None:
-            calls.append((mul, (_scalar(params.alpha**2), gap, gap)))
+            _scale_in_place(calls, mul, gap, params.alpha**2)
         else:
             calls.append((_overwrite_with_derivative, (params.potential.derivative, gap)))
         calls += [(sub, views) for views in _backward_views(diff, ddiff)]
-        calls.append((mul, (ddp, _scalar(params.beta), ddp)))
+        _scale_in_place(calls, mul, ddp, params.beta)
         calls.append((np.add, (ddp, dforce, acc)))
         if regime.controlled:
             # without gap feedback the commanded speed is one constant
             target = scratch if regime.t_gap is not None else _scalar(regime.target_speed(None))
             calls.append((sub, (target, self.p, scratch)))
-            calls.append((mul, (_scalar(params.gamma), scratch, scratch)))
+            _scale_in_place(calls, mul, scratch, params.gamma)
             calls.append((np.add, (acc, scratch, acc)))
         self._calls = calls
 

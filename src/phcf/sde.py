@@ -14,7 +14,8 @@ Noise comes from counter-based Philox streams read in fixed blocks, so
 the increment at a given step is a pure function of (seed, step, vehicle):
 trajectories are bit-reproducible and ensemble members are independent of
 each other and of how many of them run.  Block b of a run with seed s is
-the first NOISE_BLOCK draws of Philox(key=s, counter=b << 64).  Each
+the first NOISE_BLOCK draws of Philox(key=s, counter=b << 64); a run's
+last block draws only the first rows, one per step it runs.  Each
 thread keeps one Philox generator and sets its key, counter and buffer
 for every block, which costs less than building a generator per block
 and leaves no state behind between calls.
@@ -183,14 +184,17 @@ def initial_state(params: ModelParams, initial: InitialCondition):
 # noise
 
 
-def noise_block(seed: int, block_index: int, n_vehicles: int) -> np.ndarray:
-    """Standard-normal draws, (NOISE_BLOCK, n_vehicles), for the steps of
-    block block_index of one run.
+def noise_block(seed: int, block_index: int, n_vehicles: int, steps: int = NOISE_BLOCK) -> np.ndarray:
+    """Standard-normal draws, (steps, n_vehicles), for the first steps
+    steps of block block_index of one run.
 
     The draws are those of Generator(Philox(key=seed, counter=block_index
     << 64)).  Instead of building that generator, the calling thread's
     reusable one is re-keyed and re-positioned with its buffer emptied,
-    so nothing carries over from an earlier call.
+    so nothing carries over from an earlier call.  The normals come out
+    in order, row after row, so a draw of k steps is the first k rows of
+    the full (NOISE_BLOCK, n_vehicles) block: a run's last block draws
+    only the steps it runs.
     """
     gen = getattr(_thread_noise, "generator", None)
     if gen is None:
@@ -211,7 +215,7 @@ def noise_block(seed: int, block_index: int, n_vehicles: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return gen.standard_normal((NOISE_BLOCK, n_vehicles))
+    return gen.standard_normal((steps, n_vehicles))
 
 
 def derive_run_seed(seed: int, run_index: int) -> int:
@@ -297,9 +301,12 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     fast_errstate = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
 
     def draw_noise(block):
+        """Fill and return the noise rows of the steps block runs."""
+        rows = noise[: min(NOISE_BLOCK, n_steps - block * NOISE_BLOCK)]
         for r, seed in enumerate(seeds):
-            noise[:, r] = noise_block(seed, block, n)
-        np.multiply(noise, sig_sqdt, noise)
+            rows[:, r] = noise_block(seed, block, n, len(rows))
+        np.multiply(rows, sig_sqdt, rows)
+        return rows
 
     def record(s):
         k = s // stride
@@ -333,12 +340,11 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         return True
 
     for block in range(-(-n_steps // NOISE_BLOCK)):
-        draw_noise(block)
+        dtp = draw_noise(block)
         qp_start[...] = work.qp
         try:
             with np.errstate(**fast_errstate):
                 advance(block, exact=False)
-                dtp = noise[: n_steps - block * NOISE_BLOCK]
                 accepted = dtp.max() < dtp_limit and dtp.min() > -dtp_limit and np.isfinite(q).all()
         except Exception:
             accepted = False

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +24,7 @@ from phcf import (
     simulate,
 )
 from phcf.model import _DriftWork, _forward_diff, _ring_difference_matrix, acceleration_array, gaps_array
+from phcf.scenario import PRESETS
 from oracles import phs_matrices, ring_difference
 
 
@@ -437,24 +438,31 @@ _rates = st.floats(0.0, 50.0)
 _reals = st.floats(-1e6, 1e6)
 
 
+def _or_one(floats):
+    """floats, or exactly 1.0 with fair probability: the drift workspace
+    leaves out its multiply or divide by an operand of exactly 1.0."""
+    return st.one_of(st.just(1.0), floats)
+
+
 @st.composite
 def kernel_cases(draw, min_runs=1):
     runs = draw(st.integers(min_runs, 4))
     n = draw(st.integers(2, 25))
-    q = draw(hnp.arrays(np.float64, (runs, n), elements=_reals))
-    p = draw(hnp.arrays(np.float64, (runs, n), elements=_reals))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), _reals)
+    q = draw(hnp.arrays(np.float64, (runs, n), elements=entries))
+    p = draw(hnp.arrays(np.float64, (runs, n), elements=entries))
     kind = draw(st.sampled_from(["uncontrolled", "open_loop", "closed_loop"]))
     if kind == "uncontrolled":
         regime, gamma = Uncontrolled(), 0.0
     else:
-        gamma = draw(st.floats(1e-3, 50.0))
+        gamma = draw(_or_one(st.floats(1e-3, 50.0)))
         if kind == "open_loop":
             regime = OpenLoop(x=draw(_reals))
         else:
-            regime = ClosedLoop(ell=draw(st.floats(0.0, 1e3)), t_gap=draw(st.floats(1e-3, 1e3)))
+            regime = ClosedLoop(ell=draw(st.floats(0.0, 1e3)), t_gap=draw(_or_one(st.floats(1e-3, 1e3))))
     potential = draw(st.sampled_from([None, CustomDerivative(np.tanh)]))
-    params = ModelParams(n, draw(st.floats(1e-3, 1e6)), draw(_rates), draw(_rates), gamma, 1.0, regime,
-                         potential)
+    params = ModelParams(n, draw(st.floats(1e-3, 1e6)), draw(_or_one(_rates)), draw(_or_one(_rates)), gamma, 1.0,
+                         regime, potential)
     return q, p, params
 
 
@@ -475,8 +483,16 @@ def test_gaps_rows_sum_to_ring_length(q, ring_length):
         assert abs(math.fsum(row) - ring_length) <= 2 * eps * (np.abs(row).sum() + ring_length)
 
 
+# dp's wrap entry p[0] - p[-1] = -0.0 - 0.0 keeps its sign through the
+# stacked + [L; -0.0]; it shows in acc[-1] = (-0.0 - 0.0) + (0*gap[-1] -
+# 0*gap[-2]) = -0.0, with gap[-1] < 0 < gap[-2], alpha = 0 and beta = 1
+_NEGATIVE_ZERO_WRAP = (np.array([[0.0, 0.5, 2.0]]), np.array([[-0.0, 0.0, 0.0]]),
+                       uncontrolled(n=3, length=1.0, alpha=0.0, beta=1.0))
+
+
 @settings(deadline=None, database=None)
 @given(kernel_cases())
+@example(_NEGATIVE_ZERO_WRAP)
 def test_slice_kernels_equal_roll_formulas_bitwise(case):
     q, p, params = case
     assert same_bits(gaps_array(q, params.ring_length), roll_gaps(q, params.ring_length))
@@ -500,6 +516,26 @@ def test_slice_kernels_equal_roll_formulas_bitwise(case):
         assert same_bits(acc, roll_acceleration(q, p, params))
     # the result is the workspace's buffer, overwritten by the next call
     assert acceleration_array(q, p, params, work) is acc
+
+
+@pytest.mark.parametrize("runs", [1, 4])
+@pytest.mark.parametrize("name, n_calls", [("fig1", 6), ("fig2", 10), ("fig3", 10)])
+def test_drift_calls_stay_on_the_fast_path(name, n_calls, runs):
+    """Every drift call takes numpy's trivial loop: its array operands
+    are 1-D or C-contiguous, and no in-place call has a single entry,
+    where numpy takes its slow path.  The multiplies and divides by an
+    operand of exactly 1.0 are left out of the presets' call lists."""
+    params = PRESETS[name]
+    state = np.zeros((runs, params.n_vehicles))
+    work = _DriftWork(state, state, params)
+    assert len(work._calls) == n_calls
+    for fn, args in work._calls:
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        assert all(a.ndim == 1 or a.flags.c_contiguous for a in arrays), fn
+        if isinstance(fn, np.ufunc):
+            inputs, out = args[: fn.nin], args[-1]
+            if any(np.shares_memory(out, x) for x in inputs):
+                assert out.size > 1, fn
 
 
 def test_drift_workspace_refuses_other_arrays():

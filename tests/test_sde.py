@@ -360,6 +360,31 @@ def test_noise_block_matches_fresh_philox(seed, block):
     assert np.array_equal(noise_block(seed, block, 3), philox_block(seed, block, 3))
 
 
+@settings(deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 25), st.integers(1, NOISE_BLOCK))
+def test_noise_block_rows_are_a_prefix_of_the_block(seed, block, n, steps):
+    """Philox normals come out in order, so a draw of steps rows is the
+    first steps rows of the full block, to the bit."""
+    part = noise_block(seed, block, n, steps)
+    assert part.shape == (steps, n)
+    assert part.tobytes() == noise_block(seed, block, n)[:steps].tobytes()
+
+
+def test_last_block_draws_only_its_steps(monkeypatch):
+    """300 steps are one full block and a last block of 44 steps, drawn
+    as 44 rows for each run."""
+    draw, shapes = phcf.sde.noise_block, []
+
+    def recorded(*args):
+        block = draw(*args)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(phcf.sde, "noise_block", recorded)
+    run_ensemble(fig_params("fig1"), SimConfig(0.01, 3.0, 7, 5), 2)
+    assert shapes == [(NOISE_BLOCK, 20)] * 2 + [(300 - NOISE_BLOCK, 20)] * 2
+
+
 def test_noise_block_calls_share_no_state():
     """Interleaved calls, most of which leave the generator's buffer
     part-used, equal isolated reference draws."""
