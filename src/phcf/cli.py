@@ -47,6 +47,8 @@ from .stats import observables
 from .svgplot import observables_svg, spectrum_svg, stability_map_svg, trajectory_svg
 
 _SWEEPABLE = ("alpha", "beta", "gamma", "t_gap")
+# Cells times modes per stability_report call of a map: 20 x 20 cells at N = 20.
+_MAP_TILE_MODE_CELLS = 2**13
 
 
 def _write_outputs(out_dir, scenario: Scenario, command: str, files: dict, fields: dict):
@@ -270,13 +272,18 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     exact = np.zeros((len(values1), len(values2)), dtype=bool)
     suff = np.zeros_like(exact)
     abscissa = np.zeros(exact.shape)
-    for i, v1 in enumerate(values1):
-        # One report per row, the second axis as an array: memory stays
-        # O(len(values2) * N) per report and the grid is three arrays.
-        report = stability_report(scenario.params, **{name1: float(v1), name2: values2})
-        exact[i] = report.exact_stable
-        suff[i] = report.sufficient_stable
-        abscissa[i] = report.spectral_abscissa_nonzero
+    # One report per square tile of at most _MAP_TILE_MODE_CELLS cells times
+    # modes: a tile shares each axis-only term among its cells, memory per
+    # report stays bounded, and the grid is three arrays.
+    side = max(1, math.isqrt(_MAP_TILE_MODE_CELLS // scenario.params.n_vehicles))
+    for i in range(0, len(values1), side):
+        rows = values1[i : i + side, None]
+        for j in range(0, len(values2), side):
+            report = stability_report(scenario.params, **{name1: rows, name2: values2[None, j : j + side]})
+            tile = np.s_[i : i + side, j : j + side]
+            exact[tile] = report.exact_stable
+            suff[tile] = report.sufficient_stable
+            abscissa[tile] = report.spectral_abscissa_nonzero
     # row-major, so the first entry is the first violating cell of the sweep
     violations = np.argwhere(suff & ~exact)
     if len(violations):

@@ -26,7 +26,10 @@ The stability report, the sufficient condition and the drift norm
 broadcast: parameters of grid shape S give per-mode arrays of shape
 S + (N-1,) and verdicts of shape S, each cell its scalar call bit for
 bit (a scalar call is the 0-d grid and gives Python floats and bools).
-A grid costs O(cells * N) memory; evaluate a large map one row at a time.
+Each parameter keeps its own shape, so a term runs once per value of the
+parameters it depends on and only the mixed terms run once per cell.  A
+grid costs O(cells * N) memory; evaluate a large map in tiles, as
+``phcf stability-map`` does.
 
 The zero-detection scale is the drift matrix's Frobenius norm, in closed form
 
@@ -87,10 +90,11 @@ def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
     index 2*j + k with k = 0 for +sqrt and k = 1 for -sqrt.
 
     cos[j] = cos(2*pi*j/n), a2 = alpha**2 and g = gamma/t_gap (None
-    without gap feedback).  Parameters are floats or arrays of shape
-    S + (1,); the result has shape S + (2n,).  An exact zero const_j
-    (mode 0, or alpha = 0 without feedback) yields the exact roots 0 and
-    -lin_j.
+    without gap feedback).  Parameters are floats or arrays that end in a
+    length-1 mode axis and broadcast to S + (1,); each term runs at the
+    shape of its own parameters, and the result has shape S + (2n,).  An
+    exact zero const_j (mode 0, or alpha = 0 without feedback) yields the
+    exact roots 0 and -lin_j.
     """
     n = len(cos)
     # Parameters near the float range give non-finite roots, returned
@@ -103,14 +107,16 @@ def _mode_roots(cos: np.ndarray, a2, beta, gamma, g=None) -> np.ndarray:
             # Equal bit for bit to the scalar powers omega**j: numpy computes
             # both with the same complex power routine.
             const = const + g * (1.0 - np.exp(2j * np.pi / n) ** np.arange(n))
-        s = np.sqrt((lin * lin - 4.0 * const).astype(complex))
-        roots = np.empty(lin.shape + (2,), dtype=complex)
-        roots[..., 0] = (-lin + s) / 2.0
-        roots[..., 1] = (-lin - s) / 2.0
-    zero = const == 0
+        s = np.sqrt((lin * lin - 4.0 * const).astype(complex, copy=False))
+        roots = np.empty(s.shape + (2,), dtype=complex)
+        neg = -lin
+        np.add(neg, s, out=roots[..., 0])
+        np.subtract(neg, s, out=roots[..., 1])
+        roots /= 2.0
+    zero = np.broadcast_to(const == 0, s.shape)
     roots[zero, 0] = 0.0
-    roots[zero, 1] = -lin[zero]
-    return roots.reshape(lin.shape[:-1] + (2 * n,))
+    roots[zero, 1] = np.broadcast_to(neg, s.shape)[zero]
+    return roots.reshape(s.shape[:-1] + (2 * n,))
 
 
 def _square(x):
@@ -254,8 +260,11 @@ class StabilityReport:
     The per-mode arrays have shape S + (N-1,) and cover modes j = 1..N-1
     (entry i is mode i + 1): mode j is x^2 + kappa*x + (nu + i*rho),
     hurwitz_det its Hurwitz determinant kappa*(nu*kappa) - rho^2, and
-    mode_stable is kappa > 0 and hurwitz_det > 0.  The verdicts have
-    shape S; for a single cell they are Python bools and floats.
+    mode_stable is kappa > 0 and hurwitz_det > 0.  They are read-only
+    broadcast views: kappa, nu and rho of the smaller arrays over the
+    parameters they depend on.  The verdicts have shape S, sufficient_lhs
+    and sufficient_stable as read-only views too; for a single cell they
+    are Python bools and floats.
     """
 
     kappa: np.ndarray
@@ -299,9 +308,14 @@ def stability_report(params: ModelParams, *, alpha=None, beta=None, gamma=None, 
         raise InvalidInputError(
             f"stability needs gap feedback (kind = closed_loop), got {type(params.regime).__name__}"
         )
-    # Cells on the leading axes, a length-1 axis for the modes.
-    grid = np.broadcast_arrays(*(b if v is None else v for b, v in zip(base, (alpha, beta, gamma, t_gap))))
-    alpha, beta, gamma, t_gap = np.asarray(grid, dtype=float)[..., None]
+    # Each parameter keeps its own shape plus a length-1 mode axis.  An
+    # empty grid broadcasts all four, so that no value outside every cell
+    # is evaluated, or can overflow.
+    axes = [np.asarray(b if v is None else v, dtype=float) for b, v in zip(base, (alpha, beta, gamma, t_gap))]
+    shape = np.broadcast_shapes(*(axis.shape for axis in axes))
+    if 0 in shape:
+        axes = np.broadcast_arrays(*axes)
+    alpha, beta, gamma, t_gap = (axis[..., None] for axis in axes)
     a2 = _square(alpha)
     lhs, sufficient = sufficient_condition(alpha[..., 0], gamma[..., 0], t_gap[..., 0])
     scale = drift_matrix_norm(n, alpha[..., 0], beta[..., 0], gamma[..., 0], t_gap[..., 0])
@@ -318,13 +332,13 @@ def stability_report(params: ModelParams, *, alpha=None, beta=None, gamma=None, 
         stable = (kappa > 0) & (det > 0)
     values = _mode_roots(cos, a2, beta, gamma, g)
     return StabilityReport(
-        kappa=kappa,
-        nu=nu,
-        rho=rho,
-        hurwitz_det=det,
-        mode_stable=stable,
+        kappa=np.broadcast_to(kappa, det.shape),
+        nu=np.broadcast_to(nu, det.shape),
+        rho=np.broadcast_to(rho, det.shape),
+        hurwitz_det=np.broadcast_to(det, det.shape),
+        mode_stable=np.broadcast_to(stable, det.shape),
         exact_stable=_unwrap((gamma[..., 0] > 0) & stable.all(axis=-1)),
-        sufficient_lhs=lhs,
-        sufficient_stable=sufficient,
+        sufficient_lhs=_unwrap(np.broadcast_to(lhs, shape)),
+        sufficient_stable=_unwrap(np.broadcast_to(sufficient, shape)),
         spectral_abscissa_nonzero=spectral_abscissa_nonzero(values, scale),
     )

@@ -588,19 +588,22 @@ def test_cmd_stability_map_rejects_duplicate_axes(tmp_path):
 def test_cmd_stability_map_aborts_on_containment_violation(tmp_path, monkeypatch, capsys):
     """The containment guard is unreachable with correct conditions, so a
     fake report exercises the abort path.  It violates containment at
-    two cells off the first, (alpha, gamma) = (2, 2) and (3, 1); the
-    message counts both and names the first in sweep order."""
+    two cells off the first, (alpha, gamma) = (2, 2) and (3, 1), found by
+    value in whatever cells a report covers; the message counts both and
+    names the first in sweep order."""
     import phcf.cli as cli_mod
 
     real = cli_mod.stability_report
-    violating = {2.0: [1], 3.0: [0]}  # alpha -> indices of gamma
+    violating = [(2.0, 2.0), (3.0, 1.0)]
 
     def broken(params, **cells):
         report = real(params, **cells)
         from dataclasses import replace as drep
 
-        flip = np.zeros(report.exact_stable.shape, dtype=bool)
-        flip[violating.get(cells["alpha"], [])] = True
+        alpha, gamma = np.broadcast_arrays(cells["alpha"], cells["gamma"])
+        flip = np.zeros(alpha.shape, dtype=bool)
+        for a, g in violating:
+            flip |= (alpha == a) & (gamma == g)
         return drep(report, sufficient_stable=flip, exact_stable=~flip)
 
     monkeypatch.setattr(cli_mod, "stability_report", broken)
@@ -612,7 +615,11 @@ def test_cmd_stability_map_aborts_on_containment_violation(tmp_path, monkeypatch
     assert not (tmp_path / "x" / "stability.csv").exists()
 
 
-def test_cmd_stability_map_one_report_per_row(tmp_path, monkeypatch):
+def test_cmd_stability_map_tiles_cover_every_cell_once(tmp_path, monkeypatch):
+    """The map asks for one report per square tile of at most
+    _MAP_TILE_MODE_CELLS cells times modes.  At N = 2000 a tile is 2 x 2
+    cells, so a 5 x 3 grid takes six reports, the ragged 2 x 1, 1 x 2 and
+    1 x 1 tiles of its edges included, and they cover each cell once."""
     import phcf.cli as cli_mod
 
     calls = []
@@ -623,15 +630,26 @@ def test_cmd_stability_map_one_report_per_row(tmp_path, monkeypatch):
         return real(params, **cells)
 
     monkeypatch.setattr(cli_mod, "stability_report", counted)
-    vary = [parse_vary("alpha=0.25:3:5"), parse_vary("gamma=0.25:3:7")]
-    assert cmd_stability_map(preset("fig3"), vary, tmp_path) == 0
-    assert len(calls) == 5
-    assert all(np.shape(point["gamma"]) == (7,) for point in calls)
-    assert len(read_csv(tmp_path / "stability.csv")[1]) == 35
+    sc = preset("fig3")
+    sc = replace(sc, params=replace(sc.params, n_vehicles=2000, ring_length=14100.0))
+    vary = [parse_vary("alpha=0.25:3:5"), parse_vary("gamma=0.25:3:3")]
+    assert cmd_stability_map(sc, vary, tmp_path) == 0
+    covered = np.zeros((5, 3), dtype=int)
+    sizes = []
+    for cells in calls:
+        rows = np.flatnonzero(np.isin(vary[0][1], cells["alpha"]))
+        cols = np.flatnonzero(np.isin(vary[1][1], cells["gamma"]))
+        assert np.shape(cells["alpha"]) == (len(rows), 1) and np.shape(cells["gamma"]) == (1, len(cols))
+        assert len(rows) * len(cols) * 2000 <= cli_mod._MAP_TILE_MODE_CELLS
+        covered[np.ix_(rows, cols)] += 1
+        sizes.append((len(rows), len(cols)))
+    assert (covered == 1).all()
+    assert sorted(sizes) == [(1, 1), (1, 2), (2, 1), (2, 1), (2, 2), (2, 2)]
+    assert len(read_csv(tmp_path / "stability.csv")[1]) == 15
 
 
 def test_cmd_stability_map_rows_equal_cell_reports(tmp_path):
-    """Row-order CSV from the per-row reports equals one scalar report per
+    """Row-order CSV from the tiled reports equals one scalar report per
     cell, here on the beta x t_gap plane."""
     sc = preset("fig3")
     vary = [parse_vary("beta=0:2:4"), parse_vary("t_gap=0.5:3:3")]
@@ -647,9 +665,10 @@ def test_cmd_stability_map_rows_equal_cell_reports(tmp_path):
 
 
 def test_cmd_stability_map_memory_stays_small(tmp_path):
-    """A 400 x 400 map keeps three grid arrays and makes its CSV rows as
-    they are written: its traced peak stays under 10 MB, where 160k rows
-    of five Python strings held at once take several times that."""
+    """A 400 x 400 map keeps three grid arrays (1.6 MB), evaluates one
+    tile of at most 2**13 cells times modes at a time and makes its CSV
+    rows as they are written: its traced peak stays under 3.1 MB, where
+    160k rows of five Python strings held at once take tens of MB."""
     import tracemalloc
 
     sc = preset("fig3")
@@ -661,8 +680,27 @@ def test_cmd_stability_map_memory_stays_small(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 3.1e6
     assert (tmp_path / "stability.csv").read_bytes().count(b"\n") == 1 + 400 * 400
+
+
+def test_map_failing_in_two_ways_exits_2_with_one_error(tmp_path, capsys):
+    """A sweep at N = 2 and beta = 0 whose alpha = 0 row holds a cell of
+    structural zeros only (gamma = 0) and whose alpha = 1e200 row
+    overflows alpha**2.  Both rows sit in one tile, where every square
+    comes before the abscissa's checks, so the overflow is the one error
+    line; the command exits 2 and leaves no output directory."""
+    path = tmp_path / "s.ini"
+    assert main(["preset", "fig3", "--out", str(path)]) == 0
+    text = path.read_text().replace("n_vehicles = 20", "n_vehicles = 2").replace("beta = 1.0", "beta = 0.0")
+    path.write_text(text)
+    argv = ["stability-map", "--scenario", str(path), "--out", str(tmp_path / "o"),
+            "--vary", "alpha=0:1e200:2", "--vary", "gamma=0:1:2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: a value left the floating-point range ((34, 'Numerical result out of range'))\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -724,6 +724,60 @@ def test_broadcast_stability_report_equals_cell_reports_bitwise(case):
     assert_report_cells_equal_scalar_reports(*case)
 
 
+@st.composite
+def mixed_report_grids(draw):
+    """(n, [alpha, beta, gamma, t_gap]) on a 2-D or 3-D grid that is not
+    separable: one parameter varies over two axes at once, a second over
+    one axis of its own (in 3-D the axis the first leaves), and the other
+    two over one axis or none.  An array may drop leading length-1 axes
+    down to one, so the parameters differ in ndim as well."""
+    n = draw(st.integers(2, 30))
+    ndim = draw(st.integers(2, 3))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    order = draw(st.permutations(range(4)))
+    pair = draw(st.permutations(range(ndim)))[:2]
+    single = [k for k in range(ndim) if k not in pair] or list(pair)
+    axes = {order[0]: pair, order[1]: [draw(st.sampled_from(single))]}
+    for p in order[2:]:
+        axes[p] = draw(st.sampled_from([[]] + [[k] for k in range(ndim)]))
+    params = []
+    for p, strategy in enumerate(SWEEP_STRATEGIES):
+        var_shape = tuple(size if k in axes[p] else 1 for k, size in enumerate(shape))
+        count = math.prod(var_shape)
+        values = np.array(draw(st.lists(strategy, min_size=count, max_size=count))).reshape(var_shape)
+        if draw(st.booleans()):
+            while values.ndim > 1 and values.shape[0] == 1:
+                values = values[0]
+        params.append(values)
+    return n, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_report_grids())
+@example((20, [np.array([[0.5, 1e200], [1.0, 2.0]]), 1.0, np.array([0.1, 1.0]), 1.0]))  # alpha**2
+@example((2, [np.array([[0.0, 1.0], [2.0, 0.0]]), 0.0, 0.0, np.array([[[0.5]], [[1.0]]])]))  # zero-only cells
+def test_mixed_grid_stability_report_equals_cell_reports_bitwise(case):
+    """Grids whose parameters share axes (a full 2-D parameter beside a
+    row or column sweep, a 3-D grid of both kinds of axes) equal one
+    scalar report per cell, as separable grids do."""
+    assert_report_cells_equal_scalar_reports(*case)
+
+
+@pytest.mark.parametrize("gamma", [np.array([[1e160]]), np.array([[1.0, 1e160]])])
+def test_empty_grid_stability_report_is_empty(gamma):
+    """An empty grid has no cell whose square could overflow: gamma = 1e160
+    overflows (2*beta + gamma)**2 in any cell, but a grid with no alpha
+    value gives an empty report and raises nothing."""
+    report = report_at(20, np.empty((0, 1)), 1.0, gamma, 1.0)
+    shape = (0, gamma.shape[1])
+    for field in ("kappa", "nu", "rho", "hurwitz_det", "mode_stable"):
+        assert getattr(report, field).shape == shape + (19,)
+    for field in ("exact_stable", "sufficient_lhs", "sufficient_stable", "spectral_abscissa_nonzero"):
+        assert getattr(report, field).shape == shape
+    with pytest.raises(OverflowError):
+        report_at(20, np.ones((1, 1)), 1.0, gamma, 1.0)
+
+
 @pytest.mark.parametrize(
     "n,params",
     [
