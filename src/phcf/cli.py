@@ -47,7 +47,8 @@ from .stats import observables
 from .svgplot import observables_svg, spectrum_svg, stability_map_svg, trajectory_svg
 
 _SWEEPABLE = ("alpha", "beta", "gamma", "t_gap")
-# Cells times modes per stability_report call of a map: 20 x 20 cells at N = 20.
+# Cells times modes per stability_report call of a map (20 x 20 cells at
+# N = 20), or one grid row where that is more.
 _MAP_TILE_MODE_CELLS = 2**13
 
 
@@ -272,15 +273,23 @@ def cmd_stability_map(scenario: Scenario, vary, out_dir) -> int:
     exact = np.zeros((len(values1), len(values2)), dtype=bool)
     suff = np.zeros_like(exact)
     abscissa = np.zeros(exact.shape)
-    # One report per square tile of at most _MAP_TILE_MODE_CELLS cells times
-    # modes: a tile shares each axis-only term among its cells, memory per
-    # report stays bounded, and the grid is three arrays.
-    side = max(1, math.isqrt(_MAP_TILE_MODE_CELLS // scenario.params.n_vehicles))
-    for i in range(0, len(values1), side):
-        rows = values1[i : i + side, None]
-        for j in range(0, len(values2), side):
-            report = stability_report(scenario.params, **{name1: rows, name2: values2[None, j : j + side]})
-            tile = np.s_[i : i + side, j : j + side]
+    # One report per near-square tile of at most _MAP_TILE_MODE_CELLS cells
+    # times modes: a tile shares each axis-only term among its cells, memory
+    # per report stays bounded, and the grid is three arrays.  A tile never
+    # holds fewer cells than a grid row, so where the budget holds less than
+    # a row a tile is one row, and a report's O(N) mode tables and powers of
+    # omega are built at most once per row's worth of cells.
+    cells = _MAP_TILE_MODE_CELLS // scenario.params.n_vehicles
+    if cells < len(values2):
+        height, width = 1, len(values2)
+    else:
+        width = min(len(values2), math.isqrt(cells))
+        height = cells // width
+    for i in range(0, len(values1), height):
+        rows = values1[i : i + height, None]
+        for j in range(0, len(values2), width):
+            report = stability_report(scenario.params, **{name1: rows, name2: values2[None, j : j + width]})
+            tile = np.s_[i : i + height, j : j + width]
             exact[tile] = report.exact_stable
             suff[tile] = report.sufficient_stable
             abscissa[tile] = report.spectral_abscissa_nonzero
