@@ -37,7 +37,6 @@ from .sde import run_ensemble, simulate
 from .spectral import (
     check_dense_size,
     dense_eigen_oracle,
-    drift_matrix_norm,
     eigenvalues,
     match_distances,
     spectral_abscissa_nonzero,
@@ -98,8 +97,7 @@ def _stability_info(scenario: Scenario) -> dict:
     regime additionally gets a stability verdict.  O(N): no matrix."""
     p = scenario.params
     if p.regime.t_gap is None:
-        scale = drift_matrix_norm(p.n_vehicles, p.alpha, p.beta, p.gamma)
-        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(p), scale)}
+        return {"spectral_abscissa": spectral_abscissa_nonzero(eigenvalues(p))}
     report = stability_report(p)
     if report.marginal:
         verdict = "marginal"
@@ -399,7 +397,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         message = f"not enough memory for this run ({exc})"
     except OverflowError as exc:
-        message = f"a value left the floating-point range ({exc})"
+        # A float power's OverflowError carries (errno, reason): print the reason.
+        message = f"a value left the floating-point range ({exc.args[-1] if exc.args else exc})"
     # one line, also for a message that quotes a multi-line input
     print("error:", " ".join(message.splitlines()), file=sys.stderr)
     return 2

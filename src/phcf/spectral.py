@@ -31,12 +31,9 @@ parameters it depends on and only the mixed terms run once per cell.  A
 grid costs O(cells * N) memory; evaluate a large map in tiles, as
 ``phcf stability-map`` does.
 
-The zero-detection scale is the drift matrix's Frobenius norm, in closed form
-
-    ||B||_F^2 = 2N + N*((alpha^2 + g)^2 + alpha^4) + N*((2*beta + d)^2 + 2*beta^2)
-
-with g = gamma/t_gap under gap feedback (else 0), d = gamma when gamma > 0
-(else 0), and 4*beta^2 for 2*beta^2 at N = 2, where the neighbours coincide.
+The structural zeros are known by index: entry 0 always, and entry 1,
+which is -gamma bit for bit, where gamma = 0.  The spectral abscissa skips
+exactly these, so no tolerance decides which roots are zero.
 
 Everything here is cross-checkable against a generic dense eigensolver,
 exposed as :func:`dense_eigen_oracle`; it and :func:`match_distances`
@@ -61,9 +58,6 @@ from .model import (
     assemble_drift_matrix,  # noqa: F401  (bench/tracer.py times calls through this binding)
 )
 
-# Structural zeros are exact in the closed form; the dense oracle rounds
-# far below this at desk scale.
-ZERO_EIGENVALUE_RTOL = 1e-10
 # Strict inequalities give no verdict on the boundary: report as marginal.
 MARGINAL_ABSCISSA = 1e-10
 # Largest matrix dimension (= eigenvalue count, 2N) the dense oracle and the
@@ -203,9 +197,13 @@ def match_distances(values_a: Sequence[complex], values_b: Sequence[complex]) ->
 
 @np.errstate(all="ignore")
 def drift_matrix_norm(n, alpha, beta, gamma, t_gap=None):
-    """Frobenius norm of the drift matrix (N >= 2), the scale for zero
-    detection, in closed form: the damping block counts when gamma > 0, the
-    feedback block when t_gap is given.  Broadcasts (module docstring)."""
+    """Frobenius norm of the drift matrix (N >= 2) in closed form,
+
+        ||B||_F^2 = 2N + N*((alpha^2 + g)^2 + alpha^4) + N*((2*beta + d)^2 + 2*beta^2)
+
+    with g = gamma/t_gap when t_gap is given (else 0), d = gamma when
+    gamma > 0 (else 0), and 4*beta^2 for 2*beta^2 at N = 2, where the
+    neighbours coincide.  Broadcasts (module docstring)."""
     a2 = alpha * alpha
     g = 0.0 if t_gap is None else gamma / t_gap
     damping = np.where(gamma > 0, gamma, 0.0)
@@ -214,32 +212,24 @@ def drift_matrix_norm(n, alpha, beta, gamma, t_gap=None):
     return _unwrap(np.sqrt(n * total))
 
 
-def near_zero_count(values, scale: float) -> int:
-    """Number of eigenvalues inside the structural-zero ball."""
-    return int(np.sum(np.abs(np.asarray(values, dtype=complex)) < ZERO_EIGENVALUE_RTOL * scale))
+def spectral_abscissa_nonzero(values):
+    """Largest real part of a closed-form spectrum (entry 2j + k is mode
+    j, branch k; N >= 2) over every entry but the structural zeros: all of
+    modes 1..N-1, plus entry 1 where it is not exactly zero.
 
-
-def spectral_abscissa_nonzero(values, scale):
-    """Largest real part over eigenvalues outside the structural-zero ball.
-
-    Broadcasts: values of shape S + (M,) and scale of shape S give one
-    abscissa per cell, a float when S is ().  Raises InvalidInputError
-    when a value or the scale is not finite.
+    Broadcasts: values of shape S + (2N,) give one abscissa per cell, a
+    float when S is ().  Raises InvalidInputError when the last axis is
+    not 2N >= 4 long or a value is not finite.
     """
     v = np.asarray(values, dtype=complex)
-    scale = np.asarray(scale)
-    if not (np.isfinite(v).all() and np.isfinite(scale).all()):
-        raise InvalidInputError("the spectrum or its scale left the floating-point range")
-    keep = np.abs(v) >= ZERO_EIGENVALUE_RTOL * scale[..., None]
-    if not keep.any(axis=-1).all():
-        raise InvalidInputError("all eigenvalues are structural zeros")
+    if v.ndim == 0 or v.shape[-1] < 4 or v.shape[-1] % 2:
+        raise InvalidInputError(f"need a closed-form spectrum of 2N >= 4 entries, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise InvalidInputError("the spectrum left the floating-point range")
     real = v.real
-    top = np.asarray(np.where(keep, real, -np.inf).max(axis=-1))
-    # Which signed zero a max returns depends on where the zeros sit; take
-    # those cells from their kept values alone, as a one-cell call does.
-    for cell in map(tuple, np.argwhere(top == 0)):
-        top[cell] = real[cell][keep[cell]].max()
-    return _unwrap(top)
+    # Entry 1 is -gamma: a root where gamma != 0, a structural zero where gamma = 0.
+    damping = np.where(real[..., 1] != 0, real[..., 1], -np.inf)
+    return _unwrap(np.maximum(real[..., 2:].max(axis=-1), damping))
 
 
 def _unwrap(x):
@@ -254,8 +244,8 @@ def _unwrap(x):
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Exact per-mode verdicts, the sufficient condition, and the
-    spectral abscissa excluding the structural zero, for one parameter
-    cell or a grid of shape S.
+    spectral abscissa over every root but mode 0's structural zeros, for
+    one parameter cell or a grid of shape S.
 
     The per-mode arrays have shape S + (N-1,) and cover modes j = 1..N-1
     (entry i is mode i + 1): mode j is x^2 + kappa*x + (nu + i*rho),
@@ -300,8 +290,8 @@ def stability_report(params: ModelParams, *, alpha=None, beta=None, gamma=None, 
     and rho_j = -(gamma/T)*s_j; a cell is exactly stable iff gamma > 0 and
     every mode passes the Hurwitz test.  Raises UnsupportedOperationError
     for a CustomDerivative potential, OverflowError where the square of a
-    finite value overflows, and InvalidInputError without gap feedback, or
-    where a cell has only structural zeros or leaves the float range.
+    finite value overflows, and InvalidInputError without gap feedback or
+    where a cell leaves the float range.
     """
     n, *base = _linear_scalars(params)
     if params.regime.t_gap is None:
@@ -318,7 +308,6 @@ def stability_report(params: ModelParams, *, alpha=None, beta=None, gamma=None, 
     alpha, beta, gamma, t_gap = (axis[..., None] for axis in axes)
     a2 = _square(alpha)
     lhs, sufficient = sufficient_condition(alpha[..., 0], gamma[..., 0], t_gap[..., 0])
-    scale = drift_matrix_norm(n, alpha[..., 0], beta[..., 0], gamma[..., 0], t_gap[..., 0])
 
     cos, sin = _mode_tables(n)
     c, s = cos[1:], sin[1:]
@@ -340,5 +329,5 @@ def stability_report(params: ModelParams, *, alpha=None, beta=None, gamma=None, 
         exact_stable=_unwrap((gamma[..., 0] > 0) & stable.all(axis=-1)),
         sufficient_lhs=_unwrap(np.broadcast_to(lhs, shape)),
         sufficient_stable=_unwrap(np.broadcast_to(sufficient, shape)),
-        spectral_abscissa_nonzero=spectral_abscissa_nonzero(values, scale),
+        spectral_abscissa_nonzero=spectral_abscissa_nonzero(values),
     )

@@ -10,6 +10,8 @@ file as ``csv.writer`` writes it, the SVG trajectory fan and stability
 map drawn one trace or one cell at a time, and a panel's title, axes and
 dashed lines with each element spelled out in place.  ``report_at``
 calls the package's stability report with five scalars.
+``near_zero_count`` and ``ball_abscissa`` tell structural zeros by a ball
+around zero, so they take a spectrum in any order, a dense one included.
 """
 
 import csv
@@ -101,6 +103,27 @@ def reference_drift_matrix_norm(n, alpha, beta, gamma, t_gap=None):
     damping = gamma if gamma > 0 else 0.0
     neighbours = (4.0 if n == 2 else 2.0) * beta * beta
     return math.sqrt(n * (2.0 + (a2 + g) ** 2 + a2 * a2 + (2.0 * beta + damping) ** 2 + neighbours))
+
+
+# Radius of the structural-zero ball, relative to the drift matrix's norm:
+# the dense oracle's structural roots are not exactly zero, but round far
+# below it at desk scale.
+ZERO_BALL_RTOL = 1e-10
+
+
+def near_zero_count(values, scale):
+    """Number of eigenvalues inside the structural-zero ball."""
+    return int(np.sum(np.abs(np.asarray(values, dtype=complex)) < ZERO_BALL_RTOL * scale))
+
+
+def ball_abscissa(values, scale):
+    """Largest real part over the eigenvalues of one spectrum that lie
+    outside the structural-zero ball."""
+    values = np.asarray(values, dtype=complex)
+    kept = values[np.abs(values) >= ZERO_BALL_RTOL * scale]
+    if not kept.size:
+        raise InvalidInputError("all eigenvalues are structural zeros")
+    return float(kept.real.max())
 
 
 def deviation_matrix(n):

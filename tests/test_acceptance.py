@@ -24,12 +24,11 @@ from phcf import (
     max_gap_closure_error,
     preset,
     simulate,
-    spectral_abscissa_nonzero,
     stability_report,
 )
 from phcf.cli import cmd_ensemble, cmd_simulate, cmd_spectrum, cmd_stability_map, parse_vary
 from phcf.scenario import load_scenario
-from phcf.spectral import near_zero_count
+from oracles import ball_abscissa as spectral_abscissa_nonzero, near_zero_count
 
 SWEEP_NS = (2, 3, 5, 8, 20, 50)
 REGIME_KINDS = ("uncontrolled", "open_loop", "closed_loop")

@@ -45,9 +45,9 @@ def test_demo_imports_resolve(path):
 
 
 def test_spectra_and_stability_map_demos_run(tmp_path):
-    """The two demos that call the broadcast stability report and
-    near_zero_count run to their stated results.  They run as copies in
-    tmp_path, so their SVGs go to tmp_path/output, not demos/output."""
+    """The two demos that call the broadcast stability report and the
+    index-rule abscissa run to their stated results.  They run as copies
+    in tmp_path, so their SVGs go to tmp_path/output, not demos/output."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = {}
     for name in ("spectra.py", "stability_map.py"):
@@ -57,7 +57,11 @@ def test_spectra_and_stability_map_demos_run(tmp_path):
                               timeout=300)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         out[name] = proc.stdout
-    assert "structural zeros: 2" in out["spectra.py"]
+    spectra = out["spectra.py"].splitlines()
+    assert [line.strip() for line in spectra if "structural zeros" in line] == [
+        f"structural zeros: {count}" for count in (2, 1, 1)]
+    assert [line.strip() for line in spectra if "spectral abscissa" in line] == [
+        f"spectral abscissa (nonzero modes): {value}" for value in ("-0.04894", "-0.09894", "+0.00419")]
     assert "all inside the exact region: True" in out["stability_map.py"]
     assert "stability flips at gamma = [0.1, 1.55]" in out["stability_map.py"]
     assert (tmp_path / "output" / "stability_map.svg").exists()

@@ -30,17 +30,18 @@ from phcf.cli import main
 from phcf.model import assemble_drift_matrix
 from phcf.spectral import (
     DENSE_ORACLE_MAX_DIM,
-    ZERO_EIGENVALUE_RTOL,
     _square,
     check_dense_size,
     drift_matrix_norm,
-    near_zero_count,
     sufficient_condition,
 )
 from oracles import (
+    ZERO_BALL_RTOL,
+    ball_abscissa,
     complex_hurwitz_stable,
     deviation_matrix,
     mu,
+    near_zero_count,
     reference_drift_matrix_norm,
     reference_sufficient_condition,
     report_at,
@@ -119,7 +120,7 @@ def test_open_loop_unconditionally_stable():
     spec = eigenvalues(params)
     scale = np.linalg.norm(build_matrices(params))
     assert near_zero_count(spec, scale) == 1
-    nonzero = spec[np.abs(spec) >= ZERO_EIGENVALUE_RTOL * scale]
+    nonzero = spec[np.abs(spec) >= ZERO_BALL_RTOL * scale]
     assert (nonzero.real < 0).all()
 
 
@@ -139,9 +140,7 @@ def test_closed_loop_large_t_gap_approaches_open_loop():
 
 def test_closed_loop_fig3_parameters_unstable():
     params = make_params(20, 0.5, 1.0, 1.0, ClosedLoop(ell=5.0, t_gap=1.0))
-    spec = eigenvalues(params)
-    scale = np.linalg.norm(build_matrices(params))
-    assert spectral_abscissa_nonzero(spec, scale) > 0
+    assert spectral_abscissa_nonzero(eigenvalues(params)) > 0
 
 
 def test_regime_mismatch_rejected():
@@ -334,7 +333,7 @@ def test_exact_stability_stiff_potential_stable():
     # dense-oracle abscissa agrees in sign
     dense = dense_eigen_oracle(build_matrices(params))
     scale = np.linalg.norm(build_matrices(params))
-    assert spectral_abscissa_nonzero(dense, scale) < 0
+    assert ball_abscissa(dense, scale) < 0
 
 
 def test_sufficient_condition_values():
@@ -396,7 +395,7 @@ def test_gamma_destabilization_counterexample():
     assert not report_at(20, 0.3, 1.0, 0.10, 1.0).exact_stable
     for gamma, stable in ((0.05, True), (0.10, False)):
         b = assemble_drift_matrix(20, 0.3, 1.0, gamma, t_gap=1.0)
-        abscissa = spectral_abscissa_nonzero(dense_eigen_oracle(b), np.linalg.norm(b))
+        abscissa = ball_abscissa(dense_eigen_oracle(b), np.linalg.norm(b))
         assert (abscissa < 0) == stable
 
 
@@ -431,8 +430,8 @@ def loop_mode_spectrum(n, alpha, beta, gamma, t_gap=None):
 
 
 def loop_stability_report(n, alpha, beta, gamma, t_gap):
-    """Reference: the per-mode Hurwitz loop, with the dense matrix norm as
-    the zero-detection scale."""
+    """Reference: the per-mode Hurwitz loop, and the abscissa of the
+    per-mode loop's spectrum."""
     rows = []
     for j in range(1, n):
         ang = 2.0 * math.pi * j / n
@@ -445,9 +444,7 @@ def loop_stability_report(n, alpha, beta, gamma, t_gap):
         det = kappa * (nu * kappa + rho * eta) - rho**2
         rows.append((kappa, nu, rho, det, complex_hurwitz_stable(kappa, eta, nu, rho)))
     kappa, nu, rho, det, stable = (np.array(col) for col in zip(*rows))
-    b = assemble_drift_matrix(n, alpha, beta, gamma, t_gap=t_gap)
-    values = loop_mode_spectrum(n, alpha, beta, gamma, t_gap)
-    abscissa = spectral_abscissa_nonzero(values, np.linalg.norm(b))
+    abscissa = spectral_abscissa_nonzero(loop_mode_spectrum(n, alpha, beta, gamma, t_gap))
     return kappa, nu, rho, det, stable, bool(gamma > 0 and stable.all()), abscissa
 
 
@@ -471,6 +468,15 @@ def regime_scalars(draw, max_n=40):
         return n, alpha, beta, 0.0, None
     gamma = draw(POSITIVE_RATES)
     return n, alpha, beta, gamma, draw(T_GAPS) if kind == "closed_loop" else None
+
+
+def scalars_params(n, alpha, beta, gamma, t_gap):
+    """The params of a regime_scalars case."""
+    if gamma == 0:
+        regime = Uncontrolled()
+    else:
+        regime = OpenLoop(x=1.0) if t_gap is None else ClosedLoop(ell=1.0, t_gap=t_gap)
+    return make_params(n, alpha, beta, gamma, regime)
 
 
 @settings(max_examples=200, deadline=None)
@@ -560,30 +566,19 @@ def test_drift_matrix_norm_broadcasts_the_scalar_reference(n, cells, feedback):
 @example((2, 0.0, 1.0, 0.0, None))
 @example((20, 0.5, 1.0, 1.0, 1.0))
 def test_mode_spectrum_equals_loop_bitwise(case):
-    n, alpha, beta, gamma, t_gap = case
-    if gamma == 0:
-        regime = Uncontrolled()
-    else:
-        regime = OpenLoop(x=1.0) if t_gap is None else ClosedLoop(ell=1.0, t_gap=t_gap)
-    expected = loop_mode_spectrum(n, alpha, beta, gamma, t_gap)
-    assert bits(eigenvalues(make_params(n, alpha, beta, gamma, regime))) == bits(expected)
+    expected = loop_mode_spectrum(*case)
+    assert bits(eigenvalues(scalars_params(*case))) == bits(expected)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 40), RATES, RATES, st.one_of(st.just(0.0), RATES), T_GAPS)
 @example(20, 0.5, 1.0, 1.0, 1.0)
 @example(20, 0.3, 1.0, 0.10, 1.0)
-@example(2, 0.0, 0.0, 0.0, 1.0)  # every eigenvalue a structural zero
+@example(2, 0.0, 0.0, 0.0, 1.0)  # every root zero: mode 1's make a marginal 0.0
 @example(12, 0.5, 1.0, 0.75, 1.0)  # a mode where rho**2 != rho*rho
 @example(20, 2.6967998943009652, 1.0, 1.0, 1.0)  # alpha**2 != alpha*alpha
 def test_stability_report_equals_loop_bitwise(n, alpha, beta, gamma, t_gap):
-    try:
-        expected = loop_stability_report(n, alpha, beta, gamma, t_gap)
-    except InvalidInputError:
-        with pytest.raises(InvalidInputError):
-            report_at(n, alpha, beta, gamma, t_gap)
-        return
-    kappa, nu, rho, det, stable, exact, abscissa = expected
+    kappa, nu, rho, det, stable, exact, abscissa = loop_stability_report(n, alpha, beta, gamma, t_gap)
     report = report_at(n, alpha, beta, gamma, t_gap)
     assert bits(report.kappa) == bits(kappa)
     assert bits(report.nu) == bits(nu)
@@ -717,9 +712,9 @@ def assert_report_cells_equal_scalar_reports(n, params):
 @settings(max_examples=150, deadline=None)
 @given(report_grids())
 @example((20, [np.array([[0.5], [1e200]]), 1.0, np.array([[0.1, 1.0]]), 1.0]))  # alpha**2
-@example((20, [0.5, 1.0, np.array([[1.0, 1e160]]), np.array([[1.0], [2.0]])]))  # (gamma/T)**2, rho**2
-@example((20, [np.array([[0.5], [1e100]]), 1.0, np.array([[0.1, 1.0]]), 1.0]))  # the norm's (alpha**2)**2
-@example((2, [np.array([[0.0], [1e200]]), 0.0, 0.0, 1.0]))  # a zero-only cell and an overflow
+@example((20, [0.5, 1.0, np.array([[1.0, 1e160]]), np.array([[1.0], [2.0]])]))  # rho**2
+@example((20, [np.array([[0.5], [1e100]]), 1.0, np.array([[0.1, 1.0]]), 1.0]))  # a finite alpha**2 of 1e200: no error
+@example((2, [np.array([[0.0], [1e200]]), 0.0, 0.0, 1.0]))  # a zero-root cell and an overflow
 def test_broadcast_stability_report_equals_cell_reports_bitwise(case):
     assert_report_cells_equal_scalar_reports(*case)
 
@@ -755,7 +750,7 @@ def mixed_report_grids(draw):
 @settings(max_examples=150, deadline=None)
 @given(mixed_report_grids())
 @example((20, [np.array([[0.5, 1e200], [1.0, 2.0]]), 1.0, np.array([0.1, 1.0]), 1.0]))  # alpha**2
-@example((2, [np.array([[0.0, 1.0], [2.0, 0.0]]), 0.0, 0.0, np.array([[[0.5]], [[1.0]]])]))  # zero-only cells
+@example((2, [np.array([[0.0, 1.0], [2.0, 0.0]]), 0.0, 0.0, np.array([[[0.5]], [[1.0]]])]))  # zero-root cells
 def test_mixed_grid_stability_report_equals_cell_reports_bitwise(case):
     """Grids whose parameters share axes (a full 2-D parameter beside a
     row or column sweep, a 3-D grid of both kinds of axes) equal one
@@ -798,30 +793,35 @@ def test_broadcast_stability_report_equals_cell_reports_examples(n, params):
     assert_report_cells_equal_scalar_reports(n, params)
 
 
-# Kept eigenvalues with real part +0.0 and -0.0, and a structural zero.
+# Roots with real part +0.0 and -0.0, and an exact zero.
 POS, NEG, ZERO = complex(0.0, 1.0), complex(-0.0, 1.0), 0j
 SIGNED_ZERO_ROW = [-1, ZERO, -1, -1, -1, NEG, -1, ZERO, POS, ZERO, NEG, NEG]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(9, 40).flatmap(lambda m: st.lists(
-    st.lists(st.sampled_from([POS, NEG, -1.0, ZERO]), min_size=m, max_size=m),
+@given(st.integers(5, 20).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([POS, NEG, -1.0, ZERO]), min_size=2 * n, max_size=2 * n),
     min_size=1, max_size=4)))
-@example([SIGNED_ZERO_ROW])  # the masked max alone would return -0.0 here
+@example([SIGNED_ZERO_ROW])  # +0.0 and -0.0 tie for the top real part
 @example([SIGNED_ZERO_ROW[::-1], SIGNED_ZERO_ROW])
 def test_abscissa_batch_equals_compacted_max_bitwise(rows):
-    """Per cell, the masked max returns the very float (signed zeros
-    included) that the max over the kept values alone returns."""
+    """Per cell, the batch returns the very float (signed zeros included)
+    that a one-cell call returns, and its value is the max over the
+    entries the index rule keeps: 2.., and 1 where it is not zero."""
     values = np.array(rows)
-    keep = np.abs(values) >= ZERO_EIGENVALUE_RTOL
-    if not keep.any(axis=-1).all():
-        with pytest.raises(InvalidInputError):
-            spectral_abscissa_nonzero(values, np.ones(len(rows)))
-        return
-    batch = spectral_abscissa_nonzero(values, np.ones(len(rows)))
-    for row, k, got in zip(values, keep, batch):
-        assert bits(got) == bits(row.real[k].max())
-        assert bits(got) == bits(spectral_abscissa_nonzero(row, 1.0))
+    batch = spectral_abscissa_nonzero(values)
+    for row, got in zip(values, batch):
+        assert bits(got) == bits(spectral_abscissa_nonzero(row))
+        kept = row.real[2:] if row[1] == 0 else row.real[1:]
+        assert got == kept.max()
+
+
+@pytest.mark.parametrize("values", [0j, [], [0j, -1.0, -2.0], [0j, -1.0, -2.0, -3.0, -4.0], [[0j, -1.0]]])
+def test_abscissa_refuses_what_is_no_closed_form_spectrum(values):
+    """A closed-form spectrum holds 2N >= 4 entries on its last axis;
+    anything else is refused, not indexed."""
+    with pytest.raises(InvalidInputError, match="closed-form spectrum of 2N >= 4 entries"):
+        spectral_abscissa_nonzero(values)
 
 
 def test_broadcast_stability_report_marginal_cells():
@@ -830,19 +830,21 @@ def test_broadcast_stability_report_marginal_cells():
 
 
 def test_broadcast_stability_report_rejects_all_zero_cell():
-    """n = 2 with alpha = beta = gamma = 0 has only structural zeros; one
-    such cell fails the whole grid, as its scalar call does."""
-    with pytest.raises(InvalidInputError):
-        report_at(2, 0.0, 0.0, 0.0, 1.0)
+    """n = 2 with alpha = beta = gamma = 0 has only zero roots.  Mode 0's
+    are structural, but mode 1's are not: the cell is a marginal 0.0, in
+    a grid as in its scalar call.  (The name dates from when such a cell
+    was refused as holding structural zeros only.)"""
+    one = report_at(2, 0.0, 0.0, 0.0, 1.0)
+    assert one.spectral_abscissa_nonzero == 0.0 and one.marginal and not one.exact_stable
     assert report_at(2, 1.0, 0.0, 0.0, 1.0).marginal
-    with pytest.raises(InvalidInputError):
-        report_at(2, np.array([1.0, 0.0]), 0.0, 0.0, 1.0)
+    grid = report_at(2, np.array([1.0, 0.0]), 0.0, 0.0, 1.0)
+    assert grid.spectral_abscissa_nonzero[1] == 0.0 and grid.marginal.all()
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, np.array([0.0, 1.0])])
 def test_stability_report_refuses_zero_t_gap(gamma):
-    """t_gap = 0 (outside ClosedLoop's domain) makes gamma/t_gap and the
-    scale non-finite: InvalidInputError, without a numpy warning."""
+    """t_gap = 0 (outside ClosedLoop's domain) makes gamma/t_gap and so
+    the roots non-finite: InvalidInputError, without a numpy warning."""
     with pytest.raises(InvalidInputError):
         report_at(20, 0.5, 1.0, gamma, 0.0)
 
@@ -876,6 +878,38 @@ def test_structural_zero_counts_with_closed_form_scale(n, alpha, beta, gamma, t_
     scale = drift_matrix_norm(n, alpha, beta, params.gamma,
                               t_gap if kind == "closed_loop" else None)
     assert near_zero_count(eigenvalues(params), scale) == (2 if kind == "uncontrolled" else 1)
+
+
+# Gap-feedback cells (N = 20, T = 1) where the ball around zero holds roots
+# that are not structural: (abscissa by index, exact_stable, marginal).
+BALL_PROBES = {
+    # modes j >= 1 have a root at -5.0e-13, which the ball hid behind -0.0979
+    (20, 0.0, 1.0, 1e-12, 1.0): (-4.999889391399392e-13, True, True),
+    # every root but mode 0's lies inside the ball, which found no root at all
+    (20, 0.0, 0.0, 1e-19, 1.0): (1.5744304548894506e-10, False, False),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(regime_scalars(max_n=200))
+@example((20, 0.0, 1.0, 1e-12, 1.0))
+@example((20, 0.0, 0.0, 1e-19, 1.0))
+def test_index_rule_equals_ball_rule_outside_the_ball(case):
+    """The abscissa that skips the structural zeros by index equals, bit
+    for bit, the one that skips every root inside the ball
+    |lambda| < 1e-10*||B||_F, wherever only structural zeros lie inside
+    the ball.  Where other roots do, the index rule keeps them."""
+    values = eigenvalues(scalars_params(*case))
+    abscissa = spectral_abscissa_nonzero(values)
+    scale = reference_drift_matrix_norm(*case)
+    structural = 1 + int(values[1] == 0)
+    if case in BALL_PROBES:
+        assert near_zero_count(values, scale) > structural
+        report = report_at(*case)
+        assert abscissa == report.spectral_abscissa_nonzero
+        assert (abscissa, report.exact_stable, report.marginal) == BALL_PROBES[case]
+    elif near_zero_count(values, scale) == structural:
+        assert bits(abscissa) == bits(ball_abscissa(values, scale))
 
 
 def test_spectral_layer_builds_no_dense_matrix(monkeypatch):
