@@ -18,7 +18,12 @@ the first NOISE_BLOCK draws of Philox(key=s, counter=b << 64); a run's
 last block draws only the first rows, one per step it runs.  Each
 thread keeps one Philox generator and sets its key, counter and buffer
 for every block, which costs less than building a generator per block
-and leaves no state behind between calls.
+and leaves no state behind between calls.  The integrator's noise buffer
+is step-major, (NOISE_BLOCK, runs, N), so each step reads one contiguous
+(runs, N) row.  A single run's block is then C-contiguous and is drawn
+in place, so simulate never holds a block twice; a batch draws each
+run's block anew and copies it into its column, a temporary of one
+run's block.
 
 The integrator advances all runs of an ensemble as the rows of (runs, N)
 arrays updated in place.  Every update is elementwise, in the order
@@ -184,9 +189,11 @@ def initial_state(params: ModelParams, initial: InitialCondition):
 # noise
 
 
-def noise_block(seed: int, block_index: int, n_vehicles: int, steps: int = NOISE_BLOCK) -> np.ndarray:
+def noise_block(seed: int, block_index: int, n_vehicles: int, steps: int = NOISE_BLOCK,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Standard-normal draws, (steps, n_vehicles), for the first steps
-    steps of block block_index of one run.
+    steps of block block_index of one run: a new array, or out filled in
+    place and returned.
 
     The draws are those of Generator(Philox(key=seed, counter=block_index
     << 64)).  Instead of building that generator, the calling thread's
@@ -195,7 +202,14 @@ def noise_block(seed: int, block_index: int, n_vehicles: int, steps: int = NOISE
     in order, row after row, so a draw of k steps is the first k rows of
     the full (NOISE_BLOCK, n_vehicles) block: a run's last block draws
     only the steps it runs.
+
+    out, if given, is a C-contiguous float64 array of shape (steps,
+    n_vehicles); it gets the bytes of the new array.  Any other out
+    raises before a draw is written: numpy would fill an F-ordered one
+    in its memory order, column after column.
     """
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array")
     gen = getattr(_thread_noise, "generator", None)
     if gen is None:
         gen = _thread_noise.generator = np.random.Generator(np.random.Philox(0))
@@ -215,7 +229,7 @@ def noise_block(seed: int, block_index: int, n_vehicles: int, steps: int = NOISE
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return gen.standard_normal((steps, n_vehicles))
+    return gen.standard_normal((steps, n_vehicles), out=out)
 
 
 def derive_run_seed(seed: int, run_index: int) -> int:
@@ -277,8 +291,10 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
         # run-major, so each run's samples are one C-contiguous block
         q_samples = np.empty((runs, n_samples, n))
         p_samples = np.empty((runs, n_samples, n))
-        # one block of draws for all runs, refilled in place at each block
-        # start; each step overwrites the row it used with dt*p
+        # one block of draws for all runs, step-major so that each step
+        # reads one contiguous row and a single run's block is one
+        # C-contiguous slab; refilled in place at each block start, and
+        # each step overwrites the row it used with dt*p
         noise = np.empty((NOISE_BLOCK, runs, n))
         min_gap = np.empty((runs, n_samples))
     except ValueError as exc:  # numpy's refusal of a size past the address space
@@ -303,8 +319,12 @@ def _integrate(params: ModelParams, config: SimConfig, runs: int, run_seed):
     def draw_noise(block):
         """Fill and return the noise rows of the steps block runs."""
         rows = noise[: min(NOISE_BLOCK, n_steps - block * NOISE_BLOCK)]
-        for r, seed in enumerate(seeds):
-            rows[:, r] = noise_block(seed, block, n, len(rows))
+        if runs == 1:
+            # a single run's rows are C-contiguous: its draws go in place
+            noise_block(seeds[0], block, n, len(rows), rows[:, 0])
+        else:
+            for r, seed in enumerate(seeds):
+                rows[:, r] = noise_block(seed, block, n, len(rows))
         np.multiply(rows, sig_sqdt, rows)
         return rows
 

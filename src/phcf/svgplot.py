@@ -104,7 +104,9 @@ class _Panel:
 
         px and py map whole arrays with the scalar arithmetic, element
         by element, so each point is the same double as mapped alone.
-        The x strings are formatted once for all traces.
+        The x strings are formatted once for all traces; each trace's y
+        values become Python floats on their own, so a wide fan never
+        holds all of them at once.
         """
         ys = np.asarray(ys, dtype=float)
         ys = ys.reshape(len(ys), -1)
@@ -113,7 +115,8 @@ class _Panel:
         breaks = [[] for _ in range(ys.shape[1])]
         for i, k in zip(*(a.tolist() for a in np.nonzero(np.isnan(ys)))):
             breaks[k].append(i)
-        for k, (yp, stops) in enumerate(zip(self.py(ys).T.tolist(), breaks)):
+        for k, (trace, stops) in enumerate(zip(self.py(ys).T, breaks)):
+            yp = trace.tolist()
             color = colors[k % len(colors)]
             start = 0
             for stop in stops + [len(yp)]:
@@ -140,12 +143,13 @@ class _Panel:
 
 
 def _document(width, height, panels) -> str:
-    body = "\n".join(part for panel in panels for part in panel.parts)
-    return (
+    """The page around the panels' elements, one per line, built by one
+    join: every panel holds at least its frame, so no line is empty."""
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n<rect width="100%" height="100%" fill="white"/>\n'
-        f"{body}\n</svg>\n"
+        f'viewBox="0 0 {width} {height}">\n<rect width="100%" height="100%" fill="white"/>'
     )
+    return "\n".join([head, *(part for panel in panels for part in panel.parts), "</svg>\n"])
 
 
 def _span(values):

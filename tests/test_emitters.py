@@ -9,6 +9,8 @@ axis once for all traces and cells; they must equal the references in
 oracles.py, which draw one trace or one cell at a time.
 A panel's title, axes and dashed lines go through one text and one line
 writer; they must equal the references that spell each element out.
+The page that frames the panels, which the references share, is pinned
+to literal strings.
 """
 
 import csv
@@ -35,7 +37,16 @@ from oracles import (
 )
 from phcf import InvalidInputError, preset, write_scenario
 from phcf.cli import _rows, _write_outputs, main
-from phcf.svgplot import _PALETTE, _Panel, _ticks, observables_svg, stability_map_svg, trajectory_svg
+from phcf.svgplot import (
+    _FONT,
+    _PALETTE,
+    _Panel,
+    _document,
+    _ticks,
+    observables_svg,
+    stability_map_svg,
+    trajectory_svg,
+)
 
 # The header names of every command's CSV files.
 HEADER_NAMES = [
@@ -205,6 +216,48 @@ def test_trajectory_svg_equals_per_vehicle_loop(data, wrap):
     before = positions.copy()
     assert outcome(trajectory_svg, times, positions, ring_length, wrap) == expected
     assert np.array_equal(positions, before, equal_nan=True)
+
+
+SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="{0}" height="{1}" viewBox="0 0 {0} {1}">\n'
+            '<rect width="100%" height="100%" fill="white"/>\n')
+FRAME = '<rect x="{}.00" y="20.00" width="30.00" height="40.00" fill="white" stroke="#333" stroke-width="1"/>\n'
+
+
+def test_document_framing_is_pinned():
+    """The page is its head, every element of every panel on a line of its
+    own, in panel order, and the closing tag.  The reference SVGs in
+    oracles.py frame their panels with _document, so this pins its bytes."""
+    one = _Panel(10, 20, 30, 40, (0.0, 1.0), (0.0, 1.0))
+    assert _document(100, 50, [one]) == SVG_HEAD.format(100, 50) + FRAME.format(10) + "</svg>\n"
+    titled = _Panel(50, 20, 30, 40, (0.0, 1.0), (0.0, 1.0), title="b")
+    three = [one, titled, _Panel(90, 20, 30, 40, (0.0, 1.0), (0.0, 1.0))]
+    assert _document(130, 70, three) == (
+        SVG_HEAD.format(130, 70) + FRAME.format(10) + FRAME.format(50)
+        + f'<text x="65.00" y="14.00" {_FONT} text-anchor="middle">b</text>\n' + FRAME.format(90) + "</svg>\n"
+    )
+
+
+def test_trajectory_svg_memory_stays_small():
+    """A wrapped fan of 2000 traces of 26 samples, the wide-ring figure,
+    holds its element strings and the document they join into, about
+    twice the document, plus one trace's Python floats at a time and a
+    few (26, 2000) arrays: its traced peak stays under three documents.
+    Turning every trace into Python floats at once (52k of them) and
+    copying the joined body into the page again takes about four."""
+    import tracemalloc
+
+    ring_length = 14100.0
+    times = np.linspace(0.0, 2.5, 26)
+    vehicles = np.arange(2000)
+    positions = vehicles * 7.05 + times[:, None] * (10.0 + 5.0 * np.sin(vehicles))
+    tracemalloc.start()
+    try:
+        document = trajectory_svg(times, positions, ring_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert document.count("<polyline") > 2000
+    assert peak < 3 * len(document)
 
 
 # sweep axes: ascending, descending or one value; one value repeated

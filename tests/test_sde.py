@@ -364,10 +364,23 @@ def test_noise_block_matches_fresh_philox(seed, block):
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 25), st.integers(1, NOISE_BLOCK))
 def test_noise_block_rows_are_a_prefix_of_the_block(seed, block, n, steps):
     """Philox normals come out in order, so a draw of steps rows is the
-    first steps rows of the full block, to the bit."""
+    first steps rows of the full block, to the bit.  A draw into out, here
+    a slab of a larger buffer, has the same bytes, returns out itself and
+    writes nothing else.  A strided or column-major out raises ValueError
+    with nothing written: numpy would fill a column-major one column after
+    column."""
     part = noise_block(seed, block, n, steps)
     assert part.shape == (steps, n)
     assert part.tobytes() == noise_block(seed, block, n)[:steps].tobytes()
+    buffer = np.full((2, NOISE_BLOCK, n), np.nan)
+    out = buffer[1, :steps]
+    assert noise_block(seed, block, n, steps, out) is out
+    assert out.tobytes() == part.tobytes()
+    assert np.isnan(buffer[0]).all() and np.isnan(buffer[1, steps:]).all()
+    for bad, width in ((np.zeros((NOISE_BLOCK, n + 1))[:, :n], n), (np.zeros((2, NOISE_BLOCK)).T, 2)):
+        with pytest.raises(ValueError):
+            noise_block(seed, block, width, NOISE_BLOCK, bad)
+        assert not bad.any()
 
 
 def test_last_block_draws_only_its_steps(monkeypatch):
@@ -383,6 +396,32 @@ def test_last_block_draws_only_its_steps(monkeypatch):
     monkeypatch.setattr(phcf.sde, "noise_block", recorded)
     run_ensemble(fig_params("fig1"), SimConfig(0.01, 3.0, 7, 5), 2)
     assert shapes == [(NOISE_BLOCK, 20)] * 2 + [(300 - NOISE_BLOCK, 20)] * 2
+
+
+def test_simulate_holds_one_noise_block():
+    """simulate on an N = 2000 ring of one full noise block and 44 more
+    steps draws each block in place into its (256, 1, N) noise buffer,
+    4.1 MB.  Its traced peak stays under 1.5 times that buffer plus its
+    sample arrays (q, p and the minimum gaps): the rest is the drift
+    workspace and per-step temporaries, a few hundred kB.  Drawing each
+    block into a new array and copying it into the buffer holds the block
+    twice, over 8 MB.  A one-step run first takes the one-off allocations
+    of a first call out of the count."""
+    import tracemalloc
+
+    params = replace(fig_params("fig3"), n_vehicles=2000, ring_length=14100.0)
+    config = SimConfig(dt=0.001, t_end=0.3, sample_stride=100, seed=3)
+    simulate(params, replace(config, t_end=config.dt))
+    tracemalloc.start()
+    try:
+        ts = simulate(params, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise_bytes = NOISE_BLOCK * 2000 * 8
+    sample_bytes = ts.q.nbytes + ts.p.nbytes + 8 * len(ts.times)
+    assert ts.q.shape == (4, 2000)
+    assert peak < 1.5 * noise_bytes + sample_bytes
 
 
 def test_noise_block_calls_share_no_state():
